@@ -346,14 +346,15 @@ def _emit_register_metadata(seq: List[Instruction], instr: Instruction,
 # The injected sequences above are rigid by construction: straight-line
 # spills, immediate field initializers, one address computation, one
 # JCAL, and the mirrored restores.  ``compile_site_plan`` pattern-matches
-# a decoded instruction run back into that shape at decode time and
-# precomputes everything a per-instruction interpreter would rediscover
-# on every dynamic execution: the frame image's static bytes, the byte
-# columns every STL touches (one fancy-index scatter instead of ~20
-# ``Memory.write`` loops), the fill columns of the restores (one gather),
-# and the per-site stats/telemetry cost splits (spill / fill /
-# save_restore / param_marshal — identical to per-record
-# ``sassi_key`` classification, which tests enforce).
+# a decoded instruction run back into that shape at decode time: the
+# frame image's static bytes, the byte columns every STL touches and
+# every LDL reads, the op lists, and the per-site stats/telemetry cost
+# splits (spill / fill / save_restore / param_marshal — identical to
+# per-record ``sassi_key`` classification, which tests enforce).  On
+# its first execution the plan lowers the op lists into a
+# ``_SiteProgram``, a fixed dataflow program with one gather, one
+# scatter and one write-back per phase, so a visit no longer walks the
+# sequence op by op.
 #
 # Anything that does not match — predicated original sites beyond the
 # Figure 2 guard-flag pair, exotic register indices, out-of-frame stack
@@ -384,20 +385,25 @@ def _local_ref(operand) -> Optional[MemRef]:
 class SiteSequencePlan:
     """One instrumentation site's call sequence, compiled to array ops.
 
-    ``execute`` replays the whole sequence for the active lanes with a
-    handful of vectorized operations and invokes the handler binding
-    exactly as ``JCAL`` would.  It returns the number of
-    ``divergence.partial_dispatch`` telemetry increments the per-record
-    path would have made (guard-flag pairs at predicated sites), or
-    ``None`` when a run-time precondition fails and the caller must
-    fall back to per-instruction execution *before any state changed*.
+    ``execute`` replays the whole sequence for the active lanes and
+    invokes the handler binding exactly as ``JCAL`` would.  It returns
+    the number of ``divergence.partial_dispatch`` telemetry increments
+    the per-record path would have made (guard-flag pairs at predicated
+    sites), or ``None`` when a run-time precondition fails and the
+    caller must fall back to per-instruction execution *before any
+    state changed*.
+
+    The matched op lists (``ops``/``post_ops``) are lowered once, on the
+    plan's first execution, into a :class:`_SiteProgram`; a visit then
+    costs a fixed few dozen array operations however many spills,
+    fields and fills the sequence has.
     """
 
     __slots__ = ("start", "records", "frame", "jcal_addr", "jcal_index",
                  "ops", "post_ops", "template", "store_cols", "fill_cols",
                  "max_touch", "max_reg", "length", "n_pairs",
                  "thread_weight", "opcode_counts", "issue_cycles",
-                 "telemetry_counts", "n_fills", "site_id")
+                 "telemetry_counts", "site_id", "_program", "_seeds")
 
     def __init__(self, start, records, frame, jcal_addr, jcal_index, ops,
                  post_ops, template, store_cols, fill_cols, max_reg,
@@ -416,7 +422,6 @@ class SiteSequencePlan:
         self.template = template
         self.store_cols = store_cols
         self.fill_cols = fill_cols
-        self.n_fills = fill_cols.size // 4
         touch = [int(store_cols.max()) + 1] if store_cols.size else [0]
         if fill_cols.size:
             touch.append(int(fill_cols.max()) + 1)
@@ -435,6 +440,8 @@ class SiteSequencePlan:
         self.opcode_counts = counts
         self.issue_cycles = block_issue_cycles(dec.opcode for dec in records)
         self.telemetry_counts = block_dispatch_counts(records)
+        self._program: Optional[_SiteProgram] = None
+        self._seeds: dict = {}
 
     def sassi_cost_split(self) -> dict:
         """The site's injected-overhead split by telemetry bucket."""
@@ -446,6 +453,29 @@ class SiteSequencePlan:
         return sum(self.telemetry_counts.get(key, 0)
                    for key in SAVE_RESTORE_KEYS)
 
+    def program(self) -> "_SiteProgram":
+        """The lowered dataflow program (built on first use)."""
+        if self._program is None:
+            self._program = _SiteProgram(self)
+        return self._program
+
+    def static_fields(self, base: int) -> dict:
+        """The frame's compile-time constant words seen from a parameter
+        view at frame offset *base*, keyed like the view's static-read
+        cache: ``{(offset - base, 4): value}``.
+
+        While the handler this plan calls runs, the frame holds exactly
+        these values (the image was just scattered), so a view seeded
+        with them never has to read them back from local memory.
+        """
+        seed = self._seeds.get(base)
+        if seed is None:
+            seed = {(offset - base, 4): value
+                    for offset, value in self.program().statics.items()
+                    if offset >= base}
+            self._seeds[base] = seed
+        return seed
+
     # ----------------------------------------------------------- replay
 
     def execute(self, ex, warp, cta, g, g_idx, counter) -> Optional[int]:
@@ -455,127 +485,319 @@ class SiteSequencePlan:
             return None
         regs = warp.regs
         r1 = regs[1][g_idx]
-        sp = r1.astype(np.int64) - self.frame
+        frame = self.frame
         block = cta.local_block()
-        if int(sp.min()) < 0 or int(sp.max()) + self.max_touch > block.shape[1]:
+        width = block.shape[1]
+        if int(r1.min()) < frame \
+                or int(r1.max()) - frame + self.max_touch > width:
             return None
-        tids = warp.lane_thread_ids[g_idx]
-        # the opening IADD already lowered R1 as far as the rest of the
-        # sequence is concerned
-        env: dict = {1: (r1 - np.uint32(self.frame))}
-        cc = None
-        cc_dirty = False
+        prog = self.program()
+        # each lane's frame base as an index into the flat local block
+        base = warp.lane_thread_ids[g_idx] * width + r1
+        base -= frame
+        flat = block.reshape(-1)
+
+        # derived values in program order; vals[0] is the lowered R1
+        vals = [r1 - np.uint32(frame)]
+        append = vals.append
         partial = 0
-        payload = np.empty((n, self.template.size), dtype=np.uint8)
-        payload[:] = self.template
-
-        def read(reg):
-            value = env.get(reg)
-            if value is None:
-                return regs[reg][g_idx]
-            return value
-
-        for op in self.ops:
+        preds = warp.preds
+        for op in prog.nodes:
             kind = op[0]
-            if kind == "st":
-                _, pos, src = op
-                payload[:, pos:pos + 4] = _le_bytes4(read(src), n)
-            elif kind == "st64":
-                _, pos, lo = op
-                payload[:, pos:pos + 4] = _le_bytes4(read(lo), n)
-                payload[:, pos + 4:pos + 8] = _le_bytes4(read(lo + 1), n)
-            elif kind == "add":
-                _, dst, src, imm = op
-                env[dst] = read(src) + np.uint32(imm)
-            elif kind == "imm":
-                _, dst, value = op
-                env[dst] = np.uint32(value)
-            elif kind == "addcc":
-                _, dst, src, imm = op
-                a = read(src) if src is not None \
-                    else np.zeros(n, dtype=np.uint32)
-                result = a + np.uint32(imm)
-                cc = result < a
-                cc_dirty = True
-                if dst is not None:
-                    env[dst] = result
-            elif kind == "addx":
-                _, dst, src = op
-                a = read(src) if src is not None \
-                    else np.zeros(n, dtype=np.uint32)
-                if cc is None:
-                    cc = warp.carry[g_idx]
-                env[dst] = a + cc.astype(np.uint32)
-            elif kind == "guard":
-                _, dst, pred_index, negated, v_pass, v_fail = op
-                row = warp.preds[pred_index][g_idx]
-                if negated:
+            if kind == _LOAD:
+                append(regs[op[1]][g_idx])
+            elif kind == _ORC:
+                append(vals[op[1]] | ex._read(warp, op[2]))
+            elif kind == _ADD:
+                append(vals[op[1]] + op[2])
+            elif kind == _P2R:
+                append(_P2R_WEIGHTS.dot(preds[:7])[g_idx] & op[1])
+            elif kind == _GUARD:
+                row = preds[op[1]][g_idx]
+                if op[2]:
                     row = ~row
                 passing = int(np.count_nonzero(row))
-                if passing < n:
-                    partial += 1
-                if passing > 0:
-                    partial += 1
-                env[dst] = np.where(row, np.uint32(v_pass),
-                                    np.uint32(v_fail))
-            elif kind == "p2r":
-                _, dst, maskval = op
-                packed = np.zeros(n, dtype=np.uint32)
-                preds = warp.preds
-                for index in range(7):
-                    packed |= preds[index][g_idx].astype(np.uint32) \
-                        << np.uint32(index)
-                env[dst] = packed & np.uint32(maskval)
-            elif kind == "orc":
-                _, dst, src, cref = op
-                env[dst] = read(src) | ex._read(warp, cref)
-            else:  # "ori"
-                _, dst, src, imm = op
-                env[dst] = read(src) | np.uint32(imm)
+                partial += (passing < n) + (passing > 0)
+                append(np.where(row, op[3], op[4]))
+            elif kind == _ADDCC:
+                a = vals[op[1]]
+                result = a + op[2]
+                append(result)
+                append(result < a)
+            elif kind == _ADDX:
+                append(vals[op[1]] + vals[op[2]].astype(np.uint32))
+            elif kind == _CARRY:
+                append(warp.carry[g_idx])
+            elif kind == _ORI:
+                append(vals[op[1]] | op[2])
+            else:  # _CONST
+                append(op[1])
 
-        # one scatter writes the whole frame image for every lane
-        block[tids[:, None], sp[:, None] + self.store_cols[None, :]] = payload
-        # architectural state at the call: R1 moved, argument regs live
-        for reg, value in env.items():
-            regs[reg][g_idx] = value
-        if cc_dirty:
-            warp.carry[g_idx] = cc
+        # the frame image — spilled registers (one gather), derived
+        # words, template constants — scattered in one pass
+        payload = np.empty((n, prog.n_words), dtype="<u4")
+        payload[:, :prog.n_gather] = \
+            regs.take(prog.gather_rows, 0).take(g_idx, 1).T
+        for column, index in prog.node_words:
+            payload[:, column] = vals[index]
+        payload[:, prog.const_from:] = prog.const_words
+        flat[base[:, None] + prog.store_cols] = payload.view(np.uint8)
+
+        # architectural state at the call: each register's last
+        # pre-call value (R1 lowered, argument pointers live)
+        regs[prog.env_const_rows, g_idx] = prog.env_const_values
+        for reg, index in prog.env_nodes:
+            regs[reg][g_idx] = vals[index]
+        if prog.carry is not None:
+            warp.carry[g_idx] = vals[prog.carry]
 
         ex.stats.handler_calls += 1
         warp.pc = self.jcal_index
-        ex.device.handler_bindings[self.jcal_addr](ex, warp, cta, g)
+        ex._site_plan = self
+        try:
+            ex.device.handler_bindings[self.jcal_addr](ex, warp, cta, g)
+        finally:
+            ex._site_plan = None
 
-        # restores: gather every fill slot back in one pass (the handler
-        # may have rewritten the frame — SetRegValue / write-back)
-        if self.fill_cols.size:
-            raw = block[tids[:, None], sp[:, None] + self.fill_cols[None, :]]
-            filled = np.ascontiguousarray(raw).view(np.uint32)
-        for op in self.post_ops:
-            kind = op[0]
-            if kind == "fill":
-                _, reg, slot = op
-                regs[reg][g_idx] = filled[:, slot]
-            elif kind == "r2p":
-                _, src, maskval = op
-                value = regs[src][g_idx]
-                for index in range(7):
-                    if maskval & (1 << index):
-                        warp.preds[index][g_idx] = \
-                            ((value >> np.uint32(index)) & 1).astype(bool)
-            else:  # "ccres": IADD RZ, Rcc, -1 (CC) — carry = value != 0
-                warp.carry[g_idx] = regs[op[1]][g_idx] != 0
+        # restores: one gather of every slot still read after the call
+        # (the handler may have rewritten the frame — SetRegValue)
+        if prog.fill_cols.size:
+            filled = flat[base[:, None] + prog.fill_cols].view("<u4")
+        for rows, bits, column, reg in prog.r2p:
+            value = filled[:, column] if reg is None else regs[reg][g_idx]
+            preds[rows, g_idx] = (value & bits) != 0
+        if prog.carry_restore is not None:
+            column, reg = prog.carry_restore
+            value = filled[:, column] if reg is None else regs[reg][g_idx]
+            warp.carry[g_idx] = value != 0
+        if prog.fill_rows.size:
+            regs[prog.fill_rows, g_idx] = filled[:, :prog.fill_rows.size].T
         regs[1][g_idx] = r1
         warp.pc = self.start + self.length
         return partial
 
 
-def _le_bytes4(value, n: int):
-    """A uint32 row (or scalar) as little-endian bytes, broadcastable to
-    a ``(n, 4)`` payload segment."""
-    if isinstance(value, np.ndarray):
-        return np.ascontiguousarray(value, dtype="<u4") \
-            .view(np.uint8).reshape(n, 4)
-    return np.frombuffer(np.uint32(value).tobytes(), dtype=np.uint8)
+# node kinds of a lowered site program
+_LOAD, _CARRY, _CONST, _ADD, _ADDCC, _ADDX, _GUARD, _P2R, _ORC, _ORI = (
+    "load", "carry", "const", "add", "addcc", "addx", "guard", "p2r",
+    "orc", "ori")
+
+#: ``P2R`` packs P0..P6 as bit i = Pi.
+_P2R_WEIGHTS = np.uint32(1) << np.arange(7, dtype=np.uint32)
+
+_U32 = 0xFFFFFFFF
+
+
+class _SiteProgram:
+    """A :class:`SiteSequencePlan` lowered to one fixed dataflow program.
+
+    Lowering runs the matched op lists symbolically.  A register holds
+    a constant, its original value, or a derived value (``("c", int)``,
+    ``("r", reg)``, ``("v", index)``); derived values are *nodes*,
+    evaluated per visit in order, whose operands index the visit's
+    value list (entry 0 is the lowered R1).  Then:
+
+    * stores of original registers become one register-file gather
+      (``gather_rows``) into the frame payload;
+    * stores of constants are template words, so an immediate that is
+      overwritten before the call costs nothing at run time;
+    * only each register's last pre-call value reaches the register
+      file — constants in one indexed write, derived values row by row;
+    * of the restores, only each register's last fill is written back
+      (one indexed write), and besides those only the slots the
+      predicate and carry restores read are gathered.
+
+    Payload words are ordered gathered, derived, constant;
+    ``store_cols`` maps each payload byte to its frame byte offset.
+    """
+
+    __slots__ = ("nodes", "n_words", "n_gather", "gather_rows",
+                 "node_words", "const_from", "const_words", "store_cols",
+                 "statics", "env_const_rows", "env_const_values",
+                 "env_nodes", "carry", "fill_cols", "fill_rows", "r2p",
+                 "carry_restore", "_size", "_memo")
+
+    def __init__(self, plan: SiteSequencePlan):
+        self.nodes: list = []
+        self._size = 1          # vals[0] is the lowered R1
+        self._memo: dict = {}
+        self._lower_call(plan)
+        self._lower_restores(plan)
+
+    def _emit(self, op: tuple, outputs: int = 1, pure: bool = True) -> int:
+        """Append node *op*; return the value index of its first output.
+        Pure nodes are shared between identical computations."""
+        if pure and op in self._memo:
+            return self._memo[op]
+        index = self._size
+        self.nodes.append(op)
+        self._size += outputs
+        if pure:
+            self._memo[op] = index
+        return index
+
+    def _value(self, ref) -> int:
+        """The value index holding *ref*, emitting a load if needed."""
+        kind = ref[0]
+        if kind == "v":
+            return ref[1]
+        if kind == "r":
+            return self._emit((_LOAD, ref[1]))
+        if kind == "carry":
+            return self._emit((_CARRY,))
+        value = ref[1]
+        return self._emit((_CONST, np.bool_(value) if isinstance(value, bool)
+                           else np.uint32(value)))
+
+    def _lower_call(self, plan: SiteSequencePlan) -> None:
+        env: dict = {1: ("v", 0)}
+        carry = ("carry",)         # the architectural carry, unread yet
+        carry_dirty = False
+        sources: dict = {}         # payload byte position -> value ref
+
+        def read(reg):
+            return env.get(reg, ("r", reg))
+
+        for op in plan.ops:
+            kind = op[0]
+            if kind == "st":
+                sources[op[1]] = read(op[2])
+            elif kind == "st64":
+                sources[op[1]] = read(op[2])
+                sources[op[1] + 4] = read(op[2] + 1)
+            elif kind == "imm":
+                env[op[1]] = ("c", op[2])
+            elif kind == "add":
+                _, dst, src, imm = op
+                a = read(src)
+                env[dst] = ("c", (a[1] + imm) & _U32) if a[0] == "c" \
+                    else ("v", self._emit((_ADD, self._value(a),
+                                           np.uint32(imm))))
+            elif kind == "ori":
+                _, dst, src, imm = op
+                a = read(src)
+                env[dst] = ("c", a[1] | imm) if a[0] == "c" \
+                    else ("v", self._emit((_ORI, self._value(a),
+                                           np.uint32(imm))))
+            elif kind == "orc":
+                _, dst, src, cref = op
+                env[dst] = ("v", self._emit((_ORC, self._value(read(src)),
+                                             cref)))
+            elif kind == "addcc":
+                _, dst, src, imm = op
+                a = read(src) if src is not None else ("c", 0)
+                if a[0] == "c":
+                    result = (a[1] + imm) & _U32
+                    value, carry = ("c", result), ("c", result < a[1])
+                else:
+                    index = self._emit((_ADDCC, self._value(a),
+                                        np.uint32(imm)), outputs=2)
+                    value, carry = ("v", index), ("v", index + 1)
+                carry_dirty = True
+                if dst is not None:
+                    env[dst] = value
+            elif kind == "addx":
+                _, dst, src = op
+                a = read(src) if src is not None else ("c", 0)
+                if a[0] == "c" and carry[0] == "c":
+                    env[dst] = ("c", (a[1] + int(carry[1])) & _U32)
+                else:
+                    env[dst] = ("v", self._emit(
+                        (_ADDX, self._value(a), self._value(carry))))
+            elif kind == "guard":
+                _, dst, pred, negated, v_pass, v_fail = op
+                # never shared: every pair counts its own partial dispatch
+                env[dst] = ("v", self._emit(
+                    (_GUARD, pred, negated, np.uint32(v_pass),
+                     np.uint32(v_fail)), pure=False))
+            else:  # "p2r"
+                env[op[1]] = ("v", self._emit((_P2R, np.uint32(op[2]))))
+
+        # frame payload words, regrouped gathered / derived / constant
+        template = plan.template
+        gathered, derived, consts = [], [], []
+        for pos in range(0, template.size, 4):
+            ref = sources.get(pos)
+            if ref is None:
+                ref = ("c", int(template[pos:pos + 4].view("<u4")[0]))
+            if ref[0] == "r":
+                gathered.append((pos, ref))
+            elif ref[0] == "c":
+                consts.append((pos, ref))
+            else:
+                derived.append((pos, ref))
+        words = gathered + derived + consts
+        self.n_words = len(words)
+        self.n_gather = len(gathered)
+        self.const_from = len(gathered) + len(derived)
+        self.gather_rows = np.asarray([ref[1] for _, ref in gathered],
+                                      dtype=np.int64)
+        self.node_words = tuple(
+            (self.n_gather + column, self._value(ref))
+            for column, (_, ref) in enumerate(derived))
+        self.const_words = np.asarray([ref[1] for _, ref in consts],
+                                      dtype=np.uint32)
+        self.statics = {int(plan.store_cols[pos]): ref[1]
+                        for pos, ref in consts}
+        self.store_cols = np.concatenate(
+            [plan.store_cols[pos:pos + 4] for pos, _ in words]) \
+            if words else np.zeros(0, dtype=np.int64)
+
+        const_env = sorted((reg, ref[1]) for reg, ref in env.items()
+                           if ref[0] == "c")
+        self.env_const_rows = np.asarray(
+            [reg for reg, _ in const_env], dtype=np.int64)[:, None]
+        self.env_const_values = np.asarray(
+            [value for _, value in const_env], dtype=np.uint32)[:, None]
+        self.env_nodes = tuple((reg, self._value(ref))
+                               for reg, ref in sorted(env.items())
+                               if ref[0] != "c")
+        self.carry = self._value(carry) if carry_dirty else None
+
+    def _lower_restores(self, plan: SiteSequencePlan) -> None:
+        slot_of: dict = {}          # register -> its latest fill slot
+        reads = []                  # (mask, slot or None, register)
+        carry_read = None
+        for op in plan.post_ops:
+            kind = op[0]
+            if kind == "fill":
+                slot_of[op[1]] = op[2]
+            elif kind == "r2p":
+                reads.append((op[2], slot_of.get(op[1]), op[1]))
+            else:  # "ccres": only the last carry restore is visible
+                carry_read = (slot_of.get(op[1]), op[1])
+
+        final = sorted(slot_of.items())
+        slots = [slot for _, slot in final]
+        extra = [slot for _, slot, _ in reads]
+        if carry_read is not None:
+            extra.append(carry_read[0])
+        for slot in extra:
+            if slot is not None and slot not in slots:
+                slots.append(slot)
+        column = {}
+        for index, slot in enumerate(slots):
+            column.setdefault(slot, index)
+        self.fill_cols = np.concatenate(
+            [plan.fill_cols[4 * slot:4 * slot + 4] for slot in slots]) \
+            if slots else np.zeros(0, dtype=np.int64)
+        self.fill_rows = np.asarray([reg for reg, _ in final],
+                                    dtype=np.int64)[:, None]
+
+        def source(slot, reg):
+            return (column[slot], None) if slot is not None \
+                else (None, reg)
+
+        r2p = []
+        for mask, slot, reg in reads:
+            rows = [index for index in range(7) if mask >> index & 1]
+            if rows:
+                r2p.append((np.asarray(rows, dtype=np.int64)[:, None],
+                            (np.uint32(1) << np.asarray(
+                                rows, dtype=np.uint32))[:, None],
+                            *source(slot, reg)))
+        self.r2p = tuple(r2p)
+        self.carry_restore = source(*carry_read) if carry_read else None
 
 
 def compile_site_plan(records, start: int, handler_base: int):

@@ -379,7 +379,7 @@ class SassiRuntime:
             else:
                 invoke(ctx)
             if self.poison_caller_saved:
-                self._poison(warp, mask)
+                self._poison(warp, ctx.lanes_idx)
 
         return binding
 
@@ -396,6 +396,11 @@ class SassiRuntime:
         shared_mask = mask.copy()
         bp = view_cls(executor, warp, cta, shared_mask, base,
                       lanes=lanes, vectorized=vec)
+        # a compiled site plan knows the frame's constant fields (site
+        # key included) without reading them back from local memory
+        plan = getattr(executor, "_site_plan", None)
+        if plan is not None:
+            bp.seed_statics(plan.static_fields(0))
         site_key = (bp.GetFnAddr(), bp.GetInsOffset(), where)
         site = self._site_cache.get(site_key)
         if site is None:
@@ -416,24 +421,32 @@ class SassiRuntime:
             mp = SASSIMemoryParams(executor, warp, cta, shared_mask,
                                    base + memory_at, lanes=lanes,
                                    vectorized=vec)
+            if plan is not None:
+                mp.seed_statics(plan.static_fields(memory_at))
         if wb:
             brp = SASSICondBranchParams(executor, warp, cta, shared_mask,
                                         base + branch_at, lanes=lanes,
                                         vectorized=vec)
+            if plan is not None:
+                brp.seed_statics(plan.static_fields(branch_at))
         if wr:
             rp = SASSIRegisterParams(executor, warp, cta, shared_mask,
                                      base + regs_at, lanes=lanes,
                                      vectorized=vec)
+            if plan is not None:
+                rp.seed_statics(plan.static_fields(regs_at))
         return SASSIContext(executor, warp, cta, shared_mask, bp,
                             mp=mp, brp=brp, rp=rp, where=where,
                             lanes=lanes, vectorized=vec)
 
-    def _poison(self, warp, mask) -> None:
+    def _poison(self, warp, lanes) -> None:
+        """Overwrite the caller-saved registers of the calling *lanes*
+        (active-lane indices)."""
         rows = self._poison_rows.get(warp.num_regs)
         if rows is None:
             rows = np.asarray(
                 [reg for reg in sorted(CALLER_SAVED)
-                 if reg < warp.num_regs], dtype=np.int64)
+                 if reg < warp.num_regs], dtype=np.int64)[:, None]
             self._poison_rows[warp.num_regs] = rows
         if rows.size:
-            warp.regs[np.ix_(rows, mask)] = POISON
+            warp.regs[rows, lanes] = POISON

@@ -147,6 +147,11 @@ class _View:
         self._row_cache.clear()
         self._mem(lane).write(self._base + offset, width, value)
 
+    def seed_statics(self, values: dict) -> None:
+        """Pre-load static fields whose bytes are known to be in memory
+        right now (``{(offset, width): value}``), as if already read."""
+        self._row_cache.update(values)
+
     def _read_static(self, offset: int, width: int = 4) -> int:
         if self._lane_idx.size == 0:
             return 0

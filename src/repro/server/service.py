@@ -38,6 +38,7 @@ import tempfile
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -99,7 +100,10 @@ class ProfilingServer:
         self.jobs: Dict[str, JobRecord] = {}
         self.artifacts: Dict[str, str] = {}  # capture job id -> trace path
         self._counter = 0
+        #: shard pools replaced after a worker process died
+        self.worker_crashes = 0
         self._pools: List[ProcessPoolExecutor] = []
+        self._mp_context = None
         self._wakes: List[asyncio.Event] = []
         self._drains: List[asyncio.Task] = []
         self._server: Optional[asyncio.AbstractServer] = None
@@ -120,13 +124,11 @@ class ProfilingServer:
         # another thread wedges the whole shard.  forkserver forks from
         # a clean single-threaded helper; fall back to spawn.
         try:
-            context = multiprocessing.get_context("forkserver")
+            self._mp_context = multiprocessing.get_context("forkserver")
         except ValueError:
-            context = multiprocessing.get_context("spawn")
+            self._mp_context = multiprocessing.get_context("spawn")
         for shard in range(self.config.shards):
-            self._pools.append(
-                ProcessPoolExecutor(max_workers=self.config.workers,
-                                    mp_context=context))
+            self._pools.append(self._new_pool())
             self._wakes.append(asyncio.Event())
             self._drains.append(
                 loop.create_task(self._drain(shard),
@@ -154,6 +156,18 @@ class ProfilingServer:
             # wait=True joins the pool's plumbing threads; skipping that
             # races them against interpreter teardown (spurious EBADF)
             pool.shutdown(wait=True, cancel_futures=True)
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=self.config.workers,
+                                   mp_context=self._mp_context)
+
+    def _respawn(self, shard: int, broken: ProcessPoolExecutor) -> None:
+        """Replace *shard*'s pool after one of its workers died; a
+        broken pool fails every later submission, so without this the
+        whole shard would stay dead."""
+        self.worker_crashes += 1
+        self._pools[shard] = self._new_pool()
+        broken.shutdown(wait=False, cancel_futures=True)
 
     # ------------------------------------------------------ scheduling
 
@@ -242,6 +256,8 @@ class ProfilingServer:
         except asyncio.CancelledError:
             raise
         except BaseException as exc:  # worker crashes included
+            if isinstance(exc, BrokenProcessPool):
+                self._respawn(shard, pool)
             await self._finish(record, shard, FAILED,
                                {"event": "failed", "job_id": record.id,
                                 "error": f"{type(exc).__name__}: {exc}"})
@@ -328,7 +344,9 @@ class ProfilingServer:
             await self._send(writer, {"ok": True,
                                       "queue": self.queue.stats(),
                                       "jobs": len(self.jobs),
-                                      "artifacts": len(self.artifacts)})
+                                      "artifacts": len(self.artifacts),
+                                      "worker_crashes":
+                                          self.worker_crashes})
         elif op == "shutdown":
             await self._send(writer, {"ok": True, "stopping": True})
             self.request_shutdown()

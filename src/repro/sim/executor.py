@@ -173,6 +173,14 @@ class Executor:
         #: the device's AdaptiveController, if one is installed
         #: (``repro.sassi.runtime``); gates compiled site plans.
         self._adaptive = getattr(device, "adaptive", None)
+        #: completed visits per fused unit (superblock or site plan);
+        #: their opcode histograms are folded into the launch's stats
+        #: once, when the launch ends or aborts (``_fold_visits``).
+        self._visits: Dict[object, int] = {}
+        #: the site plan whose handler is being called, if any — lets
+        #: the handler runtime read the site's static parameter fields
+        #: from the plan instead of local memory.
+        self._site_plan = None
 
     # ------------------------------------------------------------ launch
 
@@ -192,13 +200,44 @@ class Executor:
         num_threads = block.x * block.y * block.z
         if num_threads == 0 or num_threads > 1024:
             raise DeviceFault(f"bad block size: {num_threads}")
-        for cz in range(grid.z):
-            for cy in range(grid.y):
-                for cx in range(grid.x):
-                    self._run_cta((cx, cy, cz), grid, block, num_threads,
-                                  shared_bytes, counter)
+        self._visits.clear()
+        try:
+            for cz in range(grid.z):
+                for cy in range(grid.y):
+                    for cx in range(grid.x):
+                        self._run_cta((cx, cy, cz), grid, block,
+                                      num_threads, shared_bytes, counter)
+        finally:
+            # an aborted launch's stats are read too (fault campaigns)
+            self._fold_visits()
         self.stats.cycles = counter.cycles
         return self.stats
+
+    def _fold_visits(self) -> None:
+        """Add each fused unit's opcode histogram, times its completed
+        visits, to the launch's ``opcode_counts``."""
+        counts = self.stats.opcode_counts
+        for unit, visits in self._visits.items():
+            for opcode, count in unit.opcode_counts.items():
+                counts[opcode] += count * visits
+        self._visits.clear()
+
+    def _account_prefix(self, records, lanes: int, pairs: int = 0
+                        ) -> None:
+        """Stats of the records a fused unit ran before an exception
+        left it — the raising record included, as per-instruction
+        dispatch counts a record before running it.  Each of *pairs*
+        guard-flag pairs touches every lane once between its two
+        records."""
+        stats = self.stats
+        counts = stats.opcode_counts
+        for dec in records:
+            counts[dec.opcode] += 1
+        sassi = sum(1 for dec in records if dec.sassi)
+        stats.warp_instructions += len(records)
+        stats.thread_instructions += lanes * (len(records) - pairs)
+        stats.sassi_warp_instructions += sassi
+        stats.sassi_thread_instructions += lanes * (sassi - pairs)
 
     def _run_cta(self, ctaid, grid, block, num_threads, shared_bytes,
                  counter) -> None:
@@ -307,14 +346,21 @@ class Executor:
         g_idx = np.nonzero(g)[0]
         self._active_lanes = g_idx
         lanes = g_idx.size
-        for handler, dec in block.dispatch:
-            handler(self, warp, cta, dec, g, counter)
+        try:
+            for handler, dec in block.dispatch:
+                handler(self, warp, cta, dec, g, counter)
+        except BaseException:
+            # straight-line handlers advance pc only once they succeed
+            self._account_prefix(
+                block.records[:warp.pc - block.start + 1], lanes)
+            raise
         stats.warp_instructions += length
         stats.thread_instructions += lanes * length
         if block.n_sassi:
             stats.sassi_warp_instructions += block.n_sassi
             stats.sassi_thread_instructions += lanes * block.n_sassi
-        stats.opcode_counts.update(block.opcode_counts)
+        visits = self._visits
+        visits[block] = visits.get(block, 0) + 1
         counter.cycles += block.issue_cycles
         telem = TELEMETRY
         if telem.enabled:
@@ -386,7 +432,16 @@ class Executor:
         partial = None
         if not telem.enabled \
                 or type(telem).record_dispatch is Telemetry.record_dispatch:
-            partial = plan.execute(self, warp, cta, g, g_idx, counter)
+            try:
+                partial = plan.execute(self, warp, cta, g, g_idx, counter)
+            except BaseException:
+                if warp.pc == plan.jcal_index:
+                    # the handler raised: everything up to its JCAL ran
+                    # (guard pairs all precede it)
+                    self._account_prefix(
+                        plan.records[:plan.jcal_index - plan.start + 1],
+                        g_idx.size, plan.n_pairs)
+                raise
         if partial is None:
             end = plan.start + length
             records = plan.records
@@ -400,7 +455,8 @@ class Executor:
         stats.thread_instructions += lanes * plan.thread_weight
         stats.sassi_warp_instructions += length
         stats.sassi_thread_instructions += lanes * plan.thread_weight
-        stats.opcode_counts.update(plan.opcode_counts)
+        visits = self._visits
+        visits[plan] = visits.get(plan, 0) + 1
         counter.cycles += plan.issue_cycles
         if telem.enabled:
             telem.record_block(plan.telemetry_counts)

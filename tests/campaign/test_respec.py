@@ -27,6 +27,8 @@ from repro.sassi.runtime import (
 )
 from repro.sassi.spec import InstClass
 
+pytestmark = pytest.mark.noskip
+
 BASE_FLAGS = ("-sassi-inst-before=memory,branches "
               "-sassi-before-args=mem-info,cond-branch-info")
 

@@ -28,6 +28,8 @@ from repro.sim import Device
 from repro.sim.executor import Executor
 from repro.workloads import make
 
+pytestmark = pytest.mark.noskip
+
 #: workloads exercised end to end (registry names); small datasets,
 #: but together they cover loads/stores, atomics, branches, loops,
 #: shared memory, barriers, and multi-launch drivers.

@@ -40,6 +40,8 @@ from repro.sim import Device
 from repro.sim.executor import Executor
 from repro.workloads import make
 
+pytestmark = pytest.mark.noskip
+
 site_ids = st.sets(st.integers(min_value=0, max_value=255), max_size=24)
 
 

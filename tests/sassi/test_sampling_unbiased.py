@@ -43,6 +43,8 @@ from repro.sim import Device
 from repro.telemetry.collector import TELEMETRY
 from repro.workloads import make
 
+pytestmark = pytest.mark.noskip
+
 WORKLOADS = [
     "rodinia/nn",
     "rodinia/pathfinder",

@@ -11,6 +11,8 @@ import pytest
 from repro.server.client import AdmissionRejected, ServerClient
 from repro.server.service import ServerConfig, start_in_thread
 
+pytestmark = pytest.mark.noskip
+
 DEPTH = 3
 OVERFLOW = 4  # the k in "N+k submissions -> exactly k rejections"
 

@@ -12,6 +12,8 @@ import pytest
 from repro import cli
 from repro.server.service import ServerConfig, start_in_thread
 
+pytestmark = pytest.mark.noskip
+
 
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):

@@ -15,6 +15,8 @@ from repro.server.client import ServerClient
 from repro.server.jobs import canonical_result_bytes, run_job_local
 from repro.server.service import ServerConfig, start_in_thread
 
+pytestmark = pytest.mark.noskip
+
 WORKER_COUNTS = (1, 4, 8)
 
 CAMPAIGN_JOB = {"kind": "campaign",

@@ -15,6 +15,8 @@ from repro.server.jobs import (
     validate_job,
 )
 
+pytestmark = pytest.mark.noskip
+
 
 def spec(kind, **payload):
     return JobSpec(kind=kind, payload=payload)

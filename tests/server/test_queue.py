@@ -6,6 +6,8 @@ import pytest
 
 from repro.server.queue import AdmissionError, ShardedQueue
 
+pytestmark = pytest.mark.noskip
+
 
 class TestAdmission:
     def test_bounded_rejects_at_depth(self):

@@ -7,12 +7,16 @@ stays fast.
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 
 import pytest
 
 from repro.server.client import JobFailed, ServerClient, ServerError
 from repro.server.service import ServerConfig, start_in_thread
+
+pytestmark = pytest.mark.noskip
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +156,34 @@ class TestFailureDelivery:
             client.submit_and_wait("replay", trace="/nonexistent.rptrace",
                                    analyses=["opcodes"])
         assert client.stats()["queue"]["failed"] == before + 1
+
+
+class TestWorkerCrash:
+    """A worker killed mid-job fails that job only: the shard's pool is
+    respawned and the next job on the same shard completes."""
+
+    def test_shard_recovers_after_sigkill(self, tmp_path):
+        handle = start_in_thread(ServerConfig(
+            shards=1, workers=1, queue_depth=4,
+            artifact_dir=str(tmp_path)))
+        try:
+            client = ServerClient(*handle.address)
+            job_id = client.submit("bench", spin_ms=20_000)
+            pool = handle.server._pools[0]
+            deadline = time.monotonic() + 30
+            while not pool._processes or \
+                    client.status(job_id)["state"] != "running":
+                assert time.monotonic() < deadline, "job never started"
+                time.sleep(0.05)
+            for pid in list(pool._processes):
+                os.kill(pid, signal.SIGKILL)
+            with pytest.raises(JobFailed, match="BrokenProcessPool"):
+                client.wait(job_id)
+            assert client.status(job_id)["state"] == "failed"
+
+            record = client.submit_and_wait("bench", spin_ms=0, tag="after")
+            assert record["state"] == "done"
+            assert record["result"]["tag"] == "after"
+            assert client.stats()["worker_crashes"] == 1
+        finally:
+            handle.stop()

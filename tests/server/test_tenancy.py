@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.campaign.compile_cache import CompileCache, cached_ptxas, \
     cached_sassi_compile
@@ -18,6 +19,8 @@ from repro.server.tenancy import (
 from repro.sim import Device
 
 from tests.conftest import build_vecadd, run_vecadd
+
+pytestmark = pytest.mark.noskip
 
 FLAGS = "-sassi-inst-before=memory -sassi-before-args=mem-info"
 

@@ -27,6 +27,8 @@ from repro.sim.scheduler import (
     schedule_launch,
 )
 
+pytestmark = pytest.mark.noskip
+
 #: the retired flat model's _EXTRA_ISSUE dict (cost = 1 + extra);
 #: the table's issue fields must reproduce it exactly or every golden
 #: cycle snapshot and Table 3 ratio moves

@@ -17,6 +17,7 @@ The satellite invariants:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,8 @@ from repro.sim.scheduler import (
     WarpStream,
     schedule_launch,
 )
+
+pytestmark = pytest.mark.noskip
 
 _ALU_OPS = (Opcode.IADD, Opcode.FMUL, Opcode.FFMA, Opcode.MOV,
             Opcode.ISETP, Opcode.MUFU, Opcode.SHL)

@@ -37,6 +37,8 @@ from repro.trace.io import (
 )
 from repro.trace.index import ensure_index
 
+pytestmark = pytest.mark.noskip
+
 U32_MAX = 2**32 - 1
 U64_MAX = 2**64 - 1
 I64_SAFE = 2**40          # far inside the vector decoder's comfort zone

@@ -23,6 +23,8 @@ from repro.trace.index import ensure_index
 from repro.trace.io import TraceReader, decode_frame_columns
 from repro.trace.replay import make_analysis, replay, replay_sharded
 
+pytestmark = pytest.mark.noskip
+
 WORKLOADS = ("rodinia/pathfinder", "rodinia/lud")
 ANALYSES = ("cachesim", "divergence", "memdiv", "opcodes", "timing")
 JOB_COUNTS = (1, 2, 4)

@@ -40,6 +40,8 @@ from tests.trace.test_codec_properties import (
     mems,
 )
 
+pytestmark = pytest.mark.noskip
+
 bodies = st.lists(st.one_of(instrs, mems, branches), max_size=10)
 frames = st.builds(lambda launch, body, end: [launch, *body, end],
                    launches, bodies, kernel_ends)

@@ -22,6 +22,8 @@ from repro.trace.index import ensure_index, index_path_for
 from repro.trace.io import TraceWriter
 from repro.trace.replay import make_analysis, replay, replay_sharded
 
+pytestmark = pytest.mark.noskip
+
 WORKLOADS = ("rodinia/pathfinder", "rodinia/lud")
 ANALYSES = ("cachesim", "divergence", "memdiv", "opcodes", "timing")
 JOB_COUNTS = (2, 4)

@@ -57,6 +57,8 @@ from repro.trace.timing import (
 )
 from repro.workloads import make
 
+pytestmark = pytest.mark.noskip
+
 WORKLOADS = [
     "rodinia/nn",
     "rodinia/pathfinder",
