@@ -10,7 +10,7 @@ Subcommands::
     python -m repro.cli timeline trace.json   # inspect a Chrome trace
     python -m repro.cli capture  NAME [-o FILE] [--all-spaces]
     python -m repro.cli replay   trace.rptrace [--analysis a,b,...]
-                                 [--jobs N]
+                                 [--jobs N] [--policy gto|lrr]
     python -m repro.cli trace    summary|iters trace.rptrace
                                  [--policy gto|lrr] [--top N]
     python -m repro.cli trace    info trace.rptrace
@@ -424,8 +424,10 @@ def _cmd_replay(args) -> int:
     reader = _open_trace_or_die(args.input)
     names = [n.strip() for n in args.analysis.split(",") if n.strip()] \
         if args.analysis else sorted(ANALYSES)
+    specs = [(name, {"policy": args.policy} if name == "timing" else {})
+             for name in names]
     try:
-        analyses = [make_analysis(name) for name in names]
+        analyses = [make_analysis(name, **kwargs) for name, kwargs in specs]
     except KeyError as exc:
         raise CliError(str(exc.args[0]))
     jobs = args.jobs
@@ -434,7 +436,7 @@ def _cmd_replay(args) -> int:
     try:
         start = time.perf_counter()
         if jobs > 1:
-            analyses = replay_sharded(args.input, names, jobs=jobs)
+            analyses = replay_sharded(args.input, specs, jobs=jobs)
         else:
             replay(reader, analyses)
         elapsed = time.perf_counter() - start
@@ -877,6 +879,10 @@ def main(argv=None) -> int:
                                     "across N worker processes "
                                     "(default: 1, or $REPRO_JOBS; "
                                     "bit-identical to serial)")
+    replay_parser.add_argument("--policy", choices=["gto", "lrr"],
+                               default="gto",
+                               help="warp issue policy of the timing "
+                                    "analysis (default gto)")
     replay_parser.set_defaults(fn=_cmd_replay)
 
     trace_parser = sub.add_parser(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -72,26 +72,88 @@ class Cache:
             self.stats.evictions += 1
         return False
 
-    def access_lines(self, line_addresses: Sequence[int]) -> int:
+    def access_lines(self, line_addresses: Sequence[int],
+                     outcomes: Optional[List[int]] = None) -> int:
         """Access a whole transaction vector (in order); returns the
         number of misses at this level.
 
         Equivalent to ``sum(not self.access(a) for a in line_addresses)``
-        — set indices and tags are derived with one vectorized pass, and
-        stats (including next-level forwarding and LRU state) are
-        identical to the one-at-a-time loop.
+        — stats, LRU state and next-level forwarding are identical to
+        the one-at-a-time loop — but set indices and tags come from one
+        vectorized pass, and this level and the next run as one inlined
+        loop.  When *outcomes* is given, each line's grade is appended
+        to it: 0 hit at this level, 1 hit at the next level, 2 missed
+        every level modelled here (a DRAM trip).
         """
         if len(line_addresses) == 0:
             return 0
-        raw = np.asarray(line_addresses, dtype=np.int64)
-        arr = raw // self.line_bytes
-        indices = (arr % self.num_sets).tolist()
-        tags = (arr // self.num_sets).tolist()
-        misses = 0
-        access_line = self._access_line
-        for index, tag, line_addr in zip(indices, tags, raw.tolist()):
-            if not access_line(index, tag, line_addr):
-                misses += 1
+        line_bytes, num_sets = self.line_bytes, self.num_sets
+        try:
+            raw = np.asarray(line_addresses, dtype=np.int64)
+        except OverflowError:        # u64 addresses past int64
+            addrs = [int(a) for a in line_addresses]
+            indices = [a // line_bytes % num_sets for a in addrs]
+            tags = [a // line_bytes // num_sets for a in addrs]
+        else:
+            lines = raw // line_bytes
+            indices = (lines % num_sets).tolist()
+            tags = (lines // num_sets).tolist()
+            addrs = raw.tolist()
+        grade = ([] if outcomes is None else outcomes).append
+        sets, assoc = self._sets, self.ways
+        hits = evictions = 0
+        nxt = self.next_level
+        if nxt is not None:
+            sets2, assoc2 = nxt._sets, nxt.ways
+            line_bytes2, num_sets2 = nxt.line_bytes, nxt.num_sets
+            below = nxt.next_level
+            hits2 = misses2 = evictions2 = 0
+        for index, tag, addr in zip(indices, tags, addrs):
+            ways = sets.get(index)
+            if ways is None:
+                ways = sets[index] = OrderedDict()
+            if tag in ways:
+                ways.move_to_end(tag)
+                hits += 1
+                grade(0)
+                continue
+            ways[tag] = True
+            if len(ways) > assoc:
+                ways.popitem(last=False)
+                evictions += 1
+            if nxt is None:
+                grade(2)
+                continue
+            line2 = addr // line_bytes2
+            index2, tag2 = line2 % num_sets2, line2 // num_sets2
+            ways2 = sets2.get(index2)
+            if ways2 is None:
+                ways2 = sets2[index2] = OrderedDict()
+            if tag2 in ways2:
+                ways2.move_to_end(tag2)
+                hits2 += 1
+                grade(1)
+                continue
+            misses2 += 1
+            if below is not None:
+                below.access(addr)
+            ways2[tag2] = True
+            if len(ways2) > assoc2:
+                ways2.popitem(last=False)
+                evictions2 += 1
+            grade(2)
+        misses = len(addrs) - hits
+        stats = self.stats
+        stats.accesses += len(addrs)
+        stats.hits += hits
+        stats.misses += misses
+        stats.evictions += evictions
+        if nxt is not None:
+            stats = nxt.stats
+            stats.accesses += misses
+            stats.hits += hits2
+            stats.misses += misses2
+            stats.evictions += evictions2
         return misses
 
     def reset(self) -> None:

@@ -2,10 +2,10 @@
 
 The flat model in :mod:`repro.sim.costmodel` answers *how many* issue
 slots a kernel consumed; this module answers *where the time went*.  It
-replays per-warp instruction streams (rebuilt from a recorded trace by
-:mod:`repro.trace.timing`) through a single-issue scheduler in the
-fixed-latency stall-count + scoreboard-barrier style of SASSI-era
-hardware models:
+replays per-warp instruction streams — one launch at a time, as the
+:class:`StreamColumns` :mod:`repro.trace.timing` rebuilds from a
+recorded trace — through a single-issue scheduler in the fixed-latency
+stall-count + scoreboard-barrier style of SASSI-era hardware models:
 
 * every opcode has an explicit :class:`LatencyEntry` — issue-port
   occupancy (identical to the flat model's cost, so Table 3 ratios are
@@ -17,7 +17,7 @@ hardware models:
   consumer-distance approximation), and running out of slots is a
   structural stall;
 * memory latency is graded by the coalescer/cache accounting carried on
-  each :class:`WarpInstr` — L1 hit, L2 hit, or DRAM — and extra
+  each instruction — L1 hit, L2 hit, or DRAM — and extra
   coalesced transactions serialize through the issue port exactly as
   the flat model charged them;
 * the issue policy is configurable: ``gto`` (greedy-then-oldest) or
@@ -29,6 +29,9 @@ the earliest-ready warp (``mem_dep``, ``exec_dep``, or ``scoreboard``)
 and attributed to the producing instruction — the raw material for the
 ``repro trace summary`` hotspot and idle-gap reports.
 
+:func:`schedule_launch` and :func:`divergence_spans` accept
+:class:`WarpStream` objects and convert them to the same columns.
+
 Everything is integer arithmetic over deterministic orderings, so a
 schedule is bit-reproducible across runs and platforms, and
 ``cycles == busy_cycles + bubble cycles`` holds exactly.
@@ -36,10 +39,8 @@ schedule is bit-reproducible across runs and platforms, and
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -218,7 +219,7 @@ class WarpStream:
     instrs: List[WarpInstr] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Bubble:
     """An idle-gap region: the issue port had nothing to do."""
 
@@ -230,7 +231,7 @@ class Bubble:
     opcode: Opcode
 
 
-@dataclass
+@dataclass(slots=True)
 class Hotspot:
     """Per-static-instruction issue and blame accounting."""
 
@@ -274,51 +275,12 @@ class LaunchSchedule:
                       key=lambda b: (-b.cycles, b.cta, b.start))
         return rows[:n]
 
-    # -- accumulation helpers used by the per-CTA stepper ------------
 
-    def _issue(self, instr: WarpInstr, occupancy: int) -> None:
-        spot = self.hotspots.get(instr.addr)
-        if spot is None:
-            spot = self.hotspots[instr.addr] = Hotspot(
-                addr=instr.addr, opcode=instr.opcode)
-        spot.issues += 1
-        spot.issue_cycles += occupancy
-        self.issued += 1
-        self.busy_cycles += occupancy
-        if instr.divergent:
-            self.divergent_instrs += 1
-
-    def _bubble(self, cta: int, start: int, cycles: int, reason: str,
-                addr: int, opcode: Opcode) -> None:
-        self.bubbles.append(Bubble(cta=cta, start=start, cycles=cycles,
-                                   reason=reason, addr=addr,
-                                   opcode=opcode))
-        self.stall_cycles[reason] += cycles
-        spot = self.hotspots.get(addr)
-        if spot is None:
-            spot = self.hotspots[addr] = Hotspot(addr=addr, opcode=opcode)
-        spot.stall_cycles += cycles
-
-
-def _memory_latency(entry: LatencyEntry, instr: WarpInstr) -> int:
-    """Result latency of a barrier-setting instruction, graded by the
-    recorded cache outcome for global accesses."""
-    if not (OPCODE_CLASSES[instr.opcode] & OpClass.MEMORY):
-        return entry.latency
-    if instr.l2_misses > 0:
-        latency = DRAM_LATENCY
-    elif instr.l1_misses > 0:
-        latency = L2_HIT_LATENCY
-    elif instr.transactions > 0:
-        latency = L1_HIT_LATENCY
-    else:
-        # no recorded access (shared/local space, or predicated away)
-        return entry.latency
-    return max(latency, entry.latency)
-
+#: opcode value -> Opcode member (bubble blame and hotspot rows)
+_OPCODE_BY_VALUE = {op.value: op for op in Opcode}
 
 #: per-opcode timing columns indexed by opcode *value* — one gather
-#: replaces a LATENCY_TABLE dict probe per issued instruction
+#: replaces a LATENCY_TABLE dict probe per instruction
 _op_columns: Optional[Tuple[np.ndarray, ...]] = None
 
 
@@ -341,277 +303,297 @@ def _opcode_columns() -> Tuple[np.ndarray, ...]:
     return _op_columns
 
 
-def _stream_columns(instrs: Sequence[WarpInstr]
-                    ) -> Tuple[List[int], List[int], List[int],
-                               List[str], List[bool]]:
-    """Precompute per-instruction timing columns for one stream:
-    ``(occupancy, resume_delta, completion_latency, barrier_kind,
-    sets_barrier)``.  Every value equals what the scalar expressions in
-    the old per-issue path computed (occupancy with the transaction
-    surcharge, ``max(stall, occupancy)`` resume, the cache-graded
-    :func:`_memory_latency`), hoisted out of the scheduling loop."""
-    n = len(instrs)
+def int_column(values: Sequence[int]) -> np.ndarray:
+    """*values* as an int64 column, or an object column when one of
+    them (a u64 address past 2**63, say) does not fit int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+@dataclass
+class StreamColumns:
+    """One launch's warp streams as parallel per-instruction columns.
+
+    Rows are in *stream order*: CTA-major, then warp index, then each
+    warp's instructions in program order.  ``warp_lengths[c][w]`` is
+    the row count of CTA ``c``'s warp ``w`` (0 for a warp that ran
+    nothing).  ``transactions``/``l1_misses``/``l2_misses`` carry the
+    coalescer and cache outcome of the instruction's recorded memory
+    access; ``divergent`` marks rows executed with fewer active lanes
+    than the warp's reconverged width.
+    """
+
+    addr: np.ndarray
+    opcode: np.ndarray           # Opcode values
+    lanes: np.ndarray
+    transactions: np.ndarray
+    l1_misses: np.ndarray
+    l2_misses: np.ndarray
+    divergent: np.ndarray        # bool
+    warp_lengths: List[List[int]]
+
+    def __len__(self) -> int:
+        return len(self.addr)
+
+
+def stream_columns(ctas: Sequence[Sequence[WarpStream]]) -> StreamColumns:
+    """Columns of object-built streams (the adapter for callers that
+    hold :class:`WarpStream` lists)."""
+    instrs = [instr for streams in ctas for stream in streams
+              for instr in stream.instrs]
+    return StreamColumns(
+        addr=int_column([i.addr for i in instrs]),
+        opcode=int_column([i.opcode.value for i in instrs]),
+        lanes=int_column([i.lanes for i in instrs]),
+        transactions=int_column([i.transactions for i in instrs]),
+        l1_misses=int_column([i.l1_misses for i in instrs]),
+        l2_misses=int_column([i.l2_misses for i in instrs]),
+        divergent=np.array([bool(i.divergent) for i in instrs], dtype=bool),
+        warp_lengths=[[len(stream.instrs) for stream in streams]
+                      for streams in ctas])
+
+
+def _timing_columns(cols: StreamColumns) -> Tuple[np.ndarray, ...]:
+    """Per-row ``(occupancy, resume_delta, completion_latency,
+    sets_barrier, is_memory)``: issue-port occupancy with the
+    transaction surcharge, the ``max(stall, occupancy)`` distance to the
+    warp's next issue, and the result latency graded by the recorded
+    cache outcome (L1 hit, L2 hit, or DRAM) for memory opcodes."""
     op_issue, op_stall, op_lat, op_barrier, op_ismem = _opcode_columns()
-    if n < 32:
-        occ: List[int] = []
-        rdelta: List[int] = []
-        lat: List[int] = []
-        kind: List[str] = []
-        barrier_f: List[bool] = []
-        for instr in instrs:
-            entry = LATENCY_TABLE[instr.opcode]
-            occupancy = entry.issue
-            if instr.transactions > 1:
-                occupancy += TRANSACTION_CYCLES * (instr.transactions - 1)
-            occ.append(occupancy)
-            rdelta.append(max(entry.stall, occupancy))
-            lat.append(_memory_latency(entry, instr))
-            kind.append(REASON_MEM
-                        if OPCODE_CLASSES[instr.opcode] & OpClass.MEMORY
-                        else REASON_EXEC)
-            barrier_f.append(entry.barrier)
-        return occ, rdelta, lat, kind, barrier_f
-    ops = np.fromiter((i.opcode.value for i in instrs), np.int64, n)
-    tx = np.fromiter((i.transactions for i in instrs), np.int64, n)
-    l1m = np.fromiter((i.l1_misses for i in instrs), np.int64, n)
-    l2m = np.fromiter((i.l2_misses for i in instrs), np.int64, n)
-    occ_a = op_issue[ops] + np.where(
+    ops = cols.opcode
+    tx = cols.transactions
+    occupancy = op_issue[ops] + np.where(
         tx > 1, TRANSACTION_CYCLES * (tx - 1), 0)
-    rdelta_a = np.maximum(op_stall[ops], occ_a)
+    resume_delta = np.maximum(op_stall[ops], occupancy)
     base = op_lat[ops]
-    graded = np.where(l2m > 0, DRAM_LATENCY,
-                      np.where(l1m > 0, L2_HIT_LATENCY,
+    graded = np.where(cols.l2_misses > 0, DRAM_LATENCY,
+                      np.where(cols.l1_misses > 0, L2_HIT_LATENCY,
                                np.where(tx > 0, L1_HIT_LATENCY, base)))
     ismem = op_ismem[ops]
-    lat_a = np.where(ismem, np.maximum(graded, base), base)
+    latency = np.where(ismem, np.maximum(graded, base), base)
+    return occupancy, resume_delta, latency, op_barrier[ops], ismem
+
+
+#: the ready cycle of a warp that cannot issue (parked or done)
+_NEVER = 1 << 62
+
+
+def schedule_columns(cols: StreamColumns,
+                     config: Optional[SchedulerConfig] = None
+                     ) -> LaunchSchedule:
+    """Schedule one launch: CTAs run back to back (the executor is
+    sequential across CTAs), warps within a CTA compete for the single
+    issue port under ``config.policy``.
+
+    What does not depend on issue order — ``issued``, ``busy_cycles``,
+    ``divergent_instrs`` and every hotspot's issue counts — is summed
+    over the columns once.  The per-CTA loop keeps only ordered state
+    in flat per-warp lists and scans the CTA's warps for the next
+    issue: the earliest ready warp (lowest index on ties) sets the issue
+    cycle and, if the port must idle first, takes the bubble's blame;
+    GTO then reissues the last warp if it is ready by that cycle, else
+    the lowest ready index, and LRR takes the next ready index after
+    the last warp, wrapping.  When no live warp can issue, all are
+    parked at the CTA barrier, which releases.
+    """
+    config = config or SchedulerConfig()
+    acc = LaunchSchedule(policy=config.policy)
+    n = len(cols)
+    if n == 0:
+        return acc
+    occupancy, resume_delta, latency, sets_barrier, ismem = \
+        _timing_columns(cols)
+    acc.issued = n
+    acc.busy_cycles = int(occupancy.sum())
+    acc.divergent_instrs = int(np.count_nonzero(cols.divergent))
+
+    occ = occupancy.tolist()
+    rdelta = resume_delta.tolist()
+    lat = latency.tolist()
+    barrier = sets_barrier.tolist()
     kind = [REASON_MEM if m else REASON_EXEC for m in ismem.tolist()]
-    return (occ_a.tolist(), rdelta_a.tolist(), lat_a.tolist(),
-            kind, op_barrier[ops].tolist())
-
-
-class _WarpState:
-    """Scheduler-side runtime state of one warp."""
-
-    __slots__ = ("idx", "instrs", "pos", "resume", "parked", "done",
-                 "barriers", "last_addr", "last_op", "seq", "occ",
-                 "rdelta", "lat", "kind", "barrier_f", "_ready")
-
-    def __init__(self, idx: int, stream: WarpStream):
-        self.idx = idx
-        self.instrs = stream.instrs
-        self.pos = 0
-        self.resume = 0          # earliest next-issue cycle (stall count)
-        self.parked = False
-        self.done = not self.instrs
-        #: outstanding scoreboard barriers: (pos, completion, reason,
-        #: addr, opcode) in allocation order
-        self.barriers: List[Tuple[int, int, str, int, Opcode]] = []
-        self.last_addr = 0
-        self.last_op = Opcode.NOP
-        #: bumped on every issue; heap entries carry the seq they were
-        #: pushed with, so stale entries self-identify on pop
-        self.seq = 0
-        (self.occ, self.rdelta, self.lat, self.kind,
-         self.barrier_f) = _stream_columns(self.instrs)
-        #: memoized ready() — invalidated only by issue()
-        self._ready: Optional[Tuple[int, str, int, Opcode]] = None
-
-    def ready(self, config: SchedulerConfig
-              ) -> Tuple[int, str, int, Opcode]:
-        """``(cycle, reason, blocker_addr, blocker_op)`` — earliest
-        issue time of the next instruction and, if it must wait, the
-        producing instruction to blame.  A pure function of per-warp
-        state, so it is memoized between issues."""
-        state = self._ready
-        if state is not None:
-            return state
-        when = self.resume
-        reason = REASON_EXEC
-        addr, op = self.last_addr, self.last_op
-        barriers = self.barriers
-        if barriers:
-            dep_limit = self.pos - config.dep_distance
-            for bpos, completion, kind, baddr, bop in barriers:
-                if bpos <= dep_limit and completion > when:
-                    when, reason, addr, op = completion, kind, baddr, bop
-        if (self.barrier_f[self.pos]
-                and len(barriers) >= config.scoreboard_slots):
-            # a free slot appears when the k-th oldest completion
-            # passes; expiry-before-allocate in issue() keeps the list
-            # at <= scoreboard_slots entries, where the k-th oldest IS
-            # the minimum — one pass, no sorted() allocation
-            oldest = min(barriers, key=lambda b: b[1])
-            if len(barriers) == config.scoreboard_slots:
-                freed = oldest[1]
-            else:
-                completions = sorted(b[1] for b in barriers)
-                freed = completions[len(completions)
-                                    - config.scoreboard_slots]
-            if freed > when:
-                when, reason = freed, REASON_SCOREBOARD
-                addr, op = oldest[3], oldest[4]
-        state = (when, reason, addr, op)
-        self._ready = state
-        return state
-
-    def issue(self, cycle: int, config: SchedulerConfig
-              ) -> Tuple[WarpInstr, int]:
-        """Issue the next instruction at *cycle*; returns it and its
-        issue-port occupancy."""
-        pos = self.pos
-        instr = self.instrs[pos]
-        occupancy = self.occ[pos]
-        if self.barriers:
-            self.barriers = [b for b in self.barriers if b[1] > cycle]
-        if self.barrier_f[pos]:
-            self.barriers.append((pos, cycle + self.lat[pos],
-                                  self.kind[pos], instr.addr,
-                                  instr.opcode))
-        self.resume = cycle + self.rdelta[pos]
-        self.last_addr, self.last_op = instr.addr, instr.opcode
-        self.pos = pos = pos + 1
-        if pos >= len(self.instrs):
-            self.done = True
-        elif instr.opcode is Opcode.BAR:
-            self.parked = True
-        self.seq += 1
-        self._ready = None
-        return instr, occupancy
-
-
-def _pick(candidates: List[_WarpState], n_warps: int, last: int,
-          policy: str) -> _WarpState:
-    if policy == "gto":
-        for warp in candidates:
-            if warp.idx == last:
-                return warp          # greedy: stick with the last warp
-        return min(candidates, key=lambda w: w.idx)   # then oldest
-    # loose round-robin: the successor of `last` in the sorted
-    # candidate-index ring (strictly-after first, wrapping, `last`
-    # itself only when it is the sole candidate)
-    by_idx = {w.idx: w for w in candidates}
-    idxs = sorted(by_idx)
-    return by_idx[idxs[bisect_right(idxs, last) % len(idxs)]]
-
-
-def _schedule_cta(streams: Sequence[WarpStream], config: SchedulerConfig,
-                  acc: LaunchSchedule, cta: int, base_cycle: int) -> int:
-    """Step one CTA through the scheduler; returns its cycle count.
-
-    The per-issue ``states`` list rebuild of the original stepper is
-    replaced by a ready-heap of ``(when, idx, seq)`` entries: only the
-    issued warp's readiness changes per iteration, so everything else
-    stays put.  Entries invalidated without being popped (the greedy
-    reissue path below) self-identify by a stale ``seq`` and are
-    discarded lazily; the issue order, bubbles, and blame are identical
-    to the full-scan loop because the heap order (when, idx) is exactly
-    the scan's min key and the popped candidate set is exactly its
-    ``t <= issue_at`` filter."""
-    warps = [_WarpState(i, s) for i, s in enumerate(streams)]
-    n_warps = len(warps)
-    live = sum(1 for w in warps if not w.done)
-    heap: List[Tuple[int, int, int]] = [
-        (w.ready(config)[0], w.idx, w.seq) for w in warps if not w.done]
-    heapq.heapify(heap)
+    parks = (cols.opcode == Opcode.BAR.value).tolist()
+    slots = config.scoreboard_slots
+    dep = config.dep_distance
     greedy = config.policy == "gto"
-    port_free = 0
-    last = 0
-    while live:
-        # drop entries whose warp has issued since they were pushed
-        while heap:
-            _, idx, seq = heap[0]
-            if warps[idx].seq == seq:
-                break
-            heapq.heappop(heap)
-        if not heap:
-            # every live warp is parked at the CTA barrier: release
-            acc.barrier_releases += 1
-            for warp in warps:
-                if not warp.done:
-                    warp.parked = False
-                    heapq.heappush(heap, (warp.ready(config)[0],
-                                          warp.idx, warp.seq))
-            continue
-        warp = warps[last]
-        if (greedy and not warp.done and not warp.parked
-                and warp.ready(config)[0] <= port_free):
-            # greedy reissue: `last` is a candidate (its ready time is
-            # at or before the port), so GTO picks it and the earliest
-            # ready time can't exceed port_free — no bubble.  Skip the
-            # candidate pops entirely; the warp's old heap entry goes
-            # stale via seq.
-            instr, occupancy = warp.issue(port_free, config)
-            acc._issue(instr, occupancy)
-            port_free += occupancy
-            if warp.done:
+    #: (cta, start, cycles, reason, blamed row)
+    bubbles: List[Tuple[int, int, int, str, int]] = []
+    releases = 0
+    base_cycle = 0
+    row = 0
+    for cta, lengths in enumerate(cols.warp_lengths):
+        nw = len(lengths)
+        pos = []
+        end = []
+        for length in lengths:
+            pos.append(row)
+            row += length
+            end.append(row)
+        # earliest issue cycle of each warp's next row; _NEVER while the
+        # warp is parked at the CTA barrier or done
+        ready = [0 if p < e else _NEVER for p, e in zip(pos, end)]
+        live = nw - ready.count(_NEVER)
+        parked: List[Tuple[int, int]] = []     # (warp, ready cycle)
+        resume = [0] * nw
+        #: outstanding scoreboard barriers per warp, allocation order:
+        #: (row, completion, reason)
+        bars: List[List[Tuple[int, int, str]]] = [[] for _ in range(nw)]
+        port = 0
+        last = 0
+        while live:
+            w = last
+            if greedy and ready[w] <= port:
+                cycle = port
+            else:
+                best_when = min(ready)
+                if best_when == _NEVER:
+                    # every live warp is parked at the CTA barrier
+                    releases += 1
+                    for v, when in parked:
+                        ready[v] = when
+                    parked = []
+                    continue
+                best = ready.index(best_when)
+                if best_when > port:
+                    cycle = best_when
+                    # blame the binding constraint of the earliest warp
+                    # (a warp that has not issued yet is ready at cycle
+                    # 0, so it has a last-issued row to blame)
+                    reason, blamed = REASON_EXEC, pos[best] - 1
+                    when = resume[best]
+                    held = bars[best]
+                    limit = pos[best] - dep
+                    for b in held:
+                        if b[0] <= limit and b[1] > when:
+                            when, reason, blamed = b[1], b[2], b[0]
+                    if barrier[pos[best]] and len(held) >= slots:
+                        oldest = min(held, key=lambda b: b[1])
+                        if oldest[1] > when:
+                            reason, blamed = REASON_SCOREBOARD, oldest[0]
+                    bubbles.append((cta, base_cycle + port, cycle - port,
+                                    reason, blamed))
+                    if greedy:
+                        w = last if ready[last] == cycle else best
+                else:
+                    cycle = port
+                    if greedy:
+                        w = 0
+                        while ready[w] > cycle:
+                            w += 1
+                if not greedy:
+                    for w in range(last + 1, nw):
+                        if ready[w] <= cycle:
+                            break
+                    else:
+                        w = 0
+                        while ready[w] > cycle:
+                            w += 1
+                last = w
+            # issue warp w's next row at `cycle`
+            j = pos[w]
+            held = bars[w]
+            if held:
+                held = bars[w] = [b for b in held if b[1] > cycle]
+            if barrier[j]:
+                held.append((j, cycle + lat[j], kind[j]))
+            when = resume[w] = cycle + rdelta[j]
+            port = cycle + occ[j]
+            j += 1
+            pos[w] = j
+            if j == end[w]:
+                ready[w] = _NEVER
                 live -= 1
-            elif not warp.parked:
-                heapq.heappush(heap, (warp.ready(config)[0],
-                                      warp.idx, warp.seq))
-            if len(heap) > 4 * n_warps + 16:    # compact stale entries
-                heap = [(t, i, s) for t, i, s in heap
-                        if warps[i].seq == s]
-                heapq.heapify(heap)
-            continue
-        when, idx, _ = heap[0]
-        issue_at = max(when, port_free)
-        if when > port_free:
-            _, reason, baddr, bop = warps[idx].ready(config)
-            acc._bubble(cta, base_cycle + port_free, when - port_free,
-                        reason, baddr, bop)
-        candidates = []
-        while heap and heap[0][0] <= issue_at:
-            when, idx, seq = heapq.heappop(heap)
-            if warps[idx].seq == seq:
-                candidates.append(warps[idx])
-        warp = _pick(candidates, n_warps, last, config.policy)
-        instr, occupancy = warp.issue(issue_at, config)
-        acc._issue(instr, occupancy)
-        port_free = issue_at + occupancy
-        last = warp.idx
-        for other in candidates:
-            if other is not warp:
-                heapq.heappush(heap, (other.ready(config)[0],
-                                      other.idx, other.seq))
-        if warp.done:
-            live -= 1
-        elif not warp.parked:
-            heapq.heappush(heap, (warp.ready(config)[0], warp.idx,
-                                  warp.seq))
-    return port_free
+                continue
+            if held:
+                limit = j - dep
+                for b in held:
+                    if b[0] <= limit and b[1] > when:
+                        when = b[1]
+                # expire-before-allocate keeps at most `slots` barriers
+                # outstanding, so the slot frees at the oldest completion
+                if barrier[j] and len(held) >= slots:
+                    freed = min(b[1] for b in held)
+                    if freed > when:
+                        when = freed
+            if parks[j - 1]:
+                parked.append((w, when))
+                ready[w] = _NEVER
+            else:
+                ready[w] = when
+        base_cycle += port
+    acc.cycles = base_cycle
+    acc.barrier_releases = releases
+    _account_hotspots(acc, cols, occupancy, bubbles)
+    return acc
+
+
+def _account_hotspots(acc: LaunchSchedule, cols: StreamColumns,
+                      occupancy: np.ndarray,
+                      bubbles: List[Tuple[int, int, int, str, int]]
+                      ) -> None:
+    """Per-address issue counts and cycles (one grouped sum over the
+    columns), then the bubble records with their stall blame."""
+    addr = cols.addr
+    order = np.argsort(addr, kind="stable")
+    ranked = addr[order]
+    firsts = np.flatnonzero(np.concatenate(
+        ([True], ranked[1:] != ranked[:-1])))
+    issues = np.diff(np.append(firsts, len(ranked))).tolist()
+    cycles = np.add.reduceat(occupancy[order], firsts).tolist()
+    rows = order[firsts]
+    opcodes = cols.opcode[rows].tolist()
+    hotspots = acc.hotspots
+    for key, op, count, busy in zip(addr[rows].tolist(), opcodes, issues,
+                                    cycles):
+        hotspots[key] = Hotspot(key, _OPCODE_BY_VALUE[op], count, busy)
+    if not bubbles:
+        return
+    blamed = np.array([bubble[4] for bubble in bubbles], dtype=np.int64)
+    stalls = acc.stall_cycles
+    for (cta, start, length, reason, _), key, op in zip(
+            bubbles, addr[blamed].tolist(), cols.opcode[blamed].tolist()):
+        acc.bubbles.append(Bubble(cta, start, length, reason, key,
+                                  _OPCODE_BY_VALUE[op]))
+        stalls[reason] += length
+        hotspots[key].stall_cycles += length
+
+
+def column_spans(cols: StreamColumns) -> List[Tuple[int, int, int]]:
+    """Maximal runs of divergence-serialized rows within each warp
+    stream, as ``(start_addr, length, min_lanes)`` in stream order."""
+    div = cols.divergent
+    n = len(div)
+    if n == 0 or not div.any():
+        return []
+    stream_start = np.zeros(n + 1, dtype=bool)
+    stream_start[np.cumsum([0] + [length for lengths in cols.warp_lengths
+                                  for length in lengths])] = True
+    follows = np.zeros(n, dtype=bool)
+    follows[1:] = div[:-1]
+    follows &= ~stream_start[:n]
+    leads = np.zeros(n, dtype=bool)
+    leads[:-1] = div[1:]
+    leads &= ~stream_start[1:]
+    begins = np.flatnonzero(div & ~follows)
+    ends = np.flatnonzero(div & ~leads) + 1
+    bounds = np.empty(2 * len(begins), dtype=np.int64)
+    bounds[0::2] = begins
+    bounds[1::2] = ends
+    lanes = np.append(cols.lanes, cols.lanes[:1])
+    min_lanes = np.minimum.reduceat(lanes, bounds)[0::2]
+    return list(zip(cols.addr[begins].tolist(), (ends - begins).tolist(),
+                    min_lanes.tolist()))
 
 
 def schedule_launch(ctas: Sequence[Sequence[WarpStream]],
                     config: Optional[SchedulerConfig] = None
                     ) -> LaunchSchedule:
-    """Schedule one launch: CTAs run back to back (the executor is
-    sequential across CTAs), warps within a CTA compete for the single
-    issue port under ``config.policy``."""
-    config = config or SchedulerConfig()
-    acc = LaunchSchedule(policy=config.policy)
-    base = 0
-    for cta_index, streams in enumerate(ctas):
-        base += _schedule_cta(streams, config, acc, cta_index, base)
-    acc.cycles = base
-    return acc
+    """:func:`schedule_columns` over object-built streams."""
+    return schedule_columns(stream_columns(ctas), config)
 
 
-def divergence_spans(stream: WarpStream
-                     ) -> List[Tuple[int, int, int]]:
-    """Maximal runs of divergence-serialized instructions in *stream*
-    as ``(start_addr, length, min_lanes)`` tuples."""
-    spans = []
-    start = length = 0
-    min_lanes = 0
-    for instr in stream.instrs:
-        if instr.divergent:
-            if length == 0:
-                start, min_lanes = instr.addr, instr.lanes
-            length += 1
-            min_lanes = min(min_lanes, instr.lanes)
-        elif length:
-            spans.append((start, length, min_lanes))
-            length = 0
-    if length:
-        spans.append((start, length, min_lanes))
-    return spans
+def divergence_spans(stream: WarpStream) -> List[Tuple[int, int, int]]:
+    """:func:`column_spans` of one object-built warp stream."""
+    return column_spans(stream_columns([[stream]]))

@@ -6,6 +6,8 @@ same program — with and without SASSI instrumentation.
 This exercises the interactions hardest to unit-test: divergence-stack
 mechanics for arbitrary nests of ifs/loops/breaks, register allocation
 under pressure, and instrumentation transparency at every site class.
+The same programs fuzz trace-driven timing: timed live while captured,
+then timed again from the written trace, the two must agree exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +24,15 @@ from repro.kernelir import KernelBuilder, Type
 from repro.kernelir.types import PTR
 from repro.sassi import SassiRuntime, spec_from_flags
 from repro.sim import Device, Dim3
+from repro.trace.capture import TraceRecorder
+from repro.trace.io import TraceWriter
+from repro.trace.replay import replay
+from repro.trace.timing import (
+    TeeWriter,
+    TimingAnalysis,
+    TimingModel,
+    render_summary,
+)
 
 # ---------------------------------------------------------------------
 # A tiny program AST: statements mutate an accumulator per thread.
@@ -209,3 +220,27 @@ def test_random_program_unchanged_under_instrumentation(program):
                         dtype=np.int64)
     expected = (expected & 0xFFFFFFFF).astype(np.uint32).view(np.int32)
     assert (got == expected).all()
+
+
+@settings(max_examples=12, deadline=None)
+@given(program=programs)
+def test_random_program_timing_live_equals_replay(program, tmp_path_factory):
+    """Capture through ``TeeWriter`` (the live model is fed event by
+    event), replay the written trace through the columnar frame path:
+    result() and the rendered summary match under both policies."""
+    path = str(tmp_path_factory.mktemp("fuzz") / "t.rptrace")
+    live = TimingModel()
+    device = Device()
+    recorder = TraceRecorder(device, TeeWriter(TraceWriter(path), live))
+    kernel = recorder.compile(build_ir(program))
+    out = device.alloc(128 * 4)
+    device.launch(kernel, Dim3(2), Dim3(64), [out])
+    recorder.writer.close()
+    for policy in ("gto", "lrr"):
+        (replayed,) = replay(path, [TimingAnalysis(policy=policy)])
+        timed = TimingAnalysis(policy=policy)
+        timed.model = live
+        assert replayed.result() == timed.result()
+        assert render_summary(replayed.model.schedule(policy)) == \
+            render_summary(live.schedule(policy))
+        assert replayed.result()["launches"][0]["issued"] > 0

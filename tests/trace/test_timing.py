@@ -56,6 +56,7 @@ from repro.trace.timing import (
     render_summary,
 )
 from repro.workloads import make
+from tests.timing_oracle import warp_streams
 
 pytestmark = pytest.mark.noskip
 
@@ -91,7 +92,7 @@ def _stream_opcodes(model):
     """[[ [opcode per instr] per warp ] per CTA] of the last launch."""
     builder = model.launches[-1]
     return [[[i.opcode for i in s.instrs] for s in streams]
-            for streams in builder.ctas]
+            for streams in warp_streams(builder)]
 
 
 # ------------------------------------------------------- 1. segmentation
@@ -160,7 +161,7 @@ class TestSegmentation:
             KernelEndEvent(warp_instructions=6),
         ]
         model = _feed(events)
-        (cta,) = model.launches[-1].ctas
+        (cta,) = warp_streams(model.launches[-1])
         flags = [i.divergent for i in cta[0].instrs]
         assert flags == [False, True, False, False, False, False]
 
@@ -192,7 +193,7 @@ class TestSegmentation:
         events.append(KernelEndEvent(warp_instructions=12))
         model = _feed(events)
         builder = model.launches[-1]
-        streamed = sum(len(s.instrs) for streams in builder.ctas
+        streamed = sum(len(s.instrs) for streams in warp_streams(builder)
                        for s in streams)
         assert streamed == builder.instr_count == 12
         assert builder.desyncs == 0
@@ -257,7 +258,8 @@ class TestLiveReplayDifferential:
                           - stats.sassi_warp_instructions)
             assert builder.instr_count == app_instrs, name
             assert builder.desyncs == 0
-            streamed = sum(len(s.instrs) for streams in builder.ctas
+            streamed = sum(len(s.instrs)
+                           for streams in warp_streams(builder)
                            for s in streams)
             assert streamed == builder.instr_count
         # barrier releases match the executor's barrier count
