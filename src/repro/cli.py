@@ -10,7 +10,7 @@ Subcommands::
     python -m repro.cli timeline trace.json   # inspect a Chrome trace
     python -m repro.cli capture  NAME [-o FILE] [--all-spaces]
     python -m repro.cli replay   trace.rptrace [--analysis a,b,...]
-                                 [--jobs N] [--policy gto|lrr]
+                                 [--policy gto|lrr]
     python -m repro.cli trace    summary|iters trace.rptrace
                                  [--policy gto|lrr] [--top N]
     python -m repro.cli trace    info trace.rptrace
@@ -47,11 +47,11 @@ summary.  ``timeline`` summarizes a previously written Chrome trace.
 the binary event-trace subsystem (:mod:`repro.trace`): record one
 instrumented run to an ``.rptrace`` file (capture also writes the
 ``.rpti`` columnar index sidecar), then answer many questions
-offline — ``replay --jobs N`` shards the replay by kernel-launch frame
-across worker processes (bit-identical to serial); ``trace summary``
-runs the cycle-stepped warp scheduler over the trace and reports
-per-kernel cycles, hotspot instructions, bubble regions, and
-divergence-serialized spans; ``trace iters`` reports per-launch cycles
+offline — ``replay`` runs the analyses in one pass over the trace's
+launch frames (decoded through the sidecar when there is one);
+``trace summary`` runs the cycle-stepped warp scheduler over the trace
+and reports per-kernel cycles, hotspot instructions, bubble regions,
+and divergence-serialized spans; ``trace iters`` reports per-launch cycles
 and the iteration spread; ``trace info`` prints the manifest plus the
 per-launch table from the index; ``trace index`` builds or refreshes
 the sidecar for an existing trace; ``trace query`` extracts events by
@@ -417,36 +417,27 @@ def _open_trace_or_die(path: str):
 
 
 def _cmd_replay(args) -> int:
-    from repro.campaign.engine import JOBS_ENV, default_jobs
     from repro.trace import ANALYSES, TraceFormatError, make_analysis, \
-        replay, replay_sharded
+        replay
 
     reader = _open_trace_or_die(args.input)
     names = [n.strip() for n in args.analysis.split(",") if n.strip()] \
         if args.analysis else sorted(ANALYSES)
-    specs = [(name, {"policy": args.policy} if name == "timing" else {})
-             for name in names]
     try:
-        analyses = [make_analysis(name, **kwargs) for name, kwargs in specs]
+        analyses = [make_analysis(name, **({"policy": args.policy}
+                                           if name == "timing" else {}))
+                    for name in names]
     except KeyError as exc:
         raise CliError(str(exc.args[0]))
-    jobs = args.jobs
-    if jobs is None:
-        jobs = default_jobs() if os.environ.get(JOBS_ENV) else 1
     try:
         start = time.perf_counter()
-        if jobs > 1:
-            analyses = replay_sharded(args.input, specs, jobs=jobs)
-        else:
-            replay(reader, analyses)
+        replay(reader, analyses)
         elapsed = time.perf_counter() - start
     except TraceFormatError as exc:
         raise CliError(f"{args.input}: {exc}")
     for analysis in analyses:
         print(analysis.report())
-    suffix = f" (jobs {jobs})" if jobs > 1 else ""
-    print(f"replayed {args.input} in {elapsed:.2f}s{suffix}",
-          file=sys.stderr)
+    print(f"replayed {args.input} in {elapsed:.2f}s", file=sys.stderr)
     return 0
 
 
@@ -873,12 +864,6 @@ def main(argv=None) -> int:
                                metavar="A,B,...",
                                help="comma-separated analyses "
                                     "(default: all registered)")
-    replay_parser.add_argument("--jobs", type=int, default=None,
-                               metavar="N",
-                               help="shard the replay by launch frame "
-                                    "across N worker processes "
-                                    "(default: 1, or $REPRO_JOBS; "
-                                    "bit-identical to serial)")
     replay_parser.add_argument("--policy", choices=["gto", "lrr"],
                                default="gto",
                                help="warp issue policy of the timing "

@@ -60,7 +60,7 @@ class MemoryTracer:
     :meth:`records` (constant memory) or replay directly with
     :meth:`replay_through`.  Memory events are framed by kernel-launch
     records (the CUPTI-analog callbacks), so the trace is seekable and
-    shardable like any capture-produced trace.
+    frame-indexed like any capture-produced trace.
     """
 
     FLAGS = "-sassi-inst-before=memory -sassi-before-args=mem-info"

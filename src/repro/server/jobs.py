@@ -44,8 +44,10 @@ from repro.telemetry.collector import TELEMETRY
 JOB_KINDS = ("campaign", "capture", "replay", "study", "bench")
 
 #: counter prefixes excluded from canonical result bytes (worker-local
-#: cache warmth varies with pool size; everything else must not)
-VOLATILE_COUNTER_PREFIXES = ("compile_cache.",)
+#: cache warmth varies with pool size, and replay's decode/analyze
+#: nanoseconds are wall time; everything else must not vary)
+VOLATILE_COUNTER_PREFIXES = ("compile_cache.", "trace.replay.decode_ns",
+                             "trace.replay.analyze_ns")
 
 
 class JobError(ValueError):
@@ -170,44 +172,13 @@ def validate_job(spec: JobSpec) -> JobSpec:
 
 # ------------------------------------------------------- task expansion
 
-def _replay_specs(payload: Dict[str, Any]) -> tuple:
-    """The payload's analyses as picklable ``(name, kwargs)`` specs
-    (the :func:`repro.trace.replay.replay_sharded` currency)."""
-    policy = payload["policy"]
-    return tuple((name, {"policy": policy} if name == "timing" else {})
-                 for name in payload["analyses"])
-
-
-def _replay_shard_index(path: str, specs: tuple):
-    """The trace's launch index when the job can shard by launch frame
-    (frame-indexed trace, every requested analysis mergeable);
-    ``None`` sends the job down the per-analysis streaming path."""
-    from repro.trace.index import ensure_index
-    from repro.trace.replay import make_analysis
-
-    _registered_analyses()
-    try:
-        if not all(make_analysis(name, **kwargs).mergeable
-                   for name, kwargs in specs):
-            return None
-    except KeyError:
-        return None
-    index = ensure_index(path)
-    if index is None or not index.shardable:
-        return None
-    return index
-
-
 def job_tasks(spec: JobSpec, artifact_dir: Optional[str] = None,
               job_id: str = "local") -> List[tuple]:
     """Expand a validated *spec* into picklable task tuples.
 
-    Campaign jobs shard one task per trial.  Replay jobs shard one task
-    per kernel-launch frame when the trace is frame-indexed and every
-    requested analysis is mergeable (the common case — all workers feed
-    all analyses over disjoint frame slices), falling back to one task
-    per analysis otherwise.  Capture/study/bench are single-task (the
-    trace writer and the study renderers are inherently sequential).
+    Campaign jobs shard one task per trial.  Replay, capture, study and
+    bench jobs are one task each: a replay runs all of its analyses in
+    one serial pass over the trace.
     """
     payload = spec.payload
     ns = spec.cache_namespace
@@ -227,16 +198,8 @@ def job_tasks(spec: JobSpec, artifact_dir: Optional[str] = None,
         if not path:
             raise JobError(f"replay artifact {payload.get('artifact')!r} "
                            "was not resolved to a trace path")
-        specs = _replay_specs(payload)
-        index = _replay_shard_index(path, specs)
-        if index is not None:
-            # one task per launch frame: the same jobs-invariant
-            # partition replay_sharded uses, so shard merges are
-            # byte-identical to the streaming pass at any worker count
-            return [("replay-shard", path, entry, specs)
-                    for entry in index.entries]
-        return [("replay", path, name, payload["policy"])
-                for name in payload["analyses"]]
+        return [("replay", path, tuple(payload["analyses"]),
+                 payload["policy"])]
     if spec.kind == "study":
         return [("study", payload["which"])]
     if spec.kind == "bench":
@@ -332,26 +295,17 @@ def _run_capture(task) -> Dict[str, Any]:
 
 
 def _run_replay(task) -> Dict[str, Any]:
-    from repro.trace.io import TraceReader
     from repro.trace.replay import make_analysis, replay
-    from repro.trace.timing import TimingAnalysis
-
-    _, path, name, policy = task
-    if name == "timing":
-        analysis = TimingAnalysis(policy=policy)
-    else:
-        analysis = make_analysis(name)
-    replay(TraceReader(path), [analysis])
-    return {"analysis": name, "report": analysis.report(),
-            "data": analysis.result()}
-
-
-def _run_replay_shard(task) -> Dict[str, Any]:
-    from repro.trace.replay import _replay_shard
 
     _registered_analyses()
-    _, path, entry, specs = task
-    return {"shard": _replay_shard((path, entry, specs))}
+    _, path, names, policy = task
+    analyses = replay(path, [
+        make_analysis(name, **({"policy": policy} if name == "timing"
+                               else {}))
+        for name in names])
+    return {"analyses": [{"analysis": name, "report": analysis.report(),
+                          "data": analysis.result()}
+                         for name, analysis in zip(names, analyses)]}
 
 
 def _run_study(task) -> Dict[str, Any]:
@@ -376,7 +330,6 @@ _RUNNERS = {
     "campaign-trial": _run_campaign_trial,
     "capture": _run_capture,
     "replay": _run_replay,
-    "replay-shard": _run_replay_shard,
     "study": _run_study,
     "bench": _run_bench,
 }
@@ -488,24 +441,9 @@ def merge_pieces(spec: JobSpec, pieces: List[Dict[str, Any]]
         return result, {"artifact_path": piece["path"],
                         "capture_wall_seconds": round(piece["wall"], 6)}
     if spec.kind == "replay":
-        if pieces and "shard" in pieces[0]:
-            from repro.trace.replay import make_analysis
-
-            _registered_analyses()
-            specs = _replay_specs(payload)
-            analyses = [make_analysis(name, **kwargs)
-                        for name, kwargs in specs]
-            for piece in pieces:            # launch order == task order
-                for analysis, part in zip(analyses, piece["shard"]):
-                    analysis.merge(part)
-            entries = [{"analysis": name, "report": analysis.report(),
-                        "data": analysis.result()}
-                       for (name, _), analysis in zip(specs, analyses)]
-        else:
-            entries = list(pieces)
         result = {
             "policy": payload["policy"],
-            "analyses": entries,
+            "analyses": pieces[0]["analyses"],
         }
         return result, {}
     if spec.kind == "study":

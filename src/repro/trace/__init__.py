@@ -43,7 +43,6 @@ from repro.trace.replay import (
     TraceAnalysis,
     make_analysis,
     replay,
-    replay_sharded,
 )
 from repro.trace.index import (
     IndexBuilder,
@@ -77,7 +76,7 @@ __all__ = [
     "CAPTURE_FLAGS", "TraceRecorder", "capture_workload",
     "ANALYSES", "CacheSimAnalysis", "DivergenceAnalysis",
     "MemoryDivergenceAnalysis", "OpcodeHistogramAnalysis",
-    "TraceAnalysis", "make_analysis", "replay", "replay_sharded",
+    "TraceAnalysis", "make_analysis", "replay",
     "IndexBuilder", "LaunchEntry", "TraceIndex", "build_index",
     "ensure_index", "index_path_for", "read_index", "sidecar_index",
     "write_index",

@@ -321,7 +321,7 @@ def decode_event(tag: int, buf: bytes, pos: int,
 
 
 # ---------------------------------------------------------------------
-# frame slices (seekable decode for indexed readers / sharded replay)
+# frame slices (seekable decode for indexed readers)
 # ---------------------------------------------------------------------
 
 

@@ -7,8 +7,8 @@ byte with a fresh :class:`~repro.trace.format.EncoderState`.  The index
 records, per launch frame, everything a reader needs to exploit that:
 the absolute byte offset and length, a CRC-32 of the frame bytes, the
 event counts per record kind, and the launch geometry — so
-``TraceReader.open_launch(n)`` seeks straight to launch *n*, sharded
-replay partitions a trace by frames without scanning it, and
+``TraceReader.open_launch(n)`` seeks straight to launch *n*, replay
+decodes a trace frame by frame without scanning it, and
 ``repro trace info``/``query`` answer per-launch questions from the
 sidecar alone.
 
@@ -24,7 +24,7 @@ File layout (all integers unsigned LEB128 varints unless noted)::
                CRC-32, events, instr, mem, branch
     [stray]    events outside any complete frame (before the first
                launch, between frames, or in a torn frame) — nonzero
-               disables frame-sharded replay but not ``open_launch``
+               disables frame-decoded replay but not ``open_launch``
     [crc]      4 bytes LE: CRC-32 of everything since the header
     [trailer]  fixed 8 bytes: u32-LE body length + magic b"RPIE"
 

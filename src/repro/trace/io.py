@@ -13,29 +13,38 @@ Path-target writers also maintain a columnar index
 sidecar at close — :meth:`TraceReader.open_launch` then seeks straight
 to launch *n* instead of scanning the whole stream.
 
-:class:`FrameColumns` is the replay stack's batch currency: one
-``LAUNCH .. KEND`` frame decoded into ndarray columns by
-:func:`decode_frame_columns` — the whole varint stream in a few numpy
-passes (continuation-bit segmentation, masked shift-accumulate,
-cumulative-sum zigzag-delta undo, pointer-doubled record walk), with
-the scalar token walk kept as the bit-exact reference and fallback.
-:func:`repro.trace.replay.replay`, :func:`~repro.trace.replay.\
-replay_sharded`, and ``repro trace query`` all consume it.
+:class:`FrameColumns` is the replay stack's batch currency: one launch's
+records as ndarray columns.  :func:`decode_frame_columns` builds it
+from an indexed ``LAUNCH .. KEND`` frame slice — the whole varint
+stream in a few numpy passes (continuation-bit segmentation, masked
+shift-accumulate, cumulative-sum zigzag-delta undo, pointer-doubled
+record walk), with the scalar token walk kept as the bit-exact
+reference for frames the vector pass cannot take.  :func:`event_frames`
+builds the same batches from an event stream (no sidecar, stray
+events, file-object readers).  :func:`repro.trace.replay.replay`, the
+timing model and ``repro trace query`` all consume it.
 """
 
 from __future__ import annotations
 
 import io
 import os
-from typing import IO, Iterator, List, Optional, Tuple, Union
+from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.isa.opcodes import Opcode
+from repro.sim.scheduler import int_column
 from repro.telemetry.collector import TELEMETRY
 from repro.trace import index as index_mod
 from repro.trace.format import (
+    BranchEvent,
     EncoderState,
+    InstrEvent,
     KIND_NAMES,
+    KernelEndEvent,
+    LaunchEvent,
+    MemEvent,
     MAGIC,
     TAG_BRANCH,
     TAG_END,
@@ -570,31 +579,19 @@ def _columns_vector(tok: np.ndarray) -> Optional[tuple]:
             tok[branch_at + 2], tok[branch_at + 3], tok[branch_at + 4])
 
 
-def _columns_scalar(tokens: List[int]) -> Optional[tuple]:
+def _columns_scalar(tokens: List[int]) -> tuple:
     """The bit-exact reference walk over a frame's flat token list.
 
     Mirrors the event decoder record by record and raises the canonical
-    :class:`TraceFormatError` where the stream is structurally bad.
-    Returns ``None`` when a decoded value exceeds int64 — the caller
-    then replays the frame in events mode, which handles
-    arbitrary-precision values.
+    :class:`TraceFormatError` where the stream is structurally bad.  A
+    column holding a value past int64 comes back as an exact object
+    column (:func:`~repro.sim.scheduler.int_column`).
     """
-    record_tags: List[int] = []
-    kend_counts: List[int] = []
-    instr_addr: List[int] = []
-    instr_opcodes: List[int] = []
-    instr_lanes: List[int] = []
-    instr_widths: List[int] = []
-    mem_addr: List[int] = []
-    mem_flags: List[int] = []
-    mem_width: List[int] = []
-    mem_active: List[int] = []
-    mem_nlines: List[int] = []
-    mem_lines: List[int] = []
-    branch_addr: List[int] = []
-    branch_active: List[int] = []
-    branch_taken: List[int] = []
-    branch_not_taken: List[int] = []
+    columns = _empty_columns()
+    (record_tags, kend_counts,
+     instr_addr, instr_opcodes, instr_lanes, instr_widths,
+     mem_addr, mem_flags, mem_width, mem_active, mem_nlines, mem_lines,
+     branch_addr, branch_active, branch_taken, branch_not_taken) = columns
     prev_addr = 0
     prev_line = 0
     i = 0
@@ -647,30 +644,28 @@ def _columns_scalar(tokens: List[int]) -> Optional[tuple]:
         else:
             raise TraceFormatError(f"unknown event tag {tag}")
         record_tags.append(tag)
-    try:
-        return tuple(np.asarray(column, dtype=np.int64)
-                     for column in (
-                         record_tags, kend_counts,
-                         instr_addr, instr_opcodes, instr_lanes,
-                         instr_widths,
-                         mem_addr, mem_flags, mem_width, mem_active,
-                         mem_nlines, mem_lines,
-                         branch_addr, branch_active, branch_taken,
-                         branch_not_taken))
-    except OverflowError:
-        return None
+    return tuple(int_column(column) for column in columns)
+
+
+def _empty_columns() -> Tuple[List[int], ...]:
+    """One empty list per :class:`FrameColumns` column, in slot order."""
+    return tuple([] for _ in range(16))
 
 
 class FrameColumns:
-    """One ``LAUNCH .. KEND`` frame decoded into int64 ndarray columns.
+    """One launch's records decoded into ndarray columns.
 
-    The replay stack's batch currency: built by
-    :func:`decode_frame_columns` in a few whole-frame array passes (no
-    per-event objects, no per-varint calls) and consumed by the
-    columnar analyses, the sharded replay workers, and the indexed
-    query path.  ``record_tags`` preserves the frame's full record
-    order; the per-kind columns are in stream order, so kind-local
-    index *k* is the *k*-th record of that kind.
+    The replay stack's batch currency, and the only input a replay
+    analysis accepts.  Built from a ``LAUNCH .. KEND`` frame slice by
+    :func:`decode_frame_columns` (a few whole-frame array passes, no
+    per-event objects), or from an event stream by
+    :class:`FrameBuilder`; consumed by the analyses, the timing model
+    and the indexed query path.  ``record_tags`` preserves the record
+    order after the launch record; the per-kind columns are in stream
+    order, so kind-local index *k* is the *k*-th record of that kind.
+    Columns are int64, except that a column holding a value past int64
+    is an exact object column.  ``launch`` is ``None`` for the records
+    a trace holds ahead of its first launch.
     """
 
     __slots__ = ("launch", "events", "warp_instructions",
@@ -691,25 +686,52 @@ class FrameColumns:
          self.branch_addr, self.branch_active, self.branch_taken,
          self.branch_not_taken) = columns
         self.launch = launch
-        self.events = int(self.record_tags.size) + 1
+        self.events = int(self.record_tags.size) + (launch is not None)
         self.warp_instructions = (int(self.kend_counts[-1])
                                   if self.kend_counts.size else 0)
 
-    @classmethod
-    def from_frame(cls, data: bytes) -> Optional["FrameColumns"]:
-        return decode_frame_columns(data)
+    def opcodes(self) -> np.ndarray:
+        """``instr_opcodes``, once every id is known to name an
+        :class:`~repro.isa.opcodes.Opcode` (trace opcodes are
+        untrusted; the decoder passes any id through)."""
+        ops = self.instr_opcodes
+        if ops.size and (ops.dtype == object or ops.min() < 0
+                         or ops.max() >= _KNOWN_OPCODE.size
+                         or not _KNOWN_OPCODE[ops].all()):
+            bad = next(op for op in ops.tolist()
+                       if not 0 <= op < _KNOWN_OPCODE.size
+                       or not _KNOWN_OPCODE[op])
+            raise record_error(self.launch, "INSTR", unknown_opcode(bad))
+        return ops
 
 
-def decode_frame_columns(data: bytes) -> Optional[FrameColumns]:
+def record_error(launch: Optional[LaunchEvent], kind: str,
+                 problem: str) -> TraceFormatError:
+    """A :class:`TraceFormatError` for a malformed *kind* record, naming
+    the launch it belongs to."""
+    where = (f"launch {launch.launch_index} ({launch.kernel})"
+             if launch is not None else "before the first launch")
+    return TraceFormatError(f"{where}: {kind} record {problem}")
+
+
+def unknown_opcode(opcode: int) -> str:
+    return f"has opcode id {opcode}, which names no opcode"
+
+
+#: opcode id -> does it name an Opcode?
+_KNOWN_OPCODE = np.zeros(max(op.value for op in Opcode) + 1, dtype=bool)
+_KNOWN_OPCODE[[op.value for op in Opcode]] = True
+
+
+def decode_frame_columns(data: bytes) -> FrameColumns:
     """Decode one frame slice into :class:`FrameColumns`.
 
     The vectorized pipeline handles well-formed frames in a few array
-    passes; any anomaly (over-long varints, truncation, bad tags) falls
-    back to the scalar reference walk, which raises the canonical
-    :class:`TraceFormatError` for corrupt input — so the error
-    behaviour is bit-identical to the streaming decoder.  Returns
-    ``None`` only when a decoded value exceeds int64; callers then
-    replay the frame in events mode (arbitrary-precision Python ints).
+    passes; anything else (over-long varints, truncation, bad tags,
+    values that might not fit int64) takes the scalar reference walk,
+    which raises the canonical :class:`TraceFormatError` for corrupt
+    input — so the error behaviour is bit-identical to the streaming
+    decoder — and decodes values past int64 exactly.
     """
     pos = 0
     tag, pos = decode_varint(data, pos)
@@ -722,6 +744,71 @@ def decode_frame_columns(data: bytes) -> Optional[FrameColumns]:
     columns = _columns_vector(tok) if tok is not None else None
     if columns is None:
         columns = _columns_scalar(decode_varint_stream(data, pos))
-        if columns is None:
-            return None
     return FrameColumns(launch, columns)
+
+
+class FrameBuilder:
+    """Collects events into one :class:`FrameColumns` batch — the event
+    counterpart of :func:`decode_frame_columns`, with the same columns
+    for the same records."""
+
+    def __init__(self, launch: Optional[LaunchEvent] = None):
+        self.launch = launch
+        self._columns = _empty_columns()
+
+    @property
+    def empty(self) -> bool:
+        return self.launch is None and not self._columns[0]
+
+    def add(self, event) -> None:
+        """Append one record (anything but a launch) in stream order."""
+        (record_tags, kend_counts,
+         instr_addr, instr_opcodes, instr_lanes, instr_widths,
+         mem_addr, mem_flags, mem_width, mem_active, mem_nlines,
+         mem_lines,
+         branch_addr, branch_active, branch_taken,
+         branch_not_taken) = self._columns
+        if isinstance(event, InstrEvent):
+            instr_addr.append(event.ins_addr)
+            instr_opcodes.append(event.opcode)
+            instr_lanes.append(event.lanes)
+            instr_widths.append(event.width)
+        elif isinstance(event, MemEvent):
+            mem_addr.append(event.ins_addr)
+            mem_flags.append(event.flags)
+            mem_width.append(event.width)
+            mem_active.append(event.active_lanes)
+            mem_nlines.append(len(event.line_addresses))
+            mem_lines.extend(event.line_addresses)
+        elif isinstance(event, BranchEvent):
+            branch_addr.append(event.ins_addr)
+            branch_active.append(event.active)
+            branch_taken.append(event.taken)
+            branch_not_taken.append(event.not_taken)
+        elif isinstance(event, KernelEndEvent):
+            kend_counts.append(event.warp_instructions)
+        else:
+            raise TraceFormatError(
+                f"cannot batch {type(event).__name__} as a frame record")
+        record_tags.append(event.tag)
+
+    def frame(self) -> FrameColumns:
+        return FrameColumns(self.launch, tuple(
+            int_column(column) for column in self._columns))
+
+
+def event_frames(events: Iterable[object]) -> Iterator[FrameColumns]:
+    """Group an event stream into :class:`FrameColumns` batches: one
+    per :class:`~repro.trace.format.LaunchEvent`, running to the next
+    launch (so records after a kernel end stay with their launch), plus
+    one launch-less batch for any records ahead of the first launch."""
+    builder = FrameBuilder()
+    for event in events:
+        if isinstance(event, LaunchEvent):
+            if not builder.empty:
+                yield builder.frame()
+            builder = FrameBuilder(event)
+        else:
+            builder.add(event)
+    if not builder.empty:
+        yield builder.frame()

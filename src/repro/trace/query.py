@@ -49,7 +49,13 @@ from repro.trace.format import (
     MemEvent,
     iter_slice_events,
 )
-from repro.trace.io import FrameColumns, TraceReader, decode_frame_columns
+from repro.trace.io import (
+    FrameColumns,
+    TraceReader,
+    decode_frame_columns,
+    record_error,
+    unknown_opcode,
+)
 
 QUERY_KINDS = ("instr", "mem", "branch")
 
@@ -229,9 +235,9 @@ def _frame_hits(events, ordinal: int, kernel: str, filt: QueryFilter,
     for event in events:
         stats.events_scanned += 1
         if isinstance(event, InstrEvent):
+            classes = _opclasses(event, launch)
             group_match = (filt.classes is None
-                           or bool(OPCODE_CLASSES[Opcode(event.opcode)]
-                                   & filt.classes))
+                           or bool(classes & filt.classes))
             passes = (group_match and want_instr
                       and filt.addr_matches(event))
             if tagged:
@@ -255,6 +261,15 @@ def _frame_hits(events, ordinal: int, kernel: str, filt: QueryFilter,
             stats.hits += 1
             yield QueryHit(launch=ordinal, kernel=kernel, warp=warp,
                            event=event)
+
+
+def _opclasses(event: InstrEvent, launch: Optional[LaunchEvent]) -> OpClass:
+    """*event*'s opcode classes; an unknown opcode id is a malformed
+    record of *launch*."""
+    try:
+        return OPCODE_CLASSES[Opcode(event.opcode)]
+    except ValueError:
+        raise record_error(launch, "INSTR", unknown_opcode(event.opcode))
 
 
 #: opcode id -> OPCODE_CLASSES flag value, for vectorized class tests
@@ -427,17 +442,17 @@ def run_query(trace_path: str, filt: QueryFilter,
                 stats.launches_visited += 1
                 data = reader.read_frame(entry)
                 frame = decode_frame_columns(data)
-                if filt.warp is None and frame is not None:
+                frame.opcodes()          # rejects an unknown opcode id
+                if filt.warp is None:
                     yield from _frame_hits_columns(
                         frame, ordinal, entry.kernel, filt, stats)
                     continue
-                warp_ordinals = (_column_warp_ordinals(frame)
-                                 if frame is not None else None)
                 events = iter(iter_slice_events(data))
                 launch = next(events)
                 stats.events_scanned += 1
                 yield from _frame_hits(events, ordinal, entry.kernel,
-                                       filt, stats, launch, warp_ordinals)
+                                       filt, stats, launch,
+                                       _column_warp_ordinals(frame))
 
         return indexed_hits(), stats
 

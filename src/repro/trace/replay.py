@@ -2,8 +2,7 @@
 
 Record once on the (slow) instrumented simulator; every question after
 that is answered at replay speed from the trace file.  Each analysis
-consumes the event stream through three hooks (``on_instr``/``on_mem``/
-``on_branch`` plus launch framing) and produces both a structured
+consumes the trace one launch at a time and produces both a structured
 result (``result()``) and a human-readable ``report()``.
 
 The built-in analyses mirror the live instrumentation they replace, and
@@ -14,99 +13,55 @@ tests hold them *exactly* equal to the live-instrumented results:
 * ``memdiv``     — Case Study II memory-address-divergence matrix/PMF
 * ``opcodes``    — the Figure 3 dynamic-instruction categorizer
 
-Two replay drivers share the analyses.  :func:`replay` is the serial
-pass: when every requested analysis supports the columnar fast path
-and a ``.rpti`` sidecar is on disk, it decodes whole launch frames
-into :class:`~repro.trace.io.FrameColumns` ndarray batches
-(:func:`~repro.trace.io.decode_frame_columns`) and feeds vectorized
-batch kernels — ``np.bincount``-style reductions instead of per-event
-Python dispatch — falling back to the original event-stream pass
-otherwise (``columnar=False`` forces it; results are bit-identical
-either way).  :func:`replay_sharded` partitions the trace by
-kernel-launch frames (using the ``.rpti`` index), replays frames
-through a :func:`repro.campaign.engine.run_tasks` process pool, and
-folds per-shard results back together in launch order with
-``merge()`` — bit-identical to the streaming pass because every
-analysis is launch-local: caches flush at launch boundaries
-(:meth:`~repro.sim.cache.Cache.invalidate`), so no state crosses a
-frame edge.  Shard workers use the same columnar frame decode, so
-every shard inherits the vectorized serial core.
+One driver, :func:`replay`, feeds them all, and every analysis consumes
+one input: :class:`~repro.trace.io.FrameColumns`, a launch's records as
+ndarray columns, through ``feed_columns`` — vectorized batch kernels
+(``np.bincount``-style reductions) instead of per-event Python
+dispatch.  With a usable ``.rpti`` sidecar the driver decodes the
+indexed launch frames (:func:`~repro.trace.io.decode_frame_columns`);
+otherwise it groups the event stream into the same batches
+(:func:`~repro.trace.io.event_frames`); both routes yield the same
+batches, so results never depend on whether the sidecar was there.  A
+record no analysis can interpret (an unknown opcode, an impossible lane
+count) raises :class:`~repro.trace.format.TraceFormatError` naming its
+launch.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, List, Optional, Sequence, Type
 
 import numpy as np
 
-from repro.campaign.engine import default_jobs, run_tasks
 from repro.isa.opcodes import Opcode, OpClass, OPCODE_CLASSES
 from repro.sim.cache import Cache
+from repro.sim.warp import WARP_SIZE
 from repro.telemetry.collector import TELEMETRY, span as telemetry_span
 from repro.trace import index as index_mod
-from repro.trace.format import (
-    BranchEvent,
-    InstrEvent,
-    KernelEndEvent,
-    LaunchEvent,
-    MemEvent,
-    TraceFormatError,
-    iter_slice_events,
+from repro.trace.io import (
+    FrameColumns,
+    TraceReader,
+    decode_frame_columns,
+    event_frames,
+    record_error,
 )
-from repro.trace.io import FrameColumns, TraceReader, decode_frame_columns
 
 
 class TraceAnalysis:
-    """Base class: override the hooks you care about.
+    """Base class: consume launch batches, then report.
 
-    Sharding contract: an analysis that sets ``mergeable = True`` must
-    produce, for any launch-frame partition of a trace, the same final
-    state from ``merge()``-folding per-shard instances (in launch
-    order) as one instance fed the whole stream — i.e. it must be
-    launch-local.  ``finish_shard()`` runs in the worker and returns
-    the picklable piece shipped back; the default ships the analysis
-    itself.  Analyses that additionally set ``columnar = True`` and
-    implement ``feed_columns`` opt into the no-event-objects decode
-    fast path.
+    ``feed_columns`` sees every :class:`FrameColumns` batch of a trace
+    in stream order: one per launch (records after its kernel end
+    included), plus a launch-less batch for any records ahead of the
+    first launch.
     """
 
     #: registry key (used by ``repro replay --analysis=...``)
     name = "analysis"
-    #: True when merge() reassembles launch-partitioned shards exactly
-    mergeable = False
-    #: True when feed_columns() can consume FrameColumns directly
-    columnar = False
 
-    def on_launch(self, event: LaunchEvent) -> None:
-        pass
-
-    def on_kernel_end(self, event: KernelEndEvent) -> None:
-        pass
-
-    def on_instr(self, event: InstrEvent) -> None:
-        pass
-
-    def on_mem(self, event: MemEvent) -> None:
-        pass
-
-    def on_branch(self, event: BranchEvent) -> None:
-        pass
-
-    def feed_columns(self, frame: "FrameColumns") -> None:
-        raise NotImplementedError(
-            f"{self.name} does not implement the columnar fast path")
-
-    def finish_shard(self):
-        """Reduce to the picklable per-shard piece (worker side)."""
-        return self
-
-    def merge(self, piece) -> None:
-        """Fold one shard piece (from ``finish_shard``) into this
-        instance; called in launch order on the parent side."""
-        raise NotImplementedError(
-            f"{self.name} does not support sharded replay")
+    def feed_columns(self, frame: FrameColumns) -> None:
+        raise NotImplementedError(f"{self.name} does not consume frames")
 
     def result(self) -> Dict:
         return {}
@@ -120,8 +75,6 @@ class CacheSimAnalysis(TraceAnalysis):
     feed every coalesced line address through an L1/L2 model."""
 
     name = "cachesim"
-    mergeable = True
-    columnar = True
 
     def __init__(self, l1_kib: int = 16, l1_ways: int = 4,
                  l2_kib: int = 256, l2_ways: int = 16):
@@ -129,29 +82,12 @@ class CacheSimAnalysis(TraceAnalysis):
         self.l1 = Cache(l1_kib << 10, ways=l1_ways, name="L1",
                         next_level=self.l2)
 
-    def on_launch(self, event: LaunchEvent) -> None:
-        # launch-boundary flush: every kernel starts cold, which both
-        # models real per-launch L1 behaviour and makes the analysis
-        # launch-local (shard merges exactly equal the streaming pass)
-        self.l1.invalidate()
-
-    def on_mem(self, event: MemEvent) -> None:
-        access = self.l1.access
-        for line in event.line_addresses:
-            access(line)
-
     def feed_columns(self, frame: FrameColumns) -> None:
+        # launch-boundary flush: every kernel starts cold, which models
+        # real per-launch L1 behaviour and keeps the analysis
+        # launch-local
         self.l1.invalidate()
-        # access_lines is stat-identical to the per-line access loop
         self.l1.access_lines(frame.mem_lines)
-
-    def merge(self, piece: "CacheSimAnalysis") -> None:
-        for mine, theirs in ((self.l1.stats, piece.l1.stats),
-                             (self.l2.stats, piece.l2.stats)):
-            mine.accesses += theirs.accesses
-            mine.hits += theirs.hits
-            mine.misses += theirs.misses
-            mine.evictions += theirs.evictions
 
     def result(self) -> Dict:
         return {
@@ -178,23 +114,10 @@ class DivergenceAnalysis(TraceAnalysis):
     a live :class:`~repro.handlers.branch_profiler.BranchProfiler` run."""
 
     name = "divergence"
-    mergeable = True
-    columnar = True
 
     def __init__(self):
         #: address -> [total, active, taken, not_taken, divergent]
         self.table: Dict[int, List[int]] = {}
-
-    def on_branch(self, event: BranchEvent) -> None:
-        row = self.table.get(event.ins_addr)
-        if row is None:
-            row = self.table[event.ins_addr] = [0, 0, 0, 0, 0]
-        row[0] += 1
-        row[1] += event.active
-        row[2] += event.taken
-        row[3] += event.not_taken
-        if event.divergent:
-            row[4] += 1
 
     def feed_columns(self, frame: FrameColumns) -> None:
         addr = frame.branch_addr
@@ -203,9 +126,14 @@ class DivergenceAnalysis(TraceAnalysis):
         active = frame.branch_active
         taken = frame.branch_taken
         not_taken = frame.branch_not_taken
+        most = max(int(active.max()), int(taken.max()), int(not_taken.max()))
+        if most > WARP_SIZE:
+            raise record_error(frame.launch, "BRANCH",
+                               f"counts {most} lanes")
         # one reduction per statistic: group branches by address with
         # np.unique, sum the lane counts per group with bincount.  The
-        # float64 weights are exact (lane sums sit far below 2**53).
+        # float64 weights are exact (each count is at most 32, so lane
+        # sums sit far below 2**53).
         uniq, first, inverse = np.unique(addr, return_index=True,
                                          return_inverse=True)
         totals = np.bincount(inverse)
@@ -215,9 +143,8 @@ class DivergenceAnalysis(TraceAnalysis):
         divergent = ((taken != active) & (not_taken != active))
         sum_div = np.bincount(inverse, weights=divergent)
         table = self.table
-        # visit groups in first-occurrence order so the dict's insertion
-        # order (the stable-sort tie-break in branches()) matches the
-        # streaming pass exactly
+        # visit groups in first-occurrence order: the dict's insertion
+        # order is the stable-sort tie-break in branches()
         for g in np.argsort(first, kind="stable").tolist():
             key = int(uniq[g])
             row = table.get(key)
@@ -228,19 +155,6 @@ class DivergenceAnalysis(TraceAnalysis):
             row[2] += int(sum_taken[g])
             row[3] += int(sum_not[g])
             row[4] += int(sum_div[g])
-
-    def merge(self, piece: "DivergenceAnalysis") -> None:
-        # folding in launch order preserves global first-occurrence
-        # order in the dict, so the stable sort in branches() breaks
-        # ties exactly as a streaming pass would
-        table = self.table
-        for addr, other in piece.table.items():
-            row = table.get(addr)
-            if row is None:
-                table[addr] = list(other)
-            else:
-                for i in range(5):
-                    row[i] += other[i]
 
     def branches(self):
         from repro.handlers.branch_profiler import BranchStats
@@ -284,25 +198,25 @@ class MemoryDivergenceAnalysis(TraceAnalysis):
     equal to a live :class:`MemoryDivergenceProfiler` run."""
 
     name = "memdiv"
-    mergeable = True
-    columnar = True
 
     def __init__(self):
         self._matrix = np.zeros((32, 32), dtype=np.int64)
-
-    def on_mem(self, event: MemEvent) -> None:
-        self._matrix[event.active_lanes - 1,
-                     min(event.unique_lines, 32) - 1] += 1
 
     def feed_columns(self, frame: FrameColumns) -> None:
         active = frame.mem_active
         if not active.size:
             return
+        nlines = frame.mem_nlines
+        if (active.min() < 1 or active.max() > WARP_SIZE
+                or nlines.min() < 1):
+            bad = int(np.argmax((active < 1) | (active > WARP_SIZE)
+                                | (nlines < 1)))
+            raise record_error(frame.launch, "MEM", (
+                f"has {active[bad]} active lanes"
+                if not 1 <= active[bad] <= WARP_SIZE
+                else "has no line addresses"))
         np.add.at(self._matrix,
-                  (active - 1, np.minimum(frame.mem_nlines, 32) - 1), 1)
-
-    def merge(self, piece: "MemoryDivergenceAnalysis") -> None:
-        self._matrix += piece._matrix
+                  (active - 1, np.minimum(nlines, 32) - 1), 1)
 
     def matrix(self) -> np.ndarray:
         return self._matrix.copy()
@@ -339,8 +253,6 @@ class OpcodeHistogramAnalysis(TraceAnalysis):
     :class:`~repro.handlers.opcode_histogram.OpcodeHistogram` run."""
 
     name = "opcodes"
-    mergeable = True
-    columnar = True
 
     def __init__(self):
         from repro.handlers.opcode_histogram import CATEGORIES
@@ -348,26 +260,8 @@ class OpcodeHistogramAnalysis(TraceAnalysis):
         self.categories = CATEGORIES
         self._totals = {name: 0 for name in CATEGORIES}
 
-    def on_instr(self, event: InstrEvent) -> None:
-        totals = self._totals
-        classes = OPCODE_CLASSES[Opcode(event.opcode)]
-        threads = event.lanes
-        if classes & OpClass.MEMORY:
-            totals["memory"] += threads
-            if event.width > 4:
-                totals["extended_memory"] += threads
-        if classes & OpClass.CONTROL:
-            totals["control_xfer"] += threads
-        if classes & OpClass.SYNC:
-            totals["sync"] += threads
-        if classes & OpClass.NUMERIC:
-            totals["numeric"] += threads
-        if classes & OpClass.TEXTURE:
-            totals["texture"] += threads
-        totals["total_executed"] += threads
-
     def feed_columns(self, frame: FrameColumns) -> None:
-        opcodes = frame.instr_opcodes
+        opcodes = frame.opcodes()
         if not opcodes.size:
             return
         lanes = frame.instr_lanes
@@ -388,10 +282,6 @@ class OpcodeHistogramAnalysis(TraceAnalysis):
             lanes[(masks & _MASK_TEXTURE) != 0].sum())
         totals["total_executed"] += int(lanes.sum())
 
-    def merge(self, piece: "OpcodeHistogramAnalysis") -> None:
-        for name, value in piece._totals.items():
-            self._totals[name] += value
-
     def totals(self) -> Dict[str, int]:
         return dict(self._totals)
 
@@ -404,10 +294,6 @@ class OpcodeHistogramAnalysis(TraceAnalysis):
                          for name in self.categories)
         return f"opcodes: {body}"
 
-
-# ---------------------------------------------------------------------
-# columnar fast path: flat-decoded launch frames
-# ---------------------------------------------------------------------
 
 _MASK_MEMORY = 1 << 0
 _MASK_CONTROL = 1 << 1
@@ -461,197 +347,44 @@ def make_analysis(name: str, **kwargs) -> TraceAnalysis:
     return cls(**kwargs)
 
 
-def replay(trace, analyses: Sequence[TraceAnalysis],
-           columnar: bool = True) -> List[TraceAnalysis]:
+def replay(trace, analyses: Sequence[TraceAnalysis]) -> List[TraceAnalysis]:
     """One serial pass over *trace*, feeding every analysis.
 
     *trace* is a path or a :class:`TraceReader`.  Returns the analyses
-    (now holding their results) for convenience.
-
-    When every analysis supports the columnar fast path and a usable
-    ``.rpti`` sidecar is on disk, frames are decoded into
-    :class:`~repro.trace.io.FrameColumns` batches and fed through
-    ``feed_columns`` — bit-identical results, an order of magnitude
-    fewer Python-level dispatches.  ``columnar=False`` forces the
-    event-stream reference pass.
+    (now holding their results) for convenience.  When a ``.rpti``
+    sidecar bound to the trace covers every event, its launch frames
+    are decoded straight into :class:`FrameColumns`; otherwise the
+    event stream is grouped into the same batches.  Telemetry splits
+    the pass into decode and analyze time.
     """
     reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)
     analyses = list(analyses)
-    path = getattr(reader, "path", None)
-    if (columnar and analyses and path is not None
-            and all(a.columnar for a in analyses)):
-        index = index_mod.sidecar_index(path)
-        if index is not None and index.shardable:
-            return _replay_columnar(reader, index, analyses)
-    with telemetry_span("trace.replay",
-                        trace=str(getattr(reader, "path", ""))):
-        hooks = [(a.on_launch, a.on_kernel_end, a.on_instr, a.on_mem,
-                  a.on_branch) for a in analyses]
-        events = 0
-        for event in reader.events():
-            events += 1
-            if isinstance(event, InstrEvent):
-                for _, _, on_instr, _, _ in hooks:
-                    on_instr(event)
-            elif isinstance(event, MemEvent):
-                for _, _, _, on_mem, _ in hooks:
-                    on_mem(event)
-            elif isinstance(event, BranchEvent):
-                for _, _, _, _, on_branch in hooks:
-                    on_branch(event)
-            elif isinstance(event, LaunchEvent):
-                for on_launch, _, _, _, _ in hooks:
-                    on_launch(event)
-            elif isinstance(event, KernelEndEvent):
-                for _, on_kernel_end, _, _, _ in hooks:
-                    on_kernel_end(event)
-        if TELEMETRY.enabled:
-            TELEMETRY.incr("trace.replay.events", events)
-    return analyses
-
-
-def _replay_columnar(reader: TraceReader, index: "index_mod.TraceIndex",
-                     analyses: List[TraceAnalysis]) -> List[TraceAnalysis]:
-    """Serial columnar pass: one :class:`FrameColumns` batch per launch
-    frame, with decode-vs-analyze time attributed in telemetry.  Frames
-    the vector decoder declines (see :func:`decode_frame_columns`) drop
-    to the events-mode feed, so results never depend on which path ran.
-    """
+    path = reader.path
+    index = index_mod.sidecar_index(path) if path is not None else None
+    if index is not None and index.shardable:
+        frames = (decode_frame_columns(data)
+                  for _, data in reader.frames(index))
+    else:
+        frames = event_frames(reader.events())
     events = 0
     decode_ns = 0
     analyze_ns = 0
     timed = TELEMETRY.enabled
-    with telemetry_span("trace.replay", trace=str(reader.path),
-                        columnar="true"):
-        for entry, data in reader.frames(index):
+    with telemetry_span("trace.replay", trace=str(path or "")):
+        while True:
             t0 = time.perf_counter_ns() if timed else 0
-            frame = decode_frame_columns(data)
+            frame = next(frames, None)
             t1 = time.perf_counter_ns() if timed else 0
             decode_ns += t1 - t0
             if frame is None:
-                _feed_frame_events(data, analyses)
-                events += entry.events
-            else:
-                for analysis in analyses:
-                    analysis.feed_columns(frame)
-                events += frame.events
+                break
+            for analysis in analyses:
+                analysis.feed_columns(frame)
+            events += frame.events
             if timed:
                 analyze_ns += time.perf_counter_ns() - t1
         if timed:
             TELEMETRY.incr("trace.replay.events", events)
             TELEMETRY.incr("trace.replay.decode_ns", decode_ns)
             TELEMETRY.incr("trace.replay.analyze_ns", analyze_ns)
-    return analyses
-
-
-# ---------------------------------------------------------------------
-# sharded replay
-# ---------------------------------------------------------------------
-
-#: an analysis request: a registry name, or (name, constructor kwargs)
-AnalysisSpec = Union[str, Tuple[str, Dict]]
-
-
-def _norm_specs(specs: Iterable[AnalysisSpec]) -> Tuple[Tuple[str, Dict], ...]:
-    out = []
-    for spec in specs:
-        if isinstance(spec, str):
-            out.append((spec, {}))
-        else:
-            name, kwargs = spec
-            out.append((name, dict(kwargs)))
-    return tuple(out)
-
-
-def _build(specs: Tuple[Tuple[str, Dict], ...]) -> List[TraceAnalysis]:
-    return [make_analysis(name, **kwargs) for name, kwargs in specs]
-
-
-def _feed_frame_events(data: bytes, analyses: List[TraceAnalysis]) -> None:
-    """Events-mode frame feed: same dispatch as the streaming pass."""
-    hooks = [(a.on_launch, a.on_kernel_end, a.on_instr, a.on_mem,
-              a.on_branch) for a in analyses]
-    for event in iter_slice_events(data):
-        if isinstance(event, InstrEvent):
-            for _, _, on_instr, _, _ in hooks:
-                on_instr(event)
-        elif isinstance(event, MemEvent):
-            for _, _, _, on_mem, _ in hooks:
-                on_mem(event)
-        elif isinstance(event, BranchEvent):
-            for _, _, _, _, on_branch in hooks:
-                on_branch(event)
-        elif isinstance(event, LaunchEvent):
-            for on_launch, _, _, _, _ in hooks:
-                on_launch(event)
-        elif isinstance(event, KernelEndEvent):
-            for _, on_kernel_end, _, _, _ in hooks:
-                on_kernel_end(event)
-
-
-def _replay_shard(task):
-    """Worker: replay one launch frame through fresh analyses.
-
-    Module-level so it pickles under both fork and forkserver starts.
-    """
-    path, entry, specs = task
-    analyses = _build(specs)
-    data = TraceReader(path).read_frame(entry)
-    frame = (decode_frame_columns(data)
-             if all(a.columnar for a in analyses) else None)
-    if frame is not None:
-        for analysis in analyses:
-            analysis.feed_columns(frame)
-        events = frame.events
-    else:
-        _feed_frame_events(data, analyses)
-        events = entry.events
-    if TELEMETRY.enabled:
-        TELEMETRY.incr("trace.replay.events", events)
-    return [analysis.finish_shard() for analysis in analyses]
-
-
-def replay_sharded(trace, specs: Iterable[AnalysisSpec],
-                   jobs: Optional[int] = None,
-                   index: Optional["index_mod.TraceIndex"] = None,
-                   pool=None) -> List[TraceAnalysis]:
-    """Replay *trace* partitioned by kernel-launch frames.
-
-    *specs* name the analyses (registry names or ``(name, kwargs)``
-    pairs) — workers must construct their own instances, so live
-    objects are not accepted here.  One task per launch frame is run
-    through :func:`repro.campaign.engine.run_tasks` (honoring
-    ``REPRO_JOBS`` when *jobs* is ``None``), and the per-shard pieces
-    are merged in launch order.  The partition is identical at every
-    job count, and every stock analysis is launch-local, so the merged
-    results are bit-identical to :func:`replay` — the differential
-    suite pins this.
-
-    Falls back to the streaming pass (still honoring the analysis
-    list) when the trace has no usable frame index, when any requested
-    analysis is not mergeable, or for frameless traces.
-
-    Pass a :func:`repro.campaign.engine.task_pool` as *pool* to amortize
-    worker startup across many sharded replays (*jobs* then only sizes
-    the chunking, not the pool).
-    """
-    path = trace.path if isinstance(trace, TraceReader) else os.fspath(trace)
-    specs = _norm_specs(specs)
-    analyses = _build(specs)
-    if index is None:
-        index = index_mod.ensure_index(path)
-    if (index is None or not index.shardable
-            or not all(a.mergeable for a in analyses)):
-        return replay(path, analyses)
-    if jobs is None:
-        jobs = default_jobs()
-    tasks = [(path, entry, specs) for entry in index.entries]
-    with telemetry_span("trace.replay", trace=str(path),
-                        sharded="true", jobs=str(jobs)):
-        chunksize = max(1, len(tasks) // (max(1, jobs) * 4))
-        pieces = run_tasks(_replay_shard, tasks, jobs=jobs,
-                           chunksize=chunksize, pool=pool)
-    for shard in pieces:
-        for analysis, piece in zip(analyses, shard):
-            analysis.merge(piece)
     return analyses

@@ -63,7 +63,6 @@ from repro.sim.scheduler import (
     SchedulerConfig,
     StreamColumns,
     column_spans,
-    int_column,
     schedule_columns,
 )
 from repro.sim.warp import WARP_SIZE
@@ -71,13 +70,10 @@ from repro.trace.format import (
     TAG_INSTR,
     TAG_KEND,
     TAG_MEM,
-    BranchEvent,
-    InstrEvent,
     KernelEndEvent,
     LaunchEvent,
-    MemEvent,
 )
-from repro.trace.io import FrameColumns
+from repro.trace.io import FrameBuilder, FrameColumns
 from repro.trace.replay import ANALYSES, TraceAnalysis
 
 _BAR = Opcode.BAR.value
@@ -90,8 +86,6 @@ def _opcode_mask(*opcodes: Opcode) -> np.ndarray:
     return mask
 
 
-#: trace opcodes are untrusted: values that name no Opcode are rejected
-_VALID_OPCODE = _opcode_mask(*Opcode)
 #: the only opcodes at which a warp can hand off the issue slot
 _HANDOFF = _opcode_mask(Opcode.BAR, Opcode.EXIT, Opcode.RET)
 #: the opcodes after which the surviving lanes re-base the warp width
@@ -252,10 +246,9 @@ def rebuild_launch(launch: LaunchEvent, tags: np.ndarray,
 
     *tags* is the launch's record order up to (not including) its
     kernel-end record; the instr/mem columns hold at least as many rows
-    as *tags* names.  *l1* (and the levels below it) is invalidated
-    first — memory latencies are graded against caches that start cold
-    at every kernel launch, so the model is launch-local and sharded
-    replay equals streaming replay.
+    as *tags* names, and every opcode names an :class:`Opcode`.  *l1*
+    (and the levels below it) is invalidated first — memory latencies
+    are graded against caches that start cold at every kernel launch.
     """
     threads, nwarps, _ = _launch_shape(launch)
     is_instr = tags == TAG_INSTR
@@ -263,10 +256,6 @@ def rebuild_launch(launch: LaunchEvent, tags: np.ndarray,
     addr = instr_addr[:n]
     opcodes = instr_opcodes[:n]
     lanes = instr_lanes[:n]
-    if n and (opcodes.min() < 0 or opcodes.max() >= len(_VALID_OPCODE)
-              or not _VALID_OPCODE[opcodes].all()):
-        for value in opcodes.tolist():
-            Opcode(value)                # raises the canonical ValueError
 
     # memory records belong to the instruction before them; records
     # ahead of the first instruction have none and are not graded
@@ -350,27 +339,14 @@ class TimingReport:
         return grouped
 
 
-class _LaunchBuffer:
-    """One open launch's records, buffered from an event feed until the
-    launch closes."""
-
-    def __init__(self, launch: LaunchEvent):
-        self.launch = launch
-        self.tags: List[int] = []
-        self.instr_addr: List[int] = []
-        self.instr_opcodes: List[int] = []
-        self.instr_lanes: List[int] = []
-        self.mem_nlines: List[int] = []
-        self.mem_lines: List[int] = []
-
-
 class TimingModel:
     """Feed a trace (events or launch frames) in order; schedule
     afterwards.
 
-    Both feeds hand every closed launch to :func:`rebuild_launch`, so a
-    live capture tee'd through :meth:`feed` and an offline replay of the
-    same trace through :meth:`feed_frame` produce bit-identical reports.
+    :meth:`feed` collects each launch's events into a
+    :class:`~repro.trace.io.FrameBuilder` and hands the closed launch to
+    :meth:`feed_frame`, so a live capture tee'd through :meth:`feed` and
+    an offline replay of the same trace produce bit-identical reports.
     The cache hierarchy that grades memory latencies is the ``cachesim``
     default (16 KiB/4-way L1 over 256 KiB/16-way L2).
     """
@@ -381,42 +357,34 @@ class TimingModel:
         self.l1 = Cache(l1_kib << 10, ways=l1_ways, name="L1",
                         next_level=self.l2)
         self.launches: List[LaunchStreams] = []
-        self._open: Optional[_LaunchBuffer] = None
+        self._open: Optional[FrameBuilder] = None
         self._reports: Dict[str, TimingReport] = {}
 
     # ------------------------------------------------------- feeding
 
     def feed(self, event) -> None:
-        """Buffer one event of the open launch.  Records outside a
+        """Collect one event of the open launch.  Records outside a
         launch (before the first, or after a kernel end) are dropped."""
-        buf = self._open
-        if isinstance(event, InstrEvent):
-            if buf is not None:
-                buf.tags.append(TAG_INSTR)
-                buf.instr_addr.append(event.ins_addr)
-                buf.instr_opcodes.append(event.opcode)
-                buf.instr_lanes.append(event.lanes)
-        elif isinstance(event, MemEvent):
-            if buf is not None:
-                buf.tags.append(TAG_MEM)
-                buf.mem_nlines.append(len(event.line_addresses))
-                buf.mem_lines.extend(event.line_addresses)
-        elif isinstance(event, LaunchEvent):
+        if isinstance(event, LaunchEvent):
             self.finish()
-            self._open = _LaunchBuffer(event)
-        elif isinstance(event, KernelEndEvent):
-            if buf is not None:
-                self._close(event.warp_instructions)
-        # BranchEvents add nothing: divergence comes from lane counts
+            self._open = FrameBuilder(event)
+        elif self._open is not None:
+            self._open.add(event)
+            if isinstance(event, KernelEndEvent):
+                self.finish()
 
     def feed_batch(self, events) -> None:
         for event in events:
             self.feed(event)
 
     def feed_frame(self, frame: FrameColumns) -> None:
-        """Rebuild one decoded launch frame (records after its first
-        kernel-end record are outside the launch, as in :meth:`feed`)."""
+        """Rebuild one launch batch.  Records after its first kernel-end
+        record, and a batch with no launch, are outside any launch and
+        add nothing."""
         self.finish()
+        if frame.launch is None:
+            return
+        opcodes = frame.opcodes()
         tags = frame.record_tags
         warp_instructions = 0
         ends = np.flatnonzero(tags == TAG_KEND)
@@ -424,22 +392,15 @@ class TimingModel:
             tags = tags[:ends[0]]
             warp_instructions = int(frame.kend_counts[0])
         self._add(rebuild_launch(
-            frame.launch, tags, frame.instr_addr, frame.instr_opcodes,
+            frame.launch, tags, frame.instr_addr, opcodes,
             frame.instr_lanes, frame.mem_nlines, frame.mem_lines, self.l1,
             warp_instructions))
 
     def finish(self) -> None:
         """Close a trailing launch that never saw its end event."""
         if self._open is not None:
-            self._close(0)
-
-    def _close(self, warp_instructions: int) -> None:
-        buf, self._open = self._open, None
-        self._add(rebuild_launch(
-            buf.launch, np.array(buf.tags, dtype=np.int64),
-            int_column(buf.instr_addr), int_column(buf.instr_opcodes),
-            int_column(buf.instr_lanes), int_column(buf.mem_nlines),
-            int_column(buf.mem_lines), self.l1, warp_instructions))
+            builder, self._open = self._open, None
+            self.feed_frame(builder.frame())
 
     def _add(self, launch: LaunchStreams) -> None:
         self.launches.append(launch)
@@ -475,47 +436,15 @@ class TimingAnalysis(TraceAnalysis):
     and the ``repro trace summary``/``iters`` subcommands."""
 
     name = "timing"
-    mergeable = True
-    columnar = True
 
     def __init__(self, policy: str = "gto"):
         self.policy = policy
         self.model = TimingModel()
-        self._merged: List[LaunchTiming] = []
 
     def feed_columns(self, frame: FrameColumns) -> None:
         self.model.feed_frame(frame)
 
-    def on_launch(self, event: LaunchEvent) -> None:
-        self.model.feed(event)
-
-    def on_kernel_end(self, event: KernelEndEvent) -> None:
-        self.model.feed(event)
-
-    def on_instr(self, event: InstrEvent) -> None:
-        self.model.feed(event)
-
-    def on_mem(self, event: MemEvent) -> None:
-        self.model.feed(event)
-
-    def on_branch(self, event: BranchEvent) -> None:
-        self.model.feed(event)
-
-    def finish_shard(self) -> List[LaunchTiming]:
-        """Schedule in the worker; ship only the compact per-launch
-        timings (not the rebuilt warp streams) back to the parent."""
-        self.model.finish()
-        return self.model.schedule(self.policy).launches
-
-    def merge(self, piece: List[LaunchTiming]) -> None:
-        self._merged.extend(piece)
-
     def _report(self) -> TimingReport:
-        if self._merged:
-            return TimingReport(policy=self.policy,
-                                launches=list(self._merged))
-        # a trace cut off mid-launch still times the records it holds
-        self.model.finish()
         return self.model.schedule(self.policy)
 
     def result(self) -> Dict:

@@ -6,8 +6,10 @@ same program — with and without SASSI instrumentation.
 This exercises the interactions hardest to unit-test: divergence-stack
 mechanics for arbitrary nests of ifs/loops/breaks, register allocation
 under pressure, and instrumentation transparency at every site class.
-The same programs fuzz trace-driven timing: timed live while captured,
-then timed again from the written trace, the two must agree exactly.
+The same programs fuzz trace replay: timed live while captured, then
+timed again from the written trace, and every other replay analysis
+checked against the live profiler it replaces — each pair must agree
+exactly.
 """
 
 from __future__ import annotations
@@ -20,13 +22,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backend import ptxas
+from repro.handlers import (
+    BranchProfiler,
+    MemoryDivergenceProfiler,
+    MemoryTracer,
+    OpcodeHistogram,
+)
 from repro.kernelir import KernelBuilder, Type
 from repro.kernelir.types import PTR
 from repro.sassi import SassiRuntime, spec_from_flags
 from repro.sim import Device, Dim3
+from repro.sim.cache import Cache
 from repro.trace.capture import TraceRecorder
 from repro.trace.io import TraceWriter
-from repro.trace.replay import replay
+from repro.trace.replay import (
+    CacheSimAnalysis,
+    DivergenceAnalysis,
+    MemoryDivergenceAnalysis,
+    OpcodeHistogramAnalysis,
+    replay,
+)
 from repro.trace.timing import (
     TeeWriter,
     TimingAnalysis,
@@ -222,6 +237,7 @@ def test_random_program_unchanged_under_instrumentation(program):
     assert (got == expected).all()
 
 
+@pytest.mark.noskip
 @settings(max_examples=12, deadline=None)
 @given(program=programs)
 def test_random_program_timing_live_equals_replay(program, tmp_path_factory):
@@ -244,3 +260,61 @@ def test_random_program_timing_live_equals_replay(program, tmp_path_factory):
         assert render_summary(replayed.model.schedule(policy)) == \
             render_summary(live.schedule(policy))
         assert replayed.result()["launches"][0]["issued"] > 0
+
+
+def _launch_profiled(program, profiler):
+    """Run *program* once under *profiler* (2 CTAs x 64 threads)."""
+    device = profiler.device
+    kernel = profiler.compile(build_ir(program))
+    out = device.alloc(128 * 4)
+    device.launch(kernel, Dim3(2), Dim3(64), [out])
+    return profiler
+
+
+@pytest.mark.noskip
+@settings(max_examples=10, deadline=None)
+@given(program=programs)
+def test_random_program_analyses_live_equal_replay(program,
+                                                   tmp_path_factory):
+    """Capture, then replay ``cachesim``/``divergence``/``memdiv``/
+    ``opcodes``; each equals its live profiler run on the same program:
+    ``MemoryTracer`` driving the same ``Cache`` pair, ``BranchProfiler``,
+    ``MemoryDivergenceProfiler`` and ``OpcodeHistogram``."""
+    path = str(tmp_path_factory.mktemp("fuzz") / "a.rptrace")
+    device = Device()
+    with TraceWriter(path) as writer:
+        _launch_profiled(program, TraceRecorder(device, writer))
+    cachesim, divergence, memdiv, opcodes = replay(path, [
+        CacheSimAnalysis(), DivergenceAnalysis(),
+        MemoryDivergenceAnalysis(), OpcodeHistogramAnalysis()])
+
+    tracer = _launch_profiled(program, MemoryTracer(Device()))
+    l2 = Cache(256 << 10, ways=16, name="L2")
+    l1 = Cache(16 << 10, ways=4, name="L1", next_level=l2)
+    tracer.replay_through(l1)
+    tracer.close()
+    for live, replayed in ((l1, cachesim.l1), (l2, cachesim.l2)):
+        assert (live.stats.accesses, live.stats.hits, live.stats.misses,
+                live.stats.evictions) == \
+            (replayed.stats.accesses, replayed.stats.hits,
+             replayed.stats.misses, replayed.stats.evictions)
+    assert cachesim.l1.stats.accesses > 0
+
+    branches = _launch_profiled(program, BranchProfiler(Device()))
+    assert divergence.summary() == branches.summary()
+
+    # per-branch rows match as a multiset: live addresses are
+    # post-injection, the trace records the original layout
+    def rows(stats):
+        return sorted((b.total, b.active_threads, b.taken_threads,
+                       b.not_taken_threads, b.divergent) for b in stats)
+
+    assert rows(divergence.branches()) == rows(branches.branches())
+
+    live_memdiv = _launch_profiled(program,
+                                   MemoryDivergenceProfiler(Device()))
+    assert (memdiv.matrix() == live_memdiv.matrix()).all()
+
+    live_opcodes = _launch_profiled(program, OpcodeHistogram(Device()))
+    assert opcodes.totals() == live_opcodes.totals()
+    assert opcodes.totals()["total_executed"] > 0

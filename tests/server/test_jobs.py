@@ -101,13 +101,13 @@ class TestTaskExpansion:
                                    tenant="acme"))
         assert job_tasks(out)[0][4] == "tenant:acme"
 
-    def test_replay_one_task_per_analysis(self):
+    def test_replay_one_task_for_all_analyses(self):
         out = validate_job(spec("replay", trace="t.rptrace",
                                 analyses=["opcodes", "timing"],
                                 policy="lrr"))
         tasks = job_tasks(out)
-        assert tasks == [("replay", "t.rptrace", "opcodes", "lrr"),
-                         ("replay", "t.rptrace", "timing", "lrr")]
+        assert tasks == [("replay", "t.rptrace", ("opcodes", "timing"),
+                          "lrr")]
 
     def test_capture_path_under_artifact_dir(self, tmp_path):
         out = validate_job(spec("capture", workload="vectoradd"))
@@ -125,6 +125,13 @@ class TestDeterministicCounters:
                     "compile_cache.misses": 1}
         assert deterministic_counters(counters) == {
             "exec.warp_instructions": 10}
+
+    def test_replay_wall_time_counters_filtered(self):
+        counters = {"trace.replay.events": 7,
+                    "trace.replay.decode_ns": 1234,
+                    "trace.replay.analyze_ns": 5678}
+        assert deterministic_counters(counters) == {
+            "trace.replay.events": 7}
 
 
 class TestRunJobLocal:

@@ -150,6 +150,33 @@ class TestFailureDelivery:
             client.submit_and_wait("replay", trace="/nonexistent.rptrace",
                                    analyses=["opcodes"])
 
+    def test_malformed_record_fails_the_job_with_its_launch(self, client,
+                                                            tmp_path):
+        from repro.isa.opcodes import Opcode
+        from repro.trace.format import (
+            MEM_FLAG_LOAD, InstrEvent, KernelEndEvent, LaunchEvent,
+            MemEvent)
+        from repro.trace.io import TraceWriter
+
+        path = str(tmp_path / "bad.rptrace")
+        with TraceWriter(path) as writer:
+            writer.write_batch([
+                LaunchEvent(kernel="kern", grid=(1, 1, 1),
+                            block=(32, 1, 1), launch_index=0),
+                InstrEvent(ins_addr=0x10, opcode=Opcode.LDG.value,
+                           lanes=32, width=4),
+                MemEvent(ins_addr=0x10, flags=MEM_FLAG_LOAD, width=4,
+                         active_lanes=33, line_addresses=(0x1000,)),
+                KernelEndEvent(warp_instructions=1)])
+        with pytest.raises(JobFailed) as exc:
+            client.submit_and_wait("replay", trace=path,
+                                   analyses=["opcodes", "memdiv"])
+        assert str(exc.value).endswith(
+            "TraceFormatError: launch 0 (kern): MEM record has 33 active "
+            "lanes")
+        # the shard keeps serving
+        assert client.submit_and_wait("bench", spin_ms=0)["state"] == "done"
+
     def test_failed_job_counted(self, client):
         before = client.stats()["queue"]["failed"]
         with pytest.raises(JobFailed):

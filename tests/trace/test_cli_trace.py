@@ -1,5 +1,5 @@
-"""CLI surface of the trace subsystem: capture/replay (serial and
-`--jobs N` sharded), trace-info/trace-diff, and the `trace` group
+"""CLI surface of the trace subsystem: capture/replay (with and without
+the index sidecar), trace-info/trace-diff, and the `trace` group
 (`summary` / `iters` / `info` / `index` / `query`)."""
 
 from __future__ import annotations
@@ -17,6 +17,13 @@ from repro.trace.index import index_path_for
 def captured_trace(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("cli") / "v.rptrace")
     assert main(["capture", "vectoradd", "-o", path]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def multi_launch_trace(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("cli") / "p.rptrace")
+    assert main(["capture", "rodinia/pathfinder", "-o", path]) == 0
     return path
 
 
@@ -69,22 +76,31 @@ class TestReplay:
         assert "no such file" in capsys.readouterr().err
 
 
-class TestReplayJobs:
-    def test_sharded_stdout_identical_to_serial(self, captured_trace,
-                                                capsys):
-        assert main(["replay", captured_trace]) == 0
-        serial = capsys.readouterr().out
-        assert main(["replay", captured_trace, "--jobs", "2"]) == 0
-        assert capsys.readouterr().out == serial
+def _bare_copy(trace: str, directory) -> str:
+    """*trace* copied without its sidecar."""
+    bare = str(directory / "bare.rptrace")
+    with open(bare, "wb") as handle:
+        handle.write(open(trace, "rb").read())
+    return bare
 
-    def test_jobs_flag_shown_in_stderr(self, captured_trace, capsys):
-        assert main(["replay", captured_trace, "--jobs", "2"]) == 0
-        assert "(jobs 2)" in capsys.readouterr().err
+
+class TestReplaySidecar:
+    def test_stdout_identical_without_sidecar(self, captured_trace,
+                                              tmp_path, capsys):
+        assert main(["replay", captured_trace]) == 0
+        indexed = capsys.readouterr().out
+        assert main(["replay", _bare_copy(captured_trace, tmp_path)]) == 0
+        assert capsys.readouterr().out == indexed
+
+    def test_jobs_flag_is_gone(self, captured_trace):
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", captured_trace, "--jobs", "2"])
+        assert exc.value.code == 2
 
 
 class TestReplayPolicy:
-    """``repro replay --policy`` reaches the timing analysis, serially
-    and sharded."""
+    """``repro replay --policy`` reaches the timing analysis, with and
+    without the sidecar."""
 
     @staticmethod
     def _timing_line(out):
@@ -108,13 +124,14 @@ class TestReplayPolicy:
         assert self._timing_line(
             capsys.readouterr().out).startswith("timing[gto]:")
 
-    def test_sharded_equals_serial(self, captured_trace, capsys):
-        args = ["replay", captured_trace, "--policy", "lrr"]
-        assert main(args) == 0
-        serial = capsys.readouterr().out
-        assert main(args + ["--jobs", "2"]) == 0
-        assert capsys.readouterr().out == serial
-        assert "timing[lrr]:" in serial
+    def test_without_sidecar_equals_indexed(self, captured_trace,
+                                            tmp_path, capsys):
+        assert main(["replay", captured_trace, "--policy", "lrr"]) == 0
+        indexed = capsys.readouterr().out
+        assert main(["replay", _bare_copy(captured_trace, tmp_path),
+                     "--policy", "lrr"]) == 0
+        assert capsys.readouterr().out == indexed
+        assert "timing[lrr]:" in indexed
 
     def test_unknown_policy_is_usage_error(self, captured_trace):
         with pytest.raises(SystemExit) as exc:
@@ -231,6 +248,32 @@ class TestTraceQuery:
         rest = list(hits)
         assert rest and all(hit.warp == 0 for hit in rest)
         assert partial < len(decoded)
+
+    def test_indexed_last_launch_reads_one_frame(self, multi_launch_trace,
+                                                 monkeypatch):
+        # the indexed seek: one frame read, only its events scanned
+        from repro.trace import query
+        from repro.trace.index import sidecar_index
+
+        frames = []
+        real = query.TraceReader.read_frame
+
+        def read_frame(reader, entry):
+            frames.append(entry)
+            return real(reader, entry)
+
+        monkeypatch.setattr(query.TraceReader, "read_frame", read_frame)
+        index = sidecar_index(multi_launch_trace)
+        last = index.launches - 1
+        assert last > 0
+        hits, stats = query.run_query(
+            multi_launch_trace, query.QueryFilter.parse(launches=f"{last}:"))
+        count = sum(1 for _ in hits)
+        entry = index.entries[last]
+        assert stats.used_index and frames == [entry]
+        assert (stats.launches_visited, stats.launches_skipped) == (1, last)
+        assert stats.events_scanned == entry.events
+        assert count == entry.instr + entry.mem + entry.branch
 
     def test_scan_fallback_same_hits(self, captured_trace, tmp_path,
                                      capsys):

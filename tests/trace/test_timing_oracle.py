@@ -9,7 +9,7 @@ active lanes and memory records of 0 to 8 lines — are fed to both, and
 every rebuilt stream and every scheduled number must agree under both
 issue policies: through the event feed (live capture) and through the
 decoded frames of the written trace (replay; launches placed past
-2**63, which the frame decoder declines, take the event feed).  The
+2**63 decode through the scalar walk into exact object columns).  The
 ``--warp`` query tagger is checked against the oracle builder's
 assignment too.
 """
@@ -159,9 +159,9 @@ def _launch_events(rng: random.Random, index: int, warps: int, ctas: int,
 
 @st.composite
 def traces(draw):
-    """1-2 launches; some sit past 2**63, where the frame decoder
-    declines and replay takes the event feed, and some traces are cut
-    off before their last kernel-end record."""
+    """1-2 launches; some sit past 2**63, where the vector decoder
+    hands the frame to the scalar walk, and some traces are cut off
+    before their last kernel-end record."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     base = draw(st.sampled_from((0, 0, 0, 2 ** 63 + 2 ** 40)))
     events = []
