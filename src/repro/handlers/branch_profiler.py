@@ -71,9 +71,8 @@ class BranchProfiler:
              "-sassi-before-args=cond-branch-info")
 
     def __init__(self, device, capacity: int = 2048,
-                 kind: str = "warp", vectorized: bool = True):
+                 kind: str = "warp"):
         self.device = device
-        self.vectorized = vectorized
         self.cupti = CuptiSubscription(device)
         self.table = DeviceHashTable(device, capacity=capacity,
                                      num_counters=5)
@@ -90,35 +89,12 @@ class BranchProfiler:
     def handler(self, ctx: SASSIContext) -> None:
         if ctx.brp is None:
             return
-        if not self.vectorized:
-            return self._handler_scalar(ctx)
-        # warp-wide fast lane: only taken-count needs a reduction — the
-        # fall-through count is its complement over the active lanes
+        # only the taken count needs a reduction — the fall-through
+        # count is its complement over the active lanes
         direction = ctx.brp.GetDirection()
         num_active = ctx.num_active
         num_taken = int(np.count_nonzero(direction[ctx.lanes_idx]))
         num_not_taken = num_active - num_taken
-        w = ctx.sample_rate
-        counters = self.table.find(ctx, ctx.bp.GetInsAddr())
-        ctx.atomic_add(self.table.counter_ptr(counters, TOTAL), w)
-        ctx.atomic_add(self.table.counter_ptr(counters, ACTIVE),
-                       num_active * w)
-        ctx.atomic_add(self.table.counter_ptr(counters, TAKEN),
-                       num_taken * w)
-        ctx.atomic_add(self.table.counter_ptr(counters, NOT_TAKEN),
-                       num_not_taken * w)
-        if num_taken != num_active and num_not_taken != num_active:
-            ctx.atomic_add(self.table.counter_ptr(counters, DIVERGENT), w)
-
-    def _handler_scalar(self, ctx: SASSIContext) -> None:
-        """Per-lane reference body (the differential baseline)."""
-        direction = ctx.brp.GetDirection()
-        active = ctx.mask
-        taken = direction & active
-        not_taken = ~direction & active
-        num_active = int(active.sum())
-        num_taken = int(taken.sum())
-        num_not_taken = int(not_taken.sum())
         w = ctx.sample_rate
         counters = self.table.find(ctx, ctx.bp.GetInsAddr())
         ctx.atomic_add(self.table.counter_ptr(counters, TOTAL), w)

@@ -17,7 +17,7 @@ from repro.sassi import SassiRuntime, spec_from_flags
 from repro.sassi.cupti import CounterBuffer, CuptiSubscription
 from repro.sassi.handlers import SASSIContext
 from repro.sim.coalescer import OFFSET_BITS
-from repro.sim.memory import GLOBAL_BASE, is_global
+from repro.sim.memory import GLOBAL_BASE
 
 
 class MemoryDivergenceProfiler:
@@ -25,10 +25,8 @@ class MemoryDivergenceProfiler:
 
     FLAGS = "-sassi-inst-before=memory -sassi-before-args=mem-info"
 
-    def __init__(self, device, per_kernel: bool = False,
-                 vectorized: bool = True):
+    def __init__(self, device, per_kernel: bool = False):
         self.device = device
-        self.vectorized = vectorized
         self.cupti = CuptiSubscription(device)
         #: row = active threads - 1, column = unique lines - 1
         self.counters = CounterBuffer(self.cupti, 32 * 32,
@@ -43,10 +41,8 @@ class MemoryDivergenceProfiler:
     def handler(self, ctx: SASSIContext) -> None:
         if ctx.mp is None:
             return
-        if not self.vectorized:
-            return self._handler_scalar(ctx)
-        # warp-wide fast lane: lane filter and unique-line count as
-        # array reductions over the active rows
+        # lane filter and unique-line count as array reductions over
+        # the active rows
         idx = ctx.lanes_idx
         addresses = ctx.mp.GetAddress()[idx]
         keep = ctx.bp.GetInstrWillExecute()[idx].astype(bool, copy=False)
@@ -56,24 +52,6 @@ class MemoryDivergenceProfiler:
         if not num_active:
             return
         unique = int(np.unique(addresses[keep] >> OFFSET_BITS).size)
-        index = (num_active - 1) * 32 + min(unique, 32) - 1
-        ctx.atomic_add(self.counters.element_ptr(index), ctx.sample_rate)
-
-    def _handler_scalar(self, ctx: SASSIContext) -> None:
-        """Per-lane reference body (the differential baseline)."""
-        will_execute = ctx.bp.GetInstrWillExecute()
-        addresses = ctx.mp.GetAddress()
-        participating = [
-            lane for lane in ctx.lanes()
-            if will_execute[lane] and is_global(int(addresses[lane]),
-                                                self.device.heap_bytes)
-        ]
-        if not participating:
-            return
-        lines = {int(addresses[lane]) >> OFFSET_BITS
-                 for lane in participating}
-        num_active = len(participating)
-        unique = len(lines)
         index = (num_active - 1) * 32 + min(unique, 32) - 1
         ctx.atomic_add(self.counters.element_ptr(index), ctx.sample_rate)
 

@@ -21,20 +21,10 @@ import tempfile
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
-import numpy as np
-
 from repro.sassi import SassiRuntime, spec_from_flags
 from repro.sassi.handlers import SASSIContext
-from repro.sim.coalescer import OFFSET_BITS
-from repro.sim.memory import GLOBAL_BASE, is_global
-from repro.trace.format import (
-    KernelEndEvent,
-    LaunchEvent,
-    MEM_FLAG_ATOMIC,
-    MEM_FLAG_LOAD,
-    MEM_FLAG_STORE,
-    MemEvent,
-)
+from repro.trace.capture import mem_event
+from repro.trace.format import KernelEndEvent, LaunchEvent, MemEvent
 from repro.trace.index import index_path_for
 from repro.trace.io import TraceReader, TraceWriter
 
@@ -67,11 +57,9 @@ class MemoryTracer:
 
     def __init__(self, device, global_only: bool = True,
                  path: Optional[str] = None,
-                 buffer_bytes: int = 256 * 1024,
-                 vectorized: bool = True):
+                 buffer_bytes: int = 256 * 1024):
         self.device = device
         self.global_only = global_only
-        self.vectorized = vectorized
         if path is None:
             fd, path = tempfile.mkstemp(suffix=".rptrace",
                                         prefix="memtrace-")
@@ -117,73 +105,11 @@ class MemoryTracer:
     def handler(self, ctx: SASSIContext) -> None:
         if ctx.mp is None:
             return
-        if not self.vectorized:
-            return self._handler_scalar(ctx)
-        # warp-wide fast lane: vector lane filter plus first-occurrence-
-        # ordered unique lines (identical bytes to the seen-set loop)
-        idx = ctx.lanes_idx
-        addresses = ctx.mp.GetAddress()[idx]
-        keep = ctx.bp.GetInstrWillExecute()[idx].astype(bool, copy=False)
-        if self.global_only:
-            heap_top = GLOBAL_BASE + self.device.heap_bytes
-            keep &= (addresses >= GLOBAL_BASE) & (addresses < heap_top)
-        num_lanes = int(np.count_nonzero(keep))
-        if not num_lanes:
+        event = mem_event(ctx, ctx.bp.GetInsAddr(), self.global_only)
+        if event is None:
             return
-        line_vals = (addresses[keep] >> OFFSET_BITS) << OFFSET_BITS
-        _, first = np.unique(line_vals, return_index=True)
-        lines = tuple(int(line_vals[i]) for i in np.sort(first))
-        mp = ctx.mp
-        flags = 0
-        if mp.IsLoad():
-            flags |= MEM_FLAG_LOAD
-        if mp.IsStore():
-            flags |= MEM_FLAG_STORE
-        if mp.IsAtomic():
-            flags |= MEM_FLAG_ATOMIC
         self.weighted_events += ctx.sample_rate
-        self._writer.write(MemEvent(
-            ins_addr=ctx.bp.GetInsAddr(),
-            flags=flags,
-            width=mp.GetWidth(),
-            active_lanes=num_lanes,
-            line_addresses=lines,
-        ))
-
-    def _handler_scalar(self, ctx: SASSIContext) -> None:
-        """Per-lane reference body (the differential baseline)."""
-        will_execute = ctx.bp.GetInstrWillExecute()
-        addresses = ctx.mp.GetAddress()
-        lanes = [lane for lane in ctx.lanes() if will_execute[lane]]
-        if self.global_only:
-            lanes = [lane for lane in lanes
-                     if is_global(int(addresses[lane]),
-                                  self.device.heap_bytes)]
-        if not lanes:
-            return
-        lines = []
-        seen = set()
-        for lane in lanes:
-            line = (int(addresses[lane]) >> OFFSET_BITS) << OFFSET_BITS
-            if line not in seen:
-                seen.add(line)
-                lines.append(line)
-        mp = ctx.mp
-        flags = 0
-        if mp.IsLoad():
-            flags |= MEM_FLAG_LOAD
-        if mp.IsStore():
-            flags |= MEM_FLAG_STORE
-        if mp.IsAtomic():
-            flags |= MEM_FLAG_ATOMIC
-        self.weighted_events += ctx.sample_rate
-        self._writer.write(MemEvent(
-            ins_addr=ctx.bp.GetInsAddr(),
-            flags=flags,
-            width=mp.GetWidth(),
-            active_lanes=len(lanes),
-            line_addresses=tuple(lines),
-        ))
+        self._writer.write(event)
 
     # ------------------------------------------------------- host side
 

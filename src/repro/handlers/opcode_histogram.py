@@ -40,10 +40,8 @@ class OpcodeHistogram:
 
     FLAGS = "-sassi-inst-before=all -sassi-before-args=mem-info"
 
-    def __init__(self, device, per_kernel: bool = True,
-                 vectorized: bool = True):
+    def __init__(self, device, per_kernel: bool = True):
         self.device = device
-        self.vectorized = vectorized
         self.cupti = CuptiSubscription(device)
         self.counters = CounterBuffer(self.cupti, len(CATEGORIES),
                                       per_kernel=per_kernel)
@@ -59,8 +57,6 @@ class OpcodeHistogram:
         return self.runtime.compile(kernel_ir, self.spec, cache=cache)
 
     def handler(self, ctx: SASSIContext) -> None:
-        if not self.vectorized:
-            return self._handler_scalar(ctx)
         bp = ctx.bp
         # sampled firings stand in for sample_rate firings: the scaled
         # increment keeps the counters unbiased estimators (×1 when exact)
@@ -90,24 +86,6 @@ class OpcodeHistogram:
             slots.append(5)
         slots.append(6)
         return tuple(slots)
-
-    def _handler_scalar(self, ctx: SASSIContext) -> None:
-        """Per-lane reference body (the differential baseline)."""
-        threads = len(ctx.lanes()) * ctx.sample_rate
-        bp, mp = ctx.bp, ctx.mp
-        if bp.IsMem():
-            ctx.atomic_add(self.counters.element_ptr(0), threads)
-            if mp is not None and mp.GetWidth() > 4:
-                ctx.atomic_add(self.counters.element_ptr(1), threads)
-        if bp.IsControlXfer():
-            ctx.atomic_add(self.counters.element_ptr(2), threads)
-        if bp.IsSync():
-            ctx.atomic_add(self.counters.element_ptr(3), threads)
-        if bp.IsNumeric():
-            ctx.atomic_add(self.counters.element_ptr(4), threads)
-        if bp.IsTexture():
-            ctx.atomic_add(self.counters.element_ptr(5), threads)
-        ctx.atomic_add(self.counters.element_ptr(6), threads)
 
     def totals(self) -> Dict[str, int]:
         values = self.counters.final_totals()

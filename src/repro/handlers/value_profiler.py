@@ -80,10 +80,8 @@ class ValueProfiler:
 
     FLAGS = "-sassi-inst-after=reg-writes -sassi-after-args=reg-info"
 
-    def __init__(self, device, capacity: int = 4096,
-                 vectorized: bool = True):
+    def __init__(self, device, capacity: int = 4096):
         self.device = device
-        self.vectorized = vectorized
         self.cupti = CuptiSubscription(device)
         self.table = DeviceHashTable(device, capacity=capacity,
                                      num_counters=NUM_COUNTERS)
@@ -116,47 +114,23 @@ class ValueProfiler:
         # and the isScalar flag are idempotent and must not be scaled
         ctx.atomic_add(ptr(WEIGHT), ctx.sample_rate)
 
-        if self.vectorized:
-            # warp-wide fast lane: AND-reduce the active values and
-            # compare against the leader in one vector pass per dst
-            idx = ctx.lanes_idx
-            for dst in range(num_dsts):
-                values = ctx.rp.GetRegValue(dst)
-                ctx.write_device(ptr(_dst_slot(dst, 0)),
-                                 ctx.rp.GetRegNum(dst), 8)
-                active = values[idx].astype(np.uint32, copy=False)
-                if active.size:
-                    combined_ones = int(np.bitwise_and.reduce(active))
-                    combined_zeros = int(np.bitwise_and.reduce(~active))
-                    all_same = bool((active == active[0]).all())
-                else:
-                    combined_ones = combined_zeros = 0xFFFFFFFF
-                    all_same = True
-                ctx.atomic_and(ptr(_dst_slot(dst, 1)), combined_ones,
-                               width=8)
-                ctx.atomic_and(ptr(_dst_slot(dst, 2)), combined_zeros,
-                               width=8)
-                if not all_same:
-                    ctx.atomic_and(ptr(_dst_slot(dst, 3)), 0, width=8)
-            return
-
-        # per-lane reference body (the differential baseline)
-        lanes = ctx.lanes()
-        leader = ctx.leader()
+        # AND-reduce the active values and compare against the first
+        # active lane in one vector pass per destination
+        idx = ctx.lanes_idx
         for dst in range(num_dsts):
             values = ctx.rp.GetRegValue(dst)
             ctx.write_device(ptr(_dst_slot(dst, 0)),
                              ctx.rp.GetRegNum(dst), 8)
-            combined_ones = combined_zeros = 0xFFFFFFFF
-            for lane in lanes:
-                value = int(values[lane])
-                combined_ones &= value
-                combined_zeros &= ~value & 0xFFFFFFFF
+            active = values[idx].astype(np.uint32, copy=False)
+            if active.size:
+                combined_ones = int(np.bitwise_and.reduce(active))
+                combined_zeros = int(np.bitwise_and.reduce(~active))
+                all_same = bool((active == active[0]).all())
+            else:
+                combined_ones = combined_zeros = 0xFFFFFFFF
+                all_same = True
             ctx.atomic_and(ptr(_dst_slot(dst, 1)), combined_ones, width=8)
             ctx.atomic_and(ptr(_dst_slot(dst, 2)), combined_zeros, width=8)
-            leader_value = int(values[leader])
-            all_same = all(int(values[lane]) == leader_value
-                           for lane in lanes)
             if not all_same:
                 ctx.atomic_and(ptr(_dst_slot(dst, 3)), 0, width=8)
 

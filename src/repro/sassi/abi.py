@@ -44,7 +44,7 @@ from repro.isa.program import STACK_BASE_OFFSET
 from repro.isa.registers import GPR, PT, RZ, Pred
 from repro.sassi import params as P
 from repro.sassi.spec import InstrumentationSpec, What, Where
-from repro.sim.costmodel import block_issue_cycles
+from repro.sim.scheduler import block_issue_cycles
 from repro.sim.memory import SHARED_BASE
 from repro.telemetry.classify import SAVE_RESTORE_KEYS, block_dispatch_counts
 

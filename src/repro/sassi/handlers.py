@@ -7,7 +7,7 @@ transfers control there.  Two authoring styles are supported:
 
 * **warp handlers** (``kind="warp"``) receive one :class:`SASSIContext`
   per site with warp-wide parameter views and mask-level intrinsics —
-  the fast path used by the case-study library;
+  the form the case-study library uses;
 * **thread handlers** (``kind="thread"``) are generator functions run
   per active lane in lock step by :mod:`repro.sassi.threadsimt`, with
   ``__ballot``/``__shfl``-style intrinsics — the faithful transliteration
@@ -42,7 +42,7 @@ from repro.sassi.params import (
 from repro.sassi.spec import InstrumentationSpec, What, Where
 from repro.sassi.threadsimt import ThreadHandlerError, run_warp_handler
 from repro.sim.memory import GLOBAL_BASE, LOCAL_BASE
-from repro.sim.warp import mask_to_u32
+from repro.sim.warp import WARP_SIZE, mask_to_u32
 from repro.telemetry.collector import TELEMETRY, span as telemetry_span
 
 POISON = 0xDEADBEEF
@@ -74,8 +74,7 @@ class SASSIContext:
     """
 
     def __init__(self, executor, warp, cta, mask, bp, mp=None, brp=None,
-                 rp=None, where: Where = Where.BEFORE, lanes=None,
-                 vectorized: bool = True):
+                 rp=None, where: Where = Where.BEFORE, lanes=None):
         self.executor = executor
         self.device = executor.device
         self.warp = warp
@@ -93,7 +92,6 @@ class SASSIContext:
         self.lanes_idx = lanes
         #: number of active lanes at the site
         self.num_active = int(lanes.size)
-        self._vectorized = vectorized
         self._lanes_list = None
         #: sampling weight of this firing (1 = exact).  When the site is
         #: sampled at rate 1/N the executor sets this to N; handlers
@@ -106,14 +104,6 @@ class SASSIContext:
     def ballot(self, values) -> int:
         """``__ballot`` over the active lanes at the site."""
         values = np.asarray(values)
-        if not self._vectorized:
-            # per-lane reference loop (the differential baseline the
-            # packed path must bit-match; see the hypothesis suite)
-            result = 0
-            for lane in np.nonzero(self.mask)[0]:
-                if values[lane] if values.shape else values:
-                    result |= 1 << int(lane)
-            return result
         if values.shape:
             voting = self.mask & (values != 0)
         elif values:
@@ -123,8 +113,6 @@ class SASSIContext:
         return mask_to_u32(voting)
 
     def active_mask(self) -> int:
-        if not self._vectorized:
-            return self.ballot(np.ones(len(self.mask), dtype=bool))
         return mask_to_u32(self.mask)
 
     def all_(self, values) -> bool:
@@ -140,7 +128,9 @@ class SASSIContext:
         return bool(values.any())
 
     def shfl(self, values, src_lane: int):
-        return np.asarray(values)[src_lane]
+        """``__shfl``: *values* as seen from lane ``src_lane`` modulo the
+        warp width, as CUDA reads it."""
+        return np.asarray(values)[src_lane % WARP_SIZE]
 
     def leader(self) -> int:
         """The first active lane (the ``__ffs(__ballot(1))-1`` idiom)."""
@@ -237,13 +227,9 @@ class _LaneView:
 class SassiRuntime:
     """Registers handlers and produces the compiler's final pass."""
 
-    def __init__(self, device, poison_caller_saved: bool = True,
-                 vectorize_contexts: bool = True):
+    def __init__(self, device, poison_caller_saved: bool = True):
         self.device = device
         self.poison_caller_saved = poison_caller_saved
-        #: serve context/param reads with warp-wide gathers; False keeps
-        #: the per-lane scalar paths (the differential reference)
-        self.vectorize_contexts = vectorize_contexts
         self._registrations: Dict[str, _Registration] = {}
         self._spec: Optional[InstrumentationSpec] = None
         self.reports: List[InjectionReport] = []
@@ -390,12 +376,10 @@ class SassiRuntime:
         pointer = int(warp.regs[4, lane0]) \
             | (int(warp.regs[5, lane0]) << 32)
         base = pointer - LOCAL_BASE
-        vec = self.vectorize_contexts
         view_cls = SASSIAfterParams if where is Where.AFTER \
             else SASSIBeforeParams
         shared_mask = mask.copy()
-        bp = view_cls(executor, warp, cta, shared_mask, base,
-                      lanes=lanes, vectorized=vec)
+        bp = view_cls(executor, warp, cta, shared_mask, base, lanes=lanes)
         # a compiled site plan knows the frame's constant fields (site
         # key included) without reading them back from local memory
         plan = getattr(executor, "_site_plan", None)
@@ -419,25 +403,22 @@ class SassiRuntime:
         mp = brp = rp = None
         if wm:
             mp = SASSIMemoryParams(executor, warp, cta, shared_mask,
-                                   base + memory_at, lanes=lanes,
-                                   vectorized=vec)
+                                   base + memory_at, lanes=lanes)
             if plan is not None:
                 mp.seed_statics(plan.static_fields(memory_at))
         if wb:
             brp = SASSICondBranchParams(executor, warp, cta, shared_mask,
-                                        base + branch_at, lanes=lanes,
-                                        vectorized=vec)
+                                        base + branch_at, lanes=lanes)
             if plan is not None:
                 brp.seed_statics(plan.static_fields(branch_at))
         if wr:
             rp = SASSIRegisterParams(executor, warp, cta, shared_mask,
-                                     base + regs_at, lanes=lanes,
-                                     vectorized=vec)
+                                     base + regs_at, lanes=lanes)
             if plan is not None:
                 rp.seed_statics(plan.static_fields(regs_at))
         return SASSIContext(executor, warp, cta, shared_mask, bp,
                             mp=mp, brp=brp, rp=rp, where=where,
-                            lanes=lanes, vectorized=vec)
+                            lanes=lanes)
 
     def _poison(self, warp, lanes) -> None:
         """Overwrite the caller-saved registers of the calling *lanes*

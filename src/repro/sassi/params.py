@@ -108,15 +108,13 @@ class _View:
     Row reads are served with one fancy-index gather over the CTA's
     local byte block (all active lanes at once) and memoized for the
     view's lifetime — a handler that asks for the same field twice pays
-    once.  ``vectorized=False`` keeps the original per-lane
-    ``Memory.read`` loop as the bit-exact differential reference; the
-    gather also falls back to it whenever an access would leave the
-    backed local window, so faults carry the per-lane address.
+    once.  A read that would leave the backed local window falls back to
+    a per-lane ``Memory.read`` loop, so its fault carries the per-lane
+    address.
     """
 
     def __init__(self, executor, warp, cta, mask: np.ndarray, base: int,
-                 lanes: Optional[np.ndarray] = None,
-                 vectorized: bool = True):
+                 lanes: Optional[np.ndarray] = None):
         self._executor = executor
         self._warp = warp
         self._cta = cta
@@ -126,7 +124,6 @@ class _View:
             lanes = np.nonzero(mask)[0]
         self._lane_idx = lanes
         self._lanes_list: Optional[List[int]] = None
-        self._vectorized = vectorized
         self._row_cache: dict = {}
 
     @property
@@ -180,8 +177,7 @@ class _View:
             return row
         start = self._base + offset
         block = self._cta.local_block()
-        if not self._vectorized or start < 0 \
-                or start + width > block.shape[1]:
+        if start < 0 or start + width > block.shape[1]:
             for lane in self._lanes:
                 row[lane] = self._read_lane(lane, offset, width)
             return row

@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional
 
+from repro.sim.warp import WARP_SIZE
+
 
 class ThreadHandlerError(Exception):
     """Lanes fell out of lock step (yielded different intrinsics)."""
@@ -54,7 +56,8 @@ class Any_:
 
 @dataclass(frozen=True)
 class Shfl:
-    """``__shfl(value, src_lane)``: read *value* from another lane."""
+    """``__shfl(value, src_lane)``: read *value* from lane
+    ``src_lane`` modulo 32."""
 
     value: Any
     src_lane: int
@@ -149,11 +152,11 @@ def _service(kind, requests: Dict[int, Any],
         value = 1 if mask else 0
         return {lane: value for lane in requests}
     if kind is Shfl:
+        # CUDA reads lane srcLane modulo the warp width; when that lane
+        # is not running the handler, the caller gets its own value
         values = {lane: req.value for lane, req in requests.items()}
-        out = {}
-        for lane, req in requests.items():
-            out[lane] = values.get(req.src_lane, req.value)
-        return out
+        return {lane: values.get(req.src_lane % WARP_SIZE, req.value)
+                for lane, req in requests.items()}
     if kind is AtomicAdd:
         return {lane: atomic(req.address, req.value, req.width, "add")
                 for lane, req in requests.items()}

@@ -5,6 +5,15 @@ run-to-barrier policy.  Lanes are numpy-vectorized: the register file is a
 ``(num_regs, 32)`` uint32 array per warp and ALU ops operate on whole
 rows under the instruction's guard mask.
 
+There is one dispatch path.  Decode partitions each kernel into fused
+straight-line superblocks and compiled SASSI site plans; everything
+else — branches, predicated records, site plans that bail — runs one
+record at a time through ``_execute`` (``step`` is its public face).
+Warp memory accesses that stay in one space are served with one
+gather/scatter; mixed-space, sub-word, overlapping or faulting accesses
+take the per-lane loops.  The flat cycle count is the scheduler's
+:class:`~repro.sim.scheduler.CycleCounter`.
+
 The executor is also where SASSI handler calls land: a ``JCAL`` whose
 target lies in the handler address range (``SassProgram.HANDLER_BASE``)
 invokes the binding registered with the device (see
@@ -33,9 +42,7 @@ from repro.isa.instruction import (
 from repro.isa.opcodes import Opcode
 from repro.isa.program import SassKernel, SassProgram
 from repro.isa.registers import GPR, SpecialReg
-from repro.sim.cache import Cache
 from repro.sim.coalescer import coalesce
-from repro.sim.costmodel import CycleCounter, block_issue_cycles
 from repro.sim.errors import DeviceFault, HangDetected
 from repro.sim.memory import (
     GLOBAL_BASE,
@@ -44,6 +51,7 @@ from repro.sim.memory import (
     SHARED_BYTES,
     Memory,
 )
+from repro.sim.scheduler import CycleCounter, block_issue_cycles
 from repro.sim.warp import WARP_SIZE, Warp, mask_to_u32
 from repro.telemetry.classify import (
     OPCLASS_KEY,
@@ -84,28 +92,8 @@ class KernelStats:
 class SimConfig:
     """Executor knobs."""
 
-    enable_caches: bool = False
     #: watchdog: abort the launch after this many warp instructions.
     max_warp_instructions: int = 200_000_000
-    #: fast path: execute straight-line superblocks with batched
-    #: stats/telemetry accumulation (see ``_Superblock``).  Disable to
-    #: force per-instruction dispatch — semantics and statistics are
-    #: identical either way (the fast-path differential suite enforces
-    #: this bit-exactly).
-    fuse_blocks: bool = True
-    #: fast path: serve single-space warp memory accesses with one
-    #: vectorized gather/scatter instead of a per-lane loop.  Mixed-space
-    #: generic accesses and faulting accesses always take the scalar
-    #: path regardless.
-    vector_memory: bool = True
-    #: fast path: execute whole SASSI call sequences (spills, param
-    #: marshaling, JCAL, restores) as one precompiled array-op plan per
-    #: site (see ``repro.sassi.abi.SiteSequencePlan``), letting fused
-    #: dispatch flow *through* instrumented sites instead of falling to
-    #: per-instruction execution at every JCAL.  Disable to keep sites
-    #: on the per-instruction path — the scalar reference the
-    #: instrumented differential suite compares against bit-exactly.
-    fuse_handler_calls: bool = True
 
 
 class CTAContext:
@@ -148,11 +136,6 @@ class Executor:
     def __init__(self, device, config: Optional[SimConfig] = None):
         self.device = device
         self.config = config or SimConfig()
-        self.l1: Optional[Cache] = None
-        if self.config.enable_caches:
-            from repro.sim.cache import kepler_hierarchy
-
-            self.l1 = kepler_hierarchy()
         self.stats = KernelStats()
         self._watchdog = 0
         self._kernel: Optional[SassKernel] = None
@@ -294,8 +277,7 @@ class Executor:
             self._decoded = decoded
             self._targets = decoded.targets
         records = decoded.records
-        blocks = decoded.blocks_for(self.config.fuse_handler_calls) \
-            if self.config.fuse_blocks else None
+        blocks = decoded.blocks
         limit = len(records)
         max_warp_instructions = self.config.max_warp_instructions
         execute = self._execute
@@ -307,14 +289,13 @@ class Executor:
                 raise DeviceFault(
                     f"{kernel.name}: PC 0x{kernel.pc_of(pc):x} outside "
                     "kernel body")
-            if blocks is not None:
-                block = blocks[pc]
-                if block is not None:
-                    if block.__class__ is _Superblock:
-                        execute_block(block, warp, cta, counter)
-                    else:
-                        execute_site(block, warp, cta, counter)
-                    continue
+            block = blocks[pc]
+            if block is not None:
+                if block.__class__ is _Superblock:
+                    execute_block(block, warp, cta, counter)
+                else:
+                    execute_site(block, warp, cta, counter)
+                continue
             self._watchdog += 1
             if self._watchdog > max_warp_instructions:
                 raise HangDetected(
@@ -331,7 +312,7 @@ class Executor:
         the block can change — one uniformity read serves all records.
         Watchdog, stack-depth, and the per-instruction stats/telemetry
         increments collapse to per-block deltas (flushed at block exit);
-        the opcode handlers themselves run exactly as on the slow path.
+        the opcode handlers themselves run exactly as in ``_execute``.
         """
         length = block.length
         self._watchdog += length
@@ -592,12 +573,6 @@ class Executor:
         self.stats.global_mem_instructions += 1
         self.stats.global_transactions += result.unique_lines
         counter.memory_transactions(result.unique_lines)
-        if self.l1 is not None:
-            l2 = self.l1.next_level
-            l2_before = l2.stats.misses if l2 is not None else 0
-            l1_misses = self.l1.access_lines(result.line_addresses)
-            l2_misses = (l2.stats.misses - l2_before) if l2 is not None else 0
-            counter.cache_misses(l1_misses, l2_misses)
 
 
 # ---------------------------------------------------------------------
@@ -672,7 +647,7 @@ def _is_fusable(dec: "_Decoded") -> bool:
     """Whether a record may live inside a fused superblock: straight-line
     (handler always advances ``pc`` by one), unconditional (the block's
     single guard-uniformity test covers it), and a known opcode (illegal
-    instructions fault on the slow path with the precise record)."""
+    instructions fault in ``_execute`` with the precise record)."""
     return (dec.handler is not None and dec.uncond
             and dec.opcode not in _BLOCK_TERMINATORS)
 
@@ -706,9 +681,8 @@ class _Superblock:
 
 
 def _partition_superblocks(records: List["_Decoded"],
-                           targets: List[Optional[int]],
-                           fuse_handlers: bool = True):
-    """Split *records* into superblocks and (optionally) site plans.
+                           targets: List[Optional[int]]):
+    """Split *records* into superblocks and site plans.
 
     ``blocks[pc]`` is the dispatch unit *starting* at ``pc`` — a
     :class:`_Superblock`, a ``SiteSequencePlan`` covering a whole SASSI
@@ -717,36 +691,35 @@ def _partition_superblocks(records: List["_Decoded"],
     block at its head; blocks shorter than two instructions stay on the
     per-instruction path (fusing them would only add overhead).
 
-    With *fuse_handlers*, a first pass compiles every recognizable
-    injected call sequence (``IADD R1, R1, -frame`` … ``JCAL`` … stack
-    release) into one plan; the superblock pass then flows around the
-    plans, so fused dispatch extends through instrumented sites instead
-    of degenerating to per-instruction execution at every ``JCAL``.
+    A first pass compiles every recognizable injected call sequence
+    (``IADD R1, R1, -frame`` … ``JCAL`` … stack release) into one plan;
+    the superblock pass then flows around the plans, so fused dispatch
+    extends through instrumented sites instead of degenerating to
+    per-instruction execution at every ``JCAL``.
     """
+    from repro.sassi.abi import compile_site_plan
+
     limit = len(records)
     leaders = {target for target in targets
                if target is not None and 0 <= target < limit}
     blocks: list = [None] * limit
     covered = bytearray(limit)
-    if fuse_handlers:
-        from repro.sassi.abi import compile_site_plan
-
-        handler_base = SassProgram.HANDLER_BASE
-        pos = 0
-        while pos < limit:
-            rec = records[pos]
-            if rec.sassi and rec.uncond \
-                    and rec.opcode in (Opcode.IADD, Opcode.IADD32I):
-                plan = compile_site_plan(records, pos, handler_base)
-                if plan is not None and not any(
-                        pos < leader < pos + plan.length
-                        for leader in leaders):
-                    blocks[pos] = plan
-                    for index in range(pos, pos + plan.length):
-                        covered[index] = 1
-                    pos += plan.length
-                    continue
-            pos += 1
+    handler_base = SassProgram.HANDLER_BASE
+    pos = 0
+    while pos < limit:
+        rec = records[pos]
+        if rec.sassi and rec.uncond \
+                and rec.opcode in (Opcode.IADD, Opcode.IADD32I):
+            plan = compile_site_plan(records, pos, handler_base)
+            if plan is not None and not any(
+                    pos < leader < pos + plan.length
+                    for leader in leaders):
+                blocks[pos] = plan
+                for index in range(pos, pos + plan.length):
+                    covered[index] = 1
+                pos += plan.length
+                continue
+        pos += 1
     start = 0
     while start < limit:
         if covered[start] or not _is_fusable(records[start]):
@@ -765,11 +738,10 @@ def _partition_superblocks(records: List["_Decoded"],
 
 class _DecodedKernel:
     """The decode cache for one kernel: records, branch targets, and the
-    superblock/site-plan partitions driving the fused dispatch fast
-    path (one partition per ``fuse_handler_calls`` setting, built
-    lazily — uninstrumented kernels share a single partition)."""
+    superblock/site-plan partition driving fused dispatch (built
+    lazily, on first use)."""
 
-    __slots__ = ("kernel", "records", "targets", "_partitions")
+    __slots__ = ("kernel", "records", "targets", "_blocks")
 
     def __init__(self, kernel: SassKernel):
         self.kernel = kernel
@@ -783,19 +755,16 @@ class _DecodedKernel:
         self.targets = targets
         self.records = [_Decoded(instr, target) for instr, target
                         in zip(kernel.instructions, targets)]
-        self._partitions: Dict[bool, list] = {}
-
-    def blocks_for(self, fuse_handlers: bool) -> list:
-        blocks = self._partitions.get(fuse_handlers)
-        if blocks is None:
-            blocks = _partition_superblocks(self.records, self.targets,
-                                            fuse_handlers)
-            self._partitions[fuse_handlers] = blocks
-        return blocks
+        self._blocks: Optional[list] = None
 
     @property
     def blocks(self) -> list:
-        return self.blocks_for(True)
+        """``blocks[pc]``: the fused unit starting at ``pc``, or None
+        (see :func:`_partition_superblocks`)."""
+        if self._blocks is None:
+            self._blocks = _partition_superblocks(self.records,
+                                                  self.targets)
+        return self._blocks
 
 
 def decode_kernel(kernel: SassKernel) -> _DecodedKernel:
@@ -1346,7 +1315,7 @@ def _op_load(ex, warp, cta, instr, g, counter):
         ex._account_global(addrs, g, width, counter)
     dst = instr.dsts[0]
     narrow = instr.narrow
-    if narrow is None and width % 4 == 0 and ex.config.vector_memory:
+    if narrow is None and width % 4 == 0:
         plan = _vector_plan(ex, warp, cta, instr, g, addrs, width)
         if plan is not None:
             mem, offsets, tids = plan
@@ -1384,7 +1353,7 @@ def _op_store(ex, warp, cta, instr, g, counter):
         ex._account_global(addrs, g, width, counter)
     data = instr.srcs[-1]
     narrow = instr.narrow
-    if (narrow is None and width % 4 == 0 and ex.config.vector_memory
+    if (narrow is None and width % 4 == 0
             and isinstance(data, GPR) and not data.is_zero):
         plan = _vector_plan(ex, warp, cta, instr, g, addrs, width)
         if plan is not None:
@@ -1489,8 +1458,8 @@ def _op_atom(ex, warp, cta, instr, g, counter):
     signed = "S32" in instr.mods
     value_src = instr.srcs[-1]
     has_dst = bool(instr.dsts)
-    if ex.config.vector_memory and _atom_vectorized(
-            ex, warp, cta, instr, g, addrs, op, signed, value_src, has_dst):
+    if _atom_vectorized(ex, warp, cta, instr, g, addrs, op, signed,
+                        value_src, has_dst):
         warp.pc += 1
         return
     for lane in _lane_indices(ex, g):

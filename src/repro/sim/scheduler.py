@@ -1,7 +1,11 @@
 """Cycle-stepped warp scheduler: the stall-accurate timing model.
 
-The flat model in :mod:`repro.sim.costmodel` answers *how many* issue
-slots a kernel consumed; this module answers *where the time went*.  It
+:class:`CycleCounter` is the flat model the functional executor
+accumulates inline: it answers *how many* issue slots a kernel consumed
+(each warp instruction costs its opcode's issue-port occupancy, and a
+memory instruction pays extra slots per coalesced transaction beyond
+the first — the address-divergence cost the paper's Case Study II
+quantifies).  The scheduler answers *where the time went*.  It
 replays per-warp instruction streams — one launch at a time, as the
 :class:`StreamColumns` :mod:`repro.trace.timing` rebuilds from a
 recorded trace — through a single-issue scheduler in the fixed-latency
@@ -47,7 +51,7 @@ import numpy as np
 from repro.isa.opcodes import OpClass, OPCODE_CLASSES, Opcode
 
 #: issue-port cycles per coalesced memory transaction beyond the first
-#: (kept equal to the flat model's ``TRANSACTION_COST``)
+#: (charged by the flat :class:`CycleCounter` and the scheduler alike)
 TRANSACTION_CYCLES = 2
 
 #: graded global-memory result latencies (cycles), selected by the
@@ -97,7 +101,7 @@ _GMEM = LatencyEntry(1, 2, L1_HIT_LATENCY, barrier=True)
 
 #: Exhaustive per-opcode timing table.  Every :class:`Opcode` member
 #: MUST have an entry (``missing_entries`` + a unit test enforce it,
-#: and :mod:`repro.sim.costmodel` fails at import otherwise).  The
+#: and deriving ``_ISSUE`` below fails at import otherwise).  The
 #: ``issue`` fields reproduce the retired flat ``_EXTRA_ISSUE`` costs
 #: exactly so golden cycle counts and Table 3 ratios are unchanged.
 LATENCY_TABLE: Dict[Opcode, LatencyEntry] = {
@@ -168,6 +172,33 @@ LATENCY_TABLE: Dict[Opcode, LatencyEntry] = {
     Opcode.VOTE: _IALU,
     Opcode.SHFL: _IALU,
 }
+
+
+#: Issue-port occupancy per opcode (the flat model's cost).
+_ISSUE = {opcode: LATENCY_TABLE[opcode].issue for opcode in Opcode}
+
+
+def block_issue_cycles(opcodes) -> int:
+    """Total issue cost of a straight-line opcode sequence — precomputed
+    per superblock so the fused dispatch path adds one integer instead
+    of calling :meth:`CycleCounter.issue` per instruction."""
+    issue = _ISSUE
+    return sum(issue[opcode] for opcode in opcodes)
+
+
+@dataclass
+class CycleCounter:
+    """Accumulates the flat cycle count (``KernelStats.cycles``) of one
+    kernel launch."""
+
+    cycles: int = 0
+
+    def issue(self, opcode: Opcode) -> None:
+        self.cycles += _ISSUE[opcode]
+
+    def memory_transactions(self, count: int) -> None:
+        if count > 1:
+            self.cycles += TRANSACTION_CYCLES * (count - 1)
 
 
 def missing_entries(table: Optional[Dict[Opcode, LatencyEntry]] = None

@@ -22,7 +22,7 @@ from repro.isa.program import INSTRUCTION_BYTES
 from repro.sassi import SassiRuntime, spec_from_flags
 from repro.sassi.handlers import SASSIContext
 from repro.sim.coalescer import OFFSET_BITS
-from repro.sim.memory import GLOBAL_BASE, is_global
+from repro.sim.memory import GLOBAL_BASE
 from repro.telemetry.collector import span as telemetry_span
 from repro.trace.format import (
     BranchEvent,
@@ -53,12 +53,10 @@ class TraceRecorder:
 
     def __init__(self, device, writer: TraceWriter,
                  runtime: Optional[SassiRuntime] = None,
-                 global_only: bool = True,
-                 vectorized: bool = True):
+                 global_only: bool = True):
         self.device = device
         self.writer = writer
         self.global_only = global_only
-        self.vectorized = vectorized
         self.runtime = runtime or SassiRuntime(device)
         self.runtime.register_before_handler(self.handler)
         self.spec = spec_from_flags(CAPTURE_FLAGS)
@@ -86,8 +84,6 @@ class TraceRecorder:
     # -------------------------------------------------------- handler
 
     def handler(self, ctx: SASSIContext) -> None:
-        if not self.vectorized:
-            return self._handler_scalar(ctx)
         bp = ctx.bp
         # Record the instruction's address in the *original* (pre-
         # injection) layout — GetInsAddr() would shift with the
@@ -95,13 +91,14 @@ class TraceRecorder:
         # incomparable under trace-diff.
         ins_addr = bp.GetFnAddr() + bp.GetID() * INSTRUCTION_BYTES
         mp = ctx.mp
-        width = mp.GetWidth() if mp is not None else 0
         events = [InstrEvent(ins_addr=ins_addr,
                              opcode=bp.GetOpcode().value,
                              lanes=ctx.num_active,
-                             width=width)]
+                             width=mp.GetWidth() if mp is not None else 0)]
         if mp is not None:
-            self._record_mem(ctx, ins_addr, mp, width, events.append)
+            event = mem_event(ctx, ins_addr, self.global_only)
+            if event is not None:
+                events.append(event)
         brp = ctx.brp
         if brp is not None:
             direction = brp.GetDirection()
@@ -113,80 +110,40 @@ class TraceRecorder:
                                       not_taken=num_active - taken))
         self.writer.write_batch(events)
 
-    def _handler_scalar(self, ctx: SASSIContext) -> None:
-        """Per-event reference body (the differential baseline)."""
-        write = self.writer.write
-        bp = ctx.bp
-        ins_addr = bp.GetFnAddr() + bp.GetID() * INSTRUCTION_BYTES
-        mp = ctx.mp
-        width = mp.GetWidth() if mp is not None else 0
-        write(InstrEvent(ins_addr=ins_addr,
-                         opcode=bp.GetOpcode().value,
-                         lanes=len(ctx.lanes()),
-                         width=width))
-        if mp is not None:
-            self._record_mem_scalar(ctx, ins_addr, mp, width, write)
-        brp = ctx.brp
-        if brp is not None:
-            direction = brp.GetDirection()
-            active = ctx.mask
-            taken = int((direction & active).sum())
-            write(BranchEvent(ins_addr=ins_addr,
-                              active=int(active.sum()),
-                              taken=taken,
-                              not_taken=int((~direction & active).sum())))
 
-    def _record_mem(self, ctx, ins_addr, mp, width, write) -> None:
-        idx = ctx.lanes_idx
-        addresses = mp.GetAddress()[idx]
-        keep = ctx.bp.GetInstrWillExecute()[idx].astype(bool, copy=False)
-        if self.global_only:
-            heap_top = GLOBAL_BASE + self.device.heap_bytes
-            keep &= (addresses >= GLOBAL_BASE) & (addresses < heap_top)
-        num_lanes = int(np.count_nonzero(keep))
-        if not num_lanes:
-            return
-        line_vals = (addresses[keep] >> OFFSET_BITS) << OFFSET_BITS
-        _, first = np.unique(line_vals, return_index=True)
-        lines = tuple(int(line_vals[i]) for i in np.sort(first))
-        flags = 0
-        if mp.IsLoad():
-            flags |= MEM_FLAG_LOAD
-        if mp.IsStore():
-            flags |= MEM_FLAG_STORE
-        if mp.IsAtomic():
-            flags |= MEM_FLAG_ATOMIC
-        write(MemEvent(ins_addr=ins_addr, flags=flags, width=width,
-                       active_lanes=num_lanes,
-                       line_addresses=lines))
+def mem_event(ctx: SASSIContext, ins_addr: int,
+              global_only: bool) -> Optional[MemEvent]:
+    """The :class:`MemEvent` of a memory site, or None when no lane
+    takes part.
 
-    def _record_mem_scalar(self, ctx, ins_addr, mp, width, write) -> None:
-        will_execute = ctx.bp.GetInstrWillExecute()
-        addresses = mp.GetAddress()
-        lanes = [lane for lane in ctx.lanes() if will_execute[lane]]
-        if self.global_only:
-            heap = self.device.heap_bytes
-            lanes = [lane for lane in lanes
-                     if is_global(int(addresses[lane]), heap)]
-        if not lanes:
-            return
-        lines = []
-        seen = set()
-        for lane in lanes:
-            line = (int(addresses[lane]) >> OFFSET_BITS) << OFFSET_BITS
-            if line not in seen:
-                seen.add(line)
-                lines.append(line)
-        flags = 0
-        if mp.IsLoad():
-            flags |= MEM_FLAG_LOAD
-        if mp.IsStore():
-            flags |= MEM_FLAG_STORE
-        if mp.IsAtomic():
-            flags |= MEM_FLAG_ATOMIC
-        write(MemEvent(ins_addr=ins_addr, flags=flags, width=width,
-                       active_lanes=len(lanes),
-                       line_addresses=tuple(lines)))
+    A lane takes part when its guard lets the instruction execute and,
+    with *global_only*, its address lies in the device heap.  Line
+    addresses are the 32-byte lines those lanes touch, each once, in
+    the order of the first lane touching it.
+    """
+    idx = ctx.lanes_idx
+    mp = ctx.mp
+    addresses = mp.GetAddress()[idx]
+    keep = ctx.bp.GetInstrWillExecute()[idx].astype(bool, copy=False)
+    if global_only:
+        heap_top = GLOBAL_BASE + ctx.device.heap_bytes
+        keep &= (addresses >= GLOBAL_BASE) & (addresses < heap_top)
+    num_lanes = int(np.count_nonzero(keep))
+    if not num_lanes:
+        return None
+    line_vals = (addresses[keep] >> OFFSET_BITS) << OFFSET_BITS
+    _, first = np.unique(line_vals, return_index=True)
+    flags = 0
+    if mp.IsLoad():
+        flags |= MEM_FLAG_LOAD
+    if mp.IsStore():
+        flags |= MEM_FLAG_STORE
+    if mp.IsAtomic():
+        flags |= MEM_FLAG_ATOMIC
+    return MemEvent(ins_addr=ins_addr, flags=flags, width=mp.GetWidth(),
+                    active_lanes=num_lanes,
+                    line_addresses=tuple(int(line_vals[i])
+                                         for i in np.sort(first)))
 
 
 def capture_workload(name: str, path: str, cache=None,

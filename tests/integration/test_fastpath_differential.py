@@ -3,21 +3,24 @@ executor must be architecturally AND statistically invisible.
 
 Three executors run every workload:
 
-* **fast** — the default config (superblock fusion + vector memory);
-* **slow** — ``SimConfig(fuse_blocks=False, vector_memory=False)``,
+* **fast** — the executor (superblock fusion, site plans, vector
+  memory);
+* **slow** — :class:`tests.executor_oracle.OracleExecutor`,
   per-instruction dispatch with per-lane scalar memory;
-* **stepped** — an executor driven one raw :class:`Instruction` at a
-  time through the public ``Executor.step`` API.
+* **stepped** — :class:`tests.executor_oracle.StepExecutor`, driven one
+  raw :class:`Instruction` at a time through the public
+  ``Executor.step`` API.
 
 All three must produce bit-identical outputs, :class:`KernelStats`
 (every field, including cycles, transactions, and the opcode Counter),
 and telemetry dispatch counters — with and without SASSI
 instrumentation.  Captured binary traces must be byte-identical
-between fast and slow configs.
+between the fast path and the oracle.
 """
 
 from __future__ import annotations
 
+import contextlib
 import filecmp
 
 import numpy as np
@@ -26,11 +29,12 @@ import pytest
 from repro.backend import ptxas
 from repro.sassi import SassiRuntime, spec_from_flags
 from repro.sim import Device
-from repro.sim.executor import Executor, SimConfig, decode_kernel
 from repro.telemetry.collector import TELEMETRY
 from repro.trace.capture import TraceRecorder
 from repro.trace.io import TraceWriter
 from repro.workloads import make
+from tests.executor_oracle import (OracleExecutor, StepExecutor,
+                                   oracle_executor)
 
 WORKLOADS = [
     "rodinia/nn",
@@ -44,37 +48,15 @@ HEAVY_FLAGS = ("-sassi-inst-before=all "
                "-sassi-before-args=mem-info,reg-info,cond-branch-info")
 
 
-def _slow_config() -> SimConfig:
-    return SimConfig(fuse_blocks=False, vector_memory=False)
-
-
-class _StepExecutor(Executor):
-    """Drives warps through the public single-step API only."""
-
-    def _run_warp(self, warp, cta, counter):
-        kernel = self._kernel
-        decoded = decode_kernel(kernel)
-        self._decoded = decoded
-        self._targets = decoded.targets
-        instructions = kernel.instructions
-        limit = len(instructions)
-        while not warp.done and not warp.at_barrier:
-            pc = warp.pc
-            assert 0 <= pc < limit
-            self._watchdog += 1
-            self.step(warp, cta, instructions[pc], counter)
-
-
-def _run(name, config=None, flags=None, executor_cls=None):
-    """One full application run.
+def _run(name, flags=None, oracle=None):
+    """One full application run, on the fast path or (*oracle* set to an
+    oracle executor class) under :func:`oracle_executor`.
 
     Returns ``(output, stats_list, telemetry_counters)`` with
     telemetry enabled for the duration of the run.
     """
-    import repro.sim.device as device_mod
-
     workload = make(name)
-    device = Device(config=config)
+    device = Device()
     if flags is None:
         kernel = ptxas(workload.build_ir())
     else:
@@ -84,17 +66,16 @@ def _run(name, config=None, flags=None, executor_cls=None):
         kernel = runtime.compile(workload.build_ir(), spec)
     stats_list = []
     device.on_kernel_exit(lambda _d, _k, stats: stats_list.append(stats))
-    original = device_mod.Executor
-    if executor_cls is not None:
-        device_mod.Executor = executor_cls
+    executor = contextlib.nullcontext() if oracle is None \
+        else oracle_executor(oracle)
     TELEMETRY.enable(reset=True)
     try:
-        output = workload.execute(device, kernel)
+        with executor:
+            output = workload.execute(device, kernel)
         counters = dict(TELEMETRY.counters)
     finally:
         TELEMETRY.disable()
         TELEMETRY.reset()
-        device_mod.Executor = original
     return output, stats_list, counters
 
 
@@ -115,14 +96,14 @@ def _assert_equivalent(name, base, other, what):
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_slow_path_bit_identical(name):
     fast = _run(name)
-    slow = _run(name, config=_slow_config())
+    slow = _run(name, oracle=OracleExecutor)
     _assert_equivalent(name, fast, slow, "slow")
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_slow_path_bit_identical_instrumented(name):
     fast = _run(name, flags=HEAVY_FLAGS)
-    slow = _run(name, config=_slow_config(), flags=HEAVY_FLAGS)
+    slow = _run(name, flags=HEAVY_FLAGS, oracle=OracleExecutor)
     _assert_equivalent(name, fast, slow, "slow")
 
 
@@ -130,7 +111,7 @@ def test_slow_path_bit_identical_instrumented(name):
                                   "parboil/sgemm(small)"])
 def test_step_path_bit_identical(name):
     fast = _run(name)
-    stepped = _run(name, executor_cls=_StepExecutor)
+    stepped = _run(name, oracle=StepExecutor)
     _assert_equivalent(name, fast, stepped, "stepped")
 
 
@@ -138,14 +119,16 @@ def test_step_path_bit_identical(name):
                                   "parboil/spmv(small)"])
 def test_trace_capture_bit_identical(name, tmp_path):
     paths = {}
-    for label, config in (("fast", None), ("slow", _slow_config())):
+    for label, executor in (("fast", contextlib.nullcontext()),
+                            ("slow", oracle_executor())):
         workload = make(name)
-        device = Device(config=config)
+        device = Device()
         path = str(tmp_path / f"{label}.rptrace")
         with TraceWriter(path) as writer:
             recorder = TraceRecorder(device, writer)
             kernel = recorder.compile(workload.build_ir())
-            workload.execute(device, kernel)
+            with executor:
+                workload.execute(device, kernel)
         paths[label] = path
     assert filecmp.cmp(paths["fast"], paths["slow"], shallow=False), \
-        f"{name}: captured traces differ between fast and slow configs"
+        f"{name}: captured traces differ between fast path and oracle"

@@ -3,13 +3,12 @@ fast lanes must be invisible.
 
 Each of the five stock handlers runs every workload twice:
 
-* **fast** — default config: fused site plans
-  (``fuse_handler_calls=True``), vectorized contexts, and the handler's
-  warp-wide body;
-* **scalar** — ``SimConfig(fuse_blocks=False, vector_memory=False,
-  fuse_handler_calls=False)``, ``SassiRuntime`` with
-  ``vectorize_contexts=False``, and the handler's per-lane reference
-  body (``vectorized=False``).
+* **fast** — the stock path: fused site plans, gathered context
+  reads, and the handler's warp-wide body;
+* **scalar** — the oracles: per-instruction dispatch with per-lane
+  memory (:func:`tests.executor_oracle.oracle_executor`), per-lane
+  context reads (:func:`tests.handler_oracle.per_lane_contexts`), and
+  the handler's per-lane body (its ``tests.handler_oracle`` subclass).
 
 Both paths must produce bit-identical workload outputs, handler
 results, :class:`KernelStats`, and telemetry counters; captured traces
@@ -18,6 +17,7 @@ must be byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import filecmp
 
 import numpy as np
@@ -29,11 +29,17 @@ from repro.handlers.memtrace import MemoryTracer
 from repro.handlers.opcode_histogram import OpcodeHistogram
 from repro.handlers.value_profiler import ValueProfiler
 from repro.sim import Device
-from repro.sim.executor import SimConfig
 from repro.telemetry.collector import TELEMETRY
 from repro.trace.capture import TraceRecorder
 from repro.trace.io import TraceWriter
 from repro.workloads import make
+from tests.executor_oracle import oracle_executor
+from tests.handler_oracle import (BranchProfilerOracle,
+                                  MemoryDivergenceOracle,
+                                  MemoryTracerOracle,
+                                  OpcodeHistogramOracle,
+                                  TraceRecorderOracle, ValueProfilerOracle,
+                                  per_lane_contexts)
 
 WORKLOADS = [
     "rodinia/nn",
@@ -42,25 +48,26 @@ WORKLOADS = [
 ]
 
 
-def _scalar_config() -> SimConfig:
-    return SimConfig(fuse_blocks=False, vector_memory=False,
-                     fuse_handler_calls=False)
+@contextlib.contextmanager
+def _scalar_path():
+    with oracle_executor(), per_lane_contexts():
+        yield
 
 
 def _run_profiled(name, make_profiler, collect, scalar):
-    """Run *name* under a profiler; return
+    """Run *name* under ``make_profiler(device)``; return
     ``(output, handler_result, stats_list, telemetry_counters)``."""
     workload = make(name)
-    device = Device(config=_scalar_config() if scalar else None)
-    profiler = make_profiler(device, vectorized=not scalar)
-    if scalar:
-        profiler.runtime.vectorize_contexts = False
+    device = Device()
+    profiler = make_profiler(device)
     stats_list = []
     device.on_kernel_exit(lambda _d, _k, stats: stats_list.append(stats))
+    path = _scalar_path() if scalar else contextlib.nullcontext()
     TELEMETRY.enable(reset=True)
     try:
         kernel = profiler.compile(workload.build_ir())
-        output = workload.execute(device, kernel)
+        with path:
+            output = workload.execute(device, kernel)
         counters = dict(TELEMETRY.counters)
     finally:
         TELEMETRY.disable()
@@ -82,60 +89,45 @@ def _assert_identical(name, fast, scalar, what):
         f"{name}: telemetry counters differ for {what}"
 
 
-def _differential(name, make_profiler, collect, what):
-    fast = _run_profiled(name, make_profiler, collect, scalar=False)
-    scalar = _run_profiled(name, make_profiler, collect, scalar=True)
+def _differential(name, stock, oracle, collect, what):
+    fast = _run_profiled(name, stock, collect, scalar=False)
+    scalar = _run_profiled(name, oracle, collect, scalar=True)
     _assert_identical(name, fast, scalar, what)
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_branch_profiler_differential(name):
-    _differential(
-        name,
-        lambda device, vectorized: BranchProfiler(device,
-                                                  vectorized=vectorized),
-        lambda p: p.branches(),
-        "branch_profiler")
+    _differential(name, BranchProfiler, BranchProfilerOracle,
+                  lambda p: p.branches(), "branch_profiler")
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_memory_divergence_differential(name):
-    _differential(
-        name,
-        lambda device, vectorized: MemoryDivergenceProfiler(
-            device, vectorized=vectorized),
-        lambda p: p.matrix().tolist(),
-        "memory_divergence")
+    _differential(name, MemoryDivergenceProfiler, MemoryDivergenceOracle,
+                  lambda p: p.matrix().tolist(), "memory_divergence")
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_opcode_histogram_differential(name):
-    _differential(
-        name,
-        lambda device, vectorized: OpcodeHistogram(device,
-                                                   vectorized=vectorized),
-        lambda p: p.totals(),
-        "opcode_histogram")
+    _differential(name, OpcodeHistogram, OpcodeHistogramOracle,
+                  lambda p: p.totals(), "opcode_histogram")
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_value_profiler_differential(name):
-    _differential(
-        name,
-        lambda device, vectorized: ValueProfiler(device,
-                                                 vectorized=vectorized),
-        lambda p: p.profiles(),
-        "value_profiler")
+    _differential(name, ValueProfiler, ValueProfilerOracle,
+                  lambda p: p.profiles(), "value_profiler")
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_memtrace_differential(name, tmp_path):
-    def factory(device, vectorized):
-        label = "fast" if vectorized else "scalar"
-        return MemoryTracer(device, path=str(tmp_path / f"{label}.rptrace"),
-                            vectorized=vectorized)
-
-    _differential(name, factory, lambda p: list(p.records()), "memtrace")
+    _differential(
+        name,
+        lambda device: MemoryTracer(
+            device, path=str(tmp_path / "fast.rptrace")),
+        lambda device: MemoryTracerOracle(
+            device, path=str(tmp_path / "scalar.rptrace")),
+        lambda p: list(p.records()), "memtrace")
     assert filecmp.cmp(str(tmp_path / "fast.rptrace"),
                        str(tmp_path / "scalar.rptrace"), shallow=False), \
         f"{name}: memtrace files differ between fast and scalar paths"
@@ -144,17 +136,17 @@ def test_memtrace_differential(name, tmp_path):
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_trace_capture_differential(name, tmp_path):
     paths = {}
-    for label, scalar in (("fast", False), ("scalar", True)):
+    for label, recorder_cls, path_ctx in (
+            ("fast", TraceRecorder, contextlib.nullcontext()),
+            ("scalar", TraceRecorderOracle, _scalar_path())):
         workload = make(name)
-        device = Device(config=_scalar_config() if scalar else None)
+        device = Device()
         path = str(tmp_path / f"{label}.rptrace")
         with TraceWriter(path) as writer:
-            recorder = TraceRecorder(device, writer,
-                                     vectorized=not scalar)
-            if scalar:
-                recorder.runtime.vectorize_contexts = False
+            recorder = recorder_cls(device, writer)
             kernel = recorder.compile(workload.build_ir())
-            workload.execute(device, kernel)
+            with path_ctx:
+                workload.execute(device, kernel)
         paths[label] = path
     assert filecmp.cmp(paths["fast"], paths["scalar"], shallow=False), \
         f"{name}: captured traces differ between fast and scalar paths"

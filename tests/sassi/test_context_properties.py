@@ -2,9 +2,11 @@
 
 The vectorized ``ballot``/``any_``/``all_``/``shfl`` implementations in
 :class:`~repro.sassi.handlers.SASSIContext` must bit-match a per-lane
-reference loop on arbitrary masks and values — and the context's own
-scalar mode (``vectorized=False``) must agree with both, since it is
-the baseline the instrumented differential suite diffs against.
+reference loop on arbitrary masks and values — and the per-lane oracle
+context (:class:`tests.handler_oracle.PerLaneContext`) must agree with
+both, since it is the baseline the instrumented differential suite
+diffs against.  ``shfl`` must read lane ``src_lane`` modulo 32 through
+both the warp-level and the thread-level API.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.sassi.handlers import SASSIContext
+from repro.sassi.threadsimt import Shfl, run_warp_handler
+from tests.handler_oracle import PerLaneContext
 
 WARP = 32
 
@@ -29,8 +33,7 @@ def _contexts(bits):
     mask = np.array([(bits >> lane) & 1 == 1 for lane in range(WARP)],
                     dtype=bool)
     fast = SASSIContext(_StubExecutor(), None, None, mask, bp=None)
-    slow = SASSIContext(_StubExecutor(), None, None, mask, bp=None,
-                        vectorized=False)
+    slow = PerLaneContext(_StubExecutor(), None, None, mask, bp=None)
     return mask, fast, slow
 
 
@@ -103,3 +106,34 @@ def test_leader_and_lanes_match_reference(bits):
         assert ctx.leader() == expected_leader
         assert ctx.lanes() == active
         assert ctx.num_active == len(active)
+
+
+def _thread_shfl(raw, lanes, src_lane):
+    """``Shfl(value, src_lane)`` issued by every lane in *lanes*
+    through the thread-level engine; returns what each lane read."""
+    got = {}
+
+    def make_gen(lane):
+        got[lane] = yield Shfl(raw[lane], src_lane)
+
+    run_warp_handler(lanes, make_gen, atomic=None)
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=mask_bits, raw=lane_values,
+       src_lane=st.integers(-2**40, 2**40))
+def test_shfl_wraps_source_lane_modulo_32(bits, raw, src_lane):
+    mask, fast, slow = _contexts(bits)
+    values = np.asarray(raw, dtype=np.uint32)
+    expected = raw[src_lane % WARP]
+    assert int(fast.shfl(values, src_lane)) == expected
+    assert int(slow.shfl(values, src_lane)) == expected
+    # the thread-level API agrees whenever the source lane runs the
+    # handler; otherwise each lane reads back its own value
+    everyone = _thread_shfl(raw, list(range(WARP)), src_lane)
+    assert everyone == {lane: expected for lane in range(WARP)}
+    active = [lane for lane in range(WARP) if mask[lane]]
+    got = _thread_shfl(raw, active, src_lane)
+    assert got == {lane: expected if mask[src_lane % WARP] else raw[lane]
+                   for lane in active}

@@ -11,7 +11,8 @@ per-lane stack pointer:
 * **compiled** — ``Executor._site_body``, i.e. ``plan.execute`` plus
   the per-visit accounting, with opcode counts folded per launch;
 * **reference** — the per-instruction walk of ``plan.records`` through
-  ``Executor._execute``.
+  ``Executor._execute``, with per-lane memory
+  (:func:`tests.executor_oracle.oracle_executor`).
 
 Registers, predicates, carry, ``pc``, the CTA's local-memory bytes,
 device global memory (handler side effects), :class:`KernelStats`,
@@ -38,12 +39,13 @@ from repro.sassi import params as P
 from repro.sassi.abi import SiteSequencePlan
 from repro.sassi.cupti import CounterBuffer, CuptiSubscription
 from repro.sim import Device
-from repro.sim.costmodel import CycleCounter
 from repro.sim.executor import (LOCAL_PHYS_BYTES, CTAContext, Executor,
                                 KernelStats, decode_kernel)
+from repro.sim.scheduler import CycleCounter
 from repro.sim.warp import WARP_SIZE, Warp
 from repro.telemetry.collector import TELEMETRY
 from repro.workloads import make
+from tests.executor_oracle import oracle_executor
 
 pytestmark = pytest.mark.noskip
 
@@ -125,7 +127,7 @@ def _twin(workload: str, handler: str):
         device = Device()
         compile_fn, seen = HANDLERS[handler](device)
         kernel = device.load_kernel(compile_fn(make(workload).build_ir()))
-        plans = [unit for unit in decode_kernel(kernel).blocks_for(True)
+        plans = [unit for unit in decode_kernel(kernel).blocks
                  if isinstance(unit, SiteSequencePlan)]
         sides.append((device, kernel, plans, seen))
     return sides
@@ -184,9 +186,10 @@ def _run(side, plan, state, compiled):
             ex._fold_visits()
         else:
             end = plan.start + plan.length
-            while warp.pc < end:
-                ex._execute(plan.records[warp.pc - plan.start], warp, cta,
-                            counter)
+            with oracle_executor():
+                while warp.pc < end:
+                    ex._execute(plan.records[warp.pc - plan.start], warp,
+                                cta, counter)
         counters = dict(TELEMETRY.counters)
     finally:
         TELEMETRY.disable()

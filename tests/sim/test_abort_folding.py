@@ -4,8 +4,9 @@ Fused superblocks and compiled site plans fold their opcode histograms
 into :class:`KernelStats` once per launch, when it ends.  A launch that
 aborts — the watchdog's :class:`HangDetected`, or a :class:`DeviceFault`
 caused by an injected error — must still leave ``Device.last_stats``
-exactly as per-instruction dispatch leaves it, because fault campaigns
-read statistics from faulted runs.
+exactly as per-instruction dispatch (the oracle in
+``tests/executor_oracle.py``) leaves it, because fault campaigns read
+statistics from faulted runs.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from repro.sassi import SassiRuntime, spec_from_flags
 from repro.sim import Device, DeviceFault, HangDetected
 from repro.sim.executor import Executor, SimConfig
 from repro.workloads import make
+from tests.executor_oracle import oracle_executor
 
 pytestmark = pytest.mark.noskip
-
-UNFUSED = {"fuse_blocks": False, "fuse_handler_calls": False}
 
 
 class _BoundaryRecorder(Executor):
@@ -71,30 +71,30 @@ def test_watchdog_abort_folds_every_completed_visit(monkeypatch):
     # abort mid-launch, where fused dispatch has folded many visits
     limit = boundaries[len(boundaries) // 2]
 
-    fused = _histogram_run(SimConfig(max_warp_instructions=limit))
-    reference = _histogram_run(
-        SimConfig(max_warp_instructions=limit, **UNFUSED))
+    config = SimConfig(max_warp_instructions=limit)
+    fused = _histogram_run(config)
+    with oracle_executor():
+        reference = _histogram_run(config)
     assert sum(fused.opcode_counts.values()) == limit
     assert fused.opcode_counts == reference.opcode_counts
     assert fused == reference
 
 
-class _ConfiguredCampaign(ErrorInjectionCampaign):
-    def __init__(self, config: SimConfig, **kwargs):
+class _RecordingCampaign(ErrorInjectionCampaign):
+    def __init__(self, **kwargs):
         super().__init__(**kwargs)
-        self.config = config
         self.devices = []
 
     def _new_device(self) -> Device:
-        device = Device(config=self.config)
+        device = Device()
         self.devices.append(device)
         return device
 
 
-def _crashed_stats(config: SimConfig):
-    campaign = _ConfiguredCampaign(config, workload=make("rodinia/nn"),
-                                   workload_name="rodinia/nn",
-                                   use_cache=False)
+def _crashed_stats():
+    campaign = _RecordingCampaign(workload=make("rodinia/nn"),
+                                  workload_name="rodinia/nn",
+                                  use_cache=False)
     # flips the top bit of an address register: the next load faults
     record = campaign.inject_once(target_event=1536, dst_seed=0,
                                   bit_seed=31)
@@ -103,14 +103,15 @@ def _crashed_stats(config: SimConfig):
 
 
 def test_device_fault_abort_folds_the_faulting_prefix():
-    fused = _crashed_stats(SimConfig())
-    reference = _crashed_stats(SimConfig(**UNFUSED))
+    fused = _crashed_stats()
+    with oracle_executor():
+        reference = _crashed_stats()
     assert fused.handler_calls > 0
     assert fused.opcode_counts == reference.opcode_counts
     assert fused == reference
 
 
-def _handler_fault_stats(config: SimConfig):
+def _handler_fault_stats():
     calls = []
 
     def handler(ctx):
@@ -119,7 +120,7 @@ def _handler_fault_stats(config: SimConfig):
             raise DeviceFault("handler fault")
 
     workload = make("rodinia/nn")
-    device = Device(config=config)
+    device = Device()
     runtime = SassiRuntime(device)
     runtime.register_before_handler(handler)
     kernel = runtime.compile(workload.build_ir(),
@@ -131,7 +132,8 @@ def _handler_fault_stats(config: SimConfig):
 
 def test_handler_fault_folds_through_the_call():
     """A handler that raises leaves its site counted up to the JCAL."""
-    fused = _handler_fault_stats(SimConfig())
-    reference = _handler_fault_stats(SimConfig(**UNFUSED))
+    fused = _handler_fault_stats()
+    with oracle_executor():
+        reference = _handler_fault_stats()
     assert fused.handler_calls == 60
     assert fused == reference

@@ -30,7 +30,7 @@ class TestWarpOps:
         from repro.sim.executor import Executor
         from repro.sim.warp import Warp
         from repro.sim.executor import CTAContext
-        from repro.sim.costmodel import CycleCounter
+        from repro.sim.scheduler import CycleCounter
 
         kernel = device.load_kernel(parse_kernel("""
 .kernel v
@@ -52,7 +52,7 @@ class TestWarpOps:
         # instead; this test covers the ISA op directly
         from repro.sim.executor import Executor, CTAContext
         from repro.sim.warp import Warp
-        from repro.sim.costmodel import CycleCounter
+        from repro.sim.scheduler import CycleCounter
 
         kernel = device.load_kernel(parse_kernel("""
 .kernel s
@@ -174,7 +174,7 @@ class TestCostModel:
 
 class TestFlo:
     def test_flo_edge_cases(self, device):
-        from repro.sim.costmodel import CycleCounter
+        from repro.sim.scheduler import CycleCounter
         from repro.sim.executor import CTAContext, Executor
         from repro.sim.warp import Warp
 

@@ -1,0 +1,103 @@
+"""The live pipeline stays on the fast path.
+
+Runs ``rodinia/nn`` and ``rodinia/pathfinder`` uninstrumented and under
+``branch_profiler`` and ``opcode_histogram``, and counts, through
+test-side wrappers only, how much of each run left the fused path:
+
+* the share of warp instructions dispatched one at a time through
+  ``Executor._execute`` (branches, predicated records and the rest of
+  what no superblock or site plan covers);
+* warp memory accesses whose vector plan was declined
+  (``_vector_plan`` returning None);
+* compiled SASSI site plans that bailed to per-instruction execution
+  (``SiteSequencePlan.execute`` returning None).
+
+The ceilings sit a little above the shares these runs have today, so a
+change that knocks records off the fused path fails here whatever the
+machine's speed.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import repro.sim.executor as executor_mod
+from repro.backend import ptxas
+from repro.handlers import BranchProfiler, OpcodeHistogram
+from repro.sassi.abi import SiteSequencePlan
+from repro.sim import Device
+from repro.sim.executor import Executor
+from repro.workloads import make
+
+pytestmark = pytest.mark.noskip
+
+WORKLOADS = ["rodinia/nn", "rodinia/pathfinder"]
+
+#: mode -> ceiling on the ``_execute`` share of warp instructions
+#: (measured today: 0.200/0.236, 0.082/0.073, 0.025/0.030 for
+#: nn/pathfinder)
+CEILINGS = {
+    "uninstrumented": 0.25,
+    "branch_profiler": 0.09,
+    "opcode_histogram": 0.035,
+}
+
+PROFILERS = {"branch_profiler": BranchProfiler,
+             "opcode_histogram": OpcodeHistogram}
+
+
+class _Counts:
+    def __init__(self):
+        self.executed = 0
+        self.declined = 0
+        self.bailed = 0
+
+
+def _count(monkeypatch) -> _Counts:
+    counts = _Counts()
+    execute = Executor._execute
+    vector_plan = executor_mod._vector_plan
+    plan_execute = SiteSequencePlan.execute
+
+    def counted_execute(self, *args):
+        counts.executed += 1
+        return execute(self, *args)
+
+    def counted_vector_plan(*args):
+        plan = vector_plan(*args)
+        counts.declined += plan is None
+        return plan
+
+    def counted_plan_execute(self, *args):
+        partial = plan_execute(self, *args)
+        counts.bailed += partial is None
+        return partial
+
+    monkeypatch.setattr(Executor, "_execute", counted_execute)
+    monkeypatch.setattr(executor_mod, "_vector_plan", counted_vector_plan)
+    monkeypatch.setattr(SiteSequencePlan, "execute", counted_plan_execute)
+    return counts
+
+
+@pytest.mark.parametrize("mode", sorted(CEILINGS))
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_runs_stay_on_the_fast_path(name, mode, monkeypatch):
+    workload = make(name)
+    device = Device()
+    if mode == "uninstrumented":
+        kernel = ptxas(workload.build_ir())
+    else:
+        kernel = PROFILERS[mode](device).compile(workload.build_ir())
+    launches = []
+    device.on_kernel_exit(lambda _d, _k, stats: launches.append(stats))
+    counts = _count(monkeypatch)
+    assert workload.verify(workload.execute(device, kernel))
+    warp_instructions = sum(s.warp_instructions for s in launches)
+    share = counts.executed / warp_instructions
+    assert share <= CEILINGS[mode], \
+        f"{name} {mode}: {share:.3f} of warp instructions dispatched " \
+        f"one at a time (ceiling {CEILINGS[mode]})"
+    assert counts.declined == 0, \
+        f"{name} {mode}: {counts.declined} vector memory plans declined"
+    assert counts.bailed == 0, \
+        f"{name} {mode}: {counts.bailed} site plans bailed"

@@ -1,8 +1,8 @@
 """Unit tests for the cycle-stepped warp scheduler.
 
 Covers the exhaustiveness contract (every opcode has a timing entry,
-and the flat model's issue costs are derived from the same table, so
-golden cycle counts cannot silently drift), plus pinned small-schedule
+and the flat ``CycleCounter``'s issue costs are derived from the same
+table, so golden cycle counts cannot silently drift), plus pinned small-schedule
 behavior: stall bubbles, memory-latency grading, scoreboard structural
 stalls, CTA barriers, and both issue policies.
 """
@@ -12,16 +12,18 @@ from __future__ import annotations
 import pytest
 
 from repro.isa.opcodes import Opcode
-from repro.sim import costmodel
 from repro.sim.scheduler import (
     DRAM_LATENCY,
     L1_HIT_LATENCY,
     L2_HIT_LATENCY,
     LATENCY_TABLE,
     POLICIES,
+    TRANSACTION_CYCLES,
+    CycleCounter,
     SchedulerConfig,
     WarpInstr,
     WarpStream,
+    block_issue_cycles,
     divergence_spans,
     missing_entries,
     schedule_launch,
@@ -46,7 +48,8 @@ LEGACY_EXTRA_ISSUE = {
 class TestLatencyTable:
     def test_every_opcode_has_an_entry(self):
         # this is the satellite guard: adding an Opcode member without
-        # a latency entry must fail here (and costmodel fails at import)
+        # a latency entry must fail here (and the scheduler's flat issue
+        # table fails at import)
         assert missing_entries() == [], (
             f"opcodes missing a LATENCY_TABLE entry: "
             f"{[op.name for op in missing_entries()]}")
@@ -76,8 +79,8 @@ class TestLatencyTable:
     def test_issue_costs_match_the_flat_model(self, opcode):
         expected = 1 + LEGACY_EXTRA_ISSUE.get(opcode, 0)
         assert LATENCY_TABLE[opcode].issue == expected
-        assert costmodel.block_issue_cycles([opcode]) == expected
-        counter = costmodel.CycleCounter()
+        assert block_issue_cycles([opcode]) == expected
+        counter = CycleCounter()
         counter.issue(opcode)
         assert counter.cycles == expected
 
@@ -140,9 +143,12 @@ class TestSingleWarp:
     def test_diverged_transactions_occupy_the_port(self):
         one = schedule_launch([[_warp(_load(0, transactions=1))]])
         eight = schedule_launch([[_warp(_load(0, transactions=8))]])
-        # 2 extra port cycles per extra transaction (the flat model's
-        # TRANSACTION_COST), charged as busy time not bubbles
+        # 2 extra port cycles per extra transaction (what the flat
+        # CycleCounter charges too), charged as busy time not bubbles
         assert eight.busy_cycles - one.busy_cycles == 2 * 7
+        counter = CycleCounter()
+        counter.memory_transactions(8)
+        assert counter.cycles == TRANSACTION_CYCLES * 7 == 2 * 7
 
     def test_scoreboard_slots_are_a_structural_limit(self):
         # more outstanding loads than slots, no consumers in range:
