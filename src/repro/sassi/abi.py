@@ -26,6 +26,7 @@ instrumented and so the simulator can attribute overhead precisely.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
@@ -46,11 +47,16 @@ from repro.sassi import params as P
 from repro.sassi.spec import InstrumentationSpec, What, Where
 from repro.sim.scheduler import block_issue_cycles
 from repro.sim.memory import SHARED_BASE
-from repro.telemetry.classify import SAVE_RESTORE_KEYS, block_dispatch_counts
+from repro.sim.warp import WARP_SIZE
+from repro.telemetry.classify import block_dispatch_counts
 
 #: Caller-saved registers a ≤16-register handler may clobber (R1 is the
 #: stack pointer and is callee-preserved by construction).
 CALLER_SAVED = frozenset(r for r in range(16) if r != 1)
+
+#: What the handler runtime leaves in the caller-saved registers of the
+#: calling lanes after every call, so under-spilling shows at once.
+POISON = 0xDEADBEEF
 
 #: Branch-target offsets are patched after the whole kernel is rebuilt;
 #: until then they are encoded as PATCH_TARGET_BASE + original index.
@@ -352,14 +358,16 @@ def _emit_register_metadata(seq: List[Instruction], instr: Instruction,
 # splits (spill / fill / save_restore / param_marshal — identical to
 # per-record ``sassi_key`` classification, which tests enforce).  On
 # its first execution the plan lowers the op lists into a
-# ``_SiteProgram``, a fixed dataflow program with one gather, one
-# scatter and one write-back per phase, so a visit no longer walks the
-# sequence op by op.
+# ``_SiteProgram``, a fixed dataflow program: one register gather, one
+# scatter of the frame image in whole words, one register write at the
+# call and — when the frame comes back as it went out — one after it,
+# so a visit no longer walks the sequence op by op.
 #
 # Anything that does not match — predicated original sites beyond the
 # Figure 2 guard-flag pair, exotic register indices, out-of-frame stack
 # pointers at run time — falls back to the per-instruction path, which
-# stays authoritative.
+# stays authoritative.  A frame whose base is not word-aligned moves
+# byte by byte, and one the handler rewrote is restored as written.
 
 
 def _gpr_index(operand) -> Optional[int]:
@@ -395,7 +403,7 @@ class SiteSequencePlan:
 
     The matched op lists (``ops``/``post_ops``) are lowered once, on the
     plan's first execution, into a :class:`_SiteProgram`; a visit then
-    costs a fixed few dozen array operations however many spills,
+    costs a fixed two dozen or so array operations however many spills,
     fields and fills the sequence has.
     """
 
@@ -443,16 +451,6 @@ class SiteSequencePlan:
         self._program: Optional[_SiteProgram] = None
         self._seeds: dict = {}
 
-    def sassi_cost_split(self) -> dict:
-        """The site's injected-overhead split by telemetry bucket."""
-        return {key: value for key, value in self.telemetry_counts.items()
-                if key.startswith("sassi.")}
-
-    @property
-    def save_restore_instructions(self) -> int:
-        return sum(self.telemetry_counts.get(key, 0)
-                   for key in SAVE_RESTORE_KEYS)
-
     def program(self) -> "_SiteProgram":
         """The lowered dataflow program (built on first use)."""
         if self._program is None:
@@ -480,22 +478,39 @@ class SiteSequencePlan:
 
     def execute(self, ex, warp, cta, g, g_idx, counter) -> Optional[int]:
         n = g_idx.size
-        if n == 0 or self.max_reg >= warp.num_regs \
-                or self.jcal_addr not in ex.device.handler_bindings:
+        binding = ex.device.handler_bindings.get(self.jcal_addr)
+        if n == 0 or binding is None or self.max_reg >= warp.num_regs:
             return None
         regs = warp.regs
         r1 = regs[1][g_idx]
         frame = self.frame
         block = cta.local_block()
         width = block.shape[1]
-        if int(r1.min()) < frame \
-                or int(r1.max()) - frame + self.max_touch > width:
-            return None
         prog = self.program()
-        # each lane's frame base as an index into the flat local block
-        base = warp.lane_thread_ids[g_idx] * width + r1
-        base -= frame
-        flat = block.reshape(-1)
+        if r1.tobytes() == r1[:1].tobytes() * n:
+            # one stack pointer for the whole warp (every real visit)
+            shift = int(r1[0]) - frame
+            if shift < 0 or shift + self.max_touch > width:
+                return None
+            words = prog.words and not shift & 3
+        else:
+            if int(r1.min()) < frame \
+                    or int(r1.max()) - frame + self.max_touch > width:
+                return None
+            shift = r1.astype(np.int64) - frame
+            words = prog.words and not (shift & 3).any()
+        # each lane's frame as indices into the flat local block: whole
+        # words when the frame is word-aligned, bytes otherwise
+        tids = warp.lane_thread_ids[g_idx]
+        if words:
+            flat = cta.local_words()
+            base = tids * (width >> 2) + (shift >> 2)
+            index = prog.store_words + base
+        else:
+            flat = block.reshape(-1)
+            base = tids * width + shift
+            index = base[:, None] + prog.store_cols
+        lanes = _ALL if n == WARP_SIZE else g_idx
 
         # derived values in program order; vals[0] is the lowered R1
         vals = [r1 - np.uint32(frame)]
@@ -511,7 +526,8 @@ class SiteSequencePlan:
             elif kind == _ADD:
                 append(vals[op[1]] + op[2])
             elif kind == _P2R:
-                append(_P2R_WEIGHTS.dot(preds[:7])[g_idx] & op[1])
+                word = _P2R_WEIGHTS.dot(preds[:7])[g_idx]
+                append(word if op[1] == _P2R_ALL else word & op[1])
             elif kind == _GUARD:
                 row = preds[op[1]][g_idx]
                 if op[2]:
@@ -525,7 +541,8 @@ class SiteSequencePlan:
                 append(result)
                 append(result < a)
             elif kind == _ADDX:
-                append(vals[op[1]] + vals[op[2]].astype(np.uint32))
+                carry_in = vals[op[2]].astype(np.uint32)
+                append(carry_in if op[1] is None else vals[op[1]] + carry_in)
             elif kind == _CARRY:
                 append(warp.carry[g_idx])
             elif kind == _ORI:
@@ -533,48 +550,110 @@ class SiteSequencePlan:
             else:  # _CONST
                 append(op[1])
 
-        # the frame image — spilled registers (one gather), derived
-        # words, template constants — scattered in one pass
-        payload = np.empty((n, prog.n_words), dtype="<u4")
-        payload[:, :prog.n_gather] = \
-            regs.take(prog.gather_rows, 0).take(g_idx, 1).T
-        for column, index in prog.node_words:
-            payload[:, column] = vals[index]
-        payload[:, prog.const_from:] = prog.const_words
-        flat[base[:, None] + prog.store_cols] = payload.view(np.uint8)
+        # the value matrix: one register gather fills the spilled rows
+        # (and R1's); derived rows and one constant block complete it
+        values = regs.take(prog.take_rows, 0)
+        if lanes is not _ALL:
+            values = values.take(g_idx, 1)
+        for row, value in prog.node_rows:
+            values[row] = vals[value]
+        values[prog.const_rows] = prog.const_col
+        # the frame image goes out in one scatter
+        image = values[:prog.n_words]
+        if not words:
+            image = np.ascontiguousarray(image.T).view(np.uint8)
+        flat[index] = image
 
         # architectural state at the call: each register's last
         # pre-call value (R1 lowered, argument pointers live)
-        regs[prog.env_const_rows, g_idx] = prog.env_const_values
-        for reg, index in prog.env_nodes:
-            regs[reg][g_idx] = vals[index]
+        _put(regs, prog.env_rows, lanes, values.take(prog.env_src, 0))
         if prog.carry is not None:
             warp.carry[g_idx] = vals[prog.carry]
 
         ex.stats.handler_calls += 1
         warp.pc = self.jcal_index
-        ex._site_plan = self
-        try:
-            ex.device.handler_bindings[self.jcal_addr](ex, warp, cta, g)
-        finally:
-            ex._site_plan = None
+        visit = getattr(binding, "visit", None)
+        if visit is None:
+            binding(ex, warp, cta, g)
+            poisons = False
+        else:
+            poisons = visit(ex, warp, cta, g, g_idx, self)
 
-        # restores: one gather of every slot still read after the call
-        # (the handler may have rewritten the frame — SetRegValue)
-        if prog.fill_cols.size:
-            filled = flat[base[:, None] + prog.fill_cols].view("<u4")
-        for rows, bits, column, reg in prog.r2p:
-            value = filled[:, column] if reg is None else regs[reg][g_idx]
-            preds[rows, g_idx] = (value & bits) != 0
-        if prog.carry_restore is not None:
-            column, reg = prog.carry_restore
-            value = filled[:, column] if reg is None else regs[reg][g_idx]
-            warp.carry[g_idx] = value != 0
-        if prog.fill_rows.size:
-            regs[prog.fill_rows, g_idx] = filled[:, :prog.fill_rows.size].T
-        regs[1][g_idx] = r1
+        if prog.clean and flat[index].tobytes() == image.tobytes():
+            # the frame still holds what was stored: every fill reloads
+            # a known value row, the predicate restores are identities
+            # and the carry comes back from its read; one register write
+            # lands the fills, the caller-saved poison and R1
+            rows, src = prog.net(warp.num_regs, poisons)
+            _put(regs, rows, lanes, values.take(src, 0))
+            if prog.carry_back is not None:
+                warp.carry[g_idx] = vals[prog.carry_back]
+        else:
+            self._restore(prog, warp, flat, base, words, g_idx, lanes,
+                          poisons)
+            regs[1][g_idx] = r1
         warp.pc = self.start + self.length
         return partial
+
+    def _restore(self, prog, warp, flat, base, words, g_idx, lanes,
+                 poisons) -> None:
+        """The restores as written, after a handler that rewrote its
+        frame (``SetRegValue``): poison, then one gather of every slot
+        still read after the call."""
+        regs = warp.regs
+        if poisons:
+            poison_caller_saved(warp, lanes)
+        filled = None
+        if prog.fill_cols.size:
+            if words:
+                filled = flat[prog.fill_words + base]
+            else:
+                filled = flat[base[:, None] + prog.fill_cols].view("<u4").T
+        for rows, bits, column, reg in prog.r2p:
+            value = filled[column] if reg is None else regs[reg][g_idx]
+            warp.preds[rows, g_idx] = (value & bits) != 0
+        if prog.carry_restore is not None:
+            column, reg = prog.carry_restore
+            value = filled[column] if reg is None else regs[reg][g_idx]
+            warp.carry[g_idx] = value != 0
+        if prog.fill_count:
+            _put(regs, prog.fill_rows, lanes, filled[:prog.fill_count])
+
+
+#: lane selector of a full-warp visit: whole rows instead of a gather
+_ALL = slice(None)
+
+
+def _rows(regs: Sequence[int]):
+    """A register-row selector: a slice when *regs* is one contiguous
+    run, else ``(rows, rows as a column)`` for the two indexing forms."""
+    regs = list(regs)
+    if regs and regs == list(range(regs[0], regs[-1] + 1)):
+        return slice(regs[0], regs[-1] + 1)
+    rows = np.asarray(regs, dtype=np.int64)
+    return rows, rows[:, None]
+
+
+def _put(regs: np.ndarray, rows, lanes, values) -> None:
+    """``regs[rows, lanes] = values`` for a :func:`_rows` selector."""
+    if isinstance(rows, slice):
+        regs[rows, lanes] = values
+    elif lanes is _ALL:
+        regs[rows[0]] = values
+    else:
+        regs[rows[1], lanes] = values
+
+
+@functools.lru_cache(maxsize=None)
+def _poison_rows(num_regs: int):
+    """The caller-saved rows of a warp with *num_regs* registers."""
+    return _rows(reg for reg in sorted(CALLER_SAVED) if reg < num_regs)
+
+
+def poison_caller_saved(warp, lanes) -> None:
+    """Overwrite the caller-saved registers of *lanes* (active-lane
+    indices, or every lane) with :data:`POISON`."""
+    _put(warp.regs, _poison_rows(warp.num_regs), lanes, np.uint32(POISON))
 
 
 # node kinds of a lowered site program
@@ -582,8 +661,9 @@ _LOAD, _CARRY, _CONST, _ADD, _ADDCC, _ADDX, _GUARD, _P2R, _ORC, _ORI = (
     "load", "carry", "const", "add", "addcc", "addx", "guard", "p2r",
     "orc", "ori")
 
-#: ``P2R`` packs P0..P6 as bit i = Pi.
+#: ``P2R`` packs P0..P6 as bit i = Pi; a mask of all seven is a no-op.
 _P2R_WEIGHTS = np.uint32(1) << np.arange(7, dtype=np.uint32)
+_P2R_ALL = 0x7F
 
 _U32 = 0xFFFFFFFF
 
@@ -595,34 +675,60 @@ class _SiteProgram:
     a constant, its original value, or a derived value (``("c", int)``,
     ``("r", reg)``, ``("v", index)``); derived values are *nodes*,
     evaluated per visit in order, whose operands index the visit's
-    value list (entry 0 is the lowered R1).  Then:
+    value list (entry 0 is the lowered R1).
 
-    * stores of original registers become one register-file gather
-      (``gather_rows``) into the frame payload;
-    * stores of constants are template words, so an immediate that is
-      overwritten before the call costs nothing at run time;
-    * only each register's last pre-call value reaches the register
-      file — constants in one indexed write, derived values row by row;
-    * of the restores, only each register's last fill is written back
-      (one indexed write), and besides those only the slots the
-      predicate and carry restores read are gathered.
+    A visit assembles one *value matrix*, a row per value and a column
+    per active lane, laid out as:
 
-    Payload words are ordered gathered, derived, constant;
-    ``store_cols`` maps each payload byte to its frame byte offset.
+    * ``[0, n_words)`` — the frame image's words: stored registers
+      (filled by one register-file gather, ``take_rows``), derived
+      words, then constant words (so an immediate overwritten before
+      the call costs nothing at run time);
+    * ``const_rows`` — the constant words, plus the constants the
+      registers hold at the call and :data:`POISON`, in one block;
+    * the original R1 (gathered with the spilled registers), then the
+      derived values only the registers at the call hold.
+
+    The frame image goes out in one scatter of whole words
+    (``store_words``, frame word offsets; ``store_cols`` maps each image
+    byte instead, for a frame whose base is not word-aligned), and the
+    registers at the call come from one take of the matrix
+    (``env_rows``/``env_src``).
+
+    The restores are lowered twice.  As written (``fill_*``, ``r2p``,
+    ``carry_restore``): only each register's last fill is written back,
+    and besides those only the slots the predicate and carry restores
+    read are gathered.  And for a *clean* frame — every stored word
+    still what was stored, which a visit checks with one comparison —
+    when lowering proves that each fill reads a stored word, that every
+    ``R2P`` reads back its own ``P2R`` word under a covering mask (an
+    identity: the injected code writes no predicate, and a handler
+    changes the caller's state only through its frame and the
+    caller-saved registers) and that the carry restore reads back the
+    carry read before the call (an identity unless an ``IADD.CC``
+    ran): then ``clean`` is set, the net
+    effect of the restores and the caller-saved poison is one register
+    write from the value matrix (``net``), and ``carry_back`` names the
+    value the carry returns to when an ``IADD.CC`` dirtied it.
     """
 
-    __slots__ = ("nodes", "n_words", "n_gather", "gather_rows",
-                 "node_words", "const_from", "const_words", "store_cols",
-                 "statics", "env_const_rows", "env_const_values",
-                 "env_nodes", "carry", "fill_cols", "fill_rows", "r2p",
-                 "carry_restore", "_size", "_memo")
+    __slots__ = ("nodes", "n_words", "take_rows", "node_rows",
+                 "const_rows", "const_col", "store_cols", "store_words",
+                 "words", "statics", "env_rows", "env_src", "carry",
+                 "fill_cols", "fill_words", "fill_rows", "fill_count",
+                 "r2p", "carry_restore", "clean", "carry_back",
+                 "_net_fills", "_r1_row", "_poison_row", "_nets",
+                 "_size", "_memo", "_node_at")
 
     def __init__(self, plan: SiteSequencePlan):
         self.nodes: list = []
         self._size = 1          # vals[0] is the lowered R1
         self._memo: dict = {}
-        self._lower_call(plan)
+        self._node_at: dict = {}
+        self._nets: dict = {}
+        stored = self._lower_call(plan)
         self._lower_restores(plan)
+        self._lower_clean(plan, stored)
 
     def _emit(self, op: tuple, outputs: int = 1, pure: bool = True) -> int:
         """Append node *op*; return the value index of its first output.
@@ -631,6 +737,7 @@ class _SiteProgram:
             return self._memo[op]
         index = self._size
         self.nodes.append(op)
+        self._node_at[index] = op
         self._size += outputs
         if pure:
             self._memo[op] = index
@@ -649,7 +756,9 @@ class _SiteProgram:
         return self._emit((_CONST, np.bool_(value) if isinstance(value, bool)
                            else np.uint32(value)))
 
-    def _lower_call(self, plan: SiteSequencePlan) -> None:
+    def _lower_call(self, plan: SiteSequencePlan) -> dict:
+        """Lower the pre-call ops; returns ``{frame offset: (row,
+        ref)}`` for every stored word."""
         env: dict = {1: ("v", 0)}
         carry = ("carry",)         # the architectural carry, unread yet
         carry_dirty = False
@@ -702,8 +811,10 @@ class _SiteProgram:
                 if a[0] == "c" and carry[0] == "c":
                     env[dst] = ("c", (a[1] + int(carry[1])) & _U32)
                 else:
+                    # a zero addend (the carry spill) adds nothing
                     env[dst] = ("v", self._emit(
-                        (_ADDX, self._value(a), self._value(carry))))
+                        (_ADDX, None if a == ("c", 0) else self._value(a),
+                         self._value(carry))))
             elif kind == "guard":
                 _, dst, pred, negated, v_pass, v_fail = op
                 # never shared: every pair counts its own partial dispatch
@@ -713,7 +824,7 @@ class _SiteProgram:
             else:  # "p2r"
                 env[op[1]] = ("v", self._emit((_P2R, np.uint32(op[2]))))
 
-        # frame payload words, regrouped gathered / derived / constant
+        # frame words, regrouped gathered / derived / constant
         template = plan.template
         gathered, derived, consts = [], [], []
         for pos in range(0, template.size, 4):
@@ -728,31 +839,46 @@ class _SiteProgram:
                 derived.append((pos, ref))
         words = gathered + derived + consts
         self.n_words = len(words)
-        self.n_gather = len(gathered)
-        self.const_from = len(gathered) + len(derived)
-        self.gather_rows = np.asarray([ref[1] for _, ref in gathered],
-                                      dtype=np.int64)
-        self.node_words = tuple(
-            (self.n_gather + column, self._value(ref))
-            for column, (_, ref) in enumerate(derived))
-        self.const_words = np.asarray([ref[1] for _, ref in consts],
-                                      dtype=np.uint32)
-        self.statics = {int(plan.store_cols[pos]): ref[1]
-                        for pos, ref in consts}
+        offsets = [int(plan.store_cols[pos]) for pos, _ in words]
+        self.statics = {offset: ref[1] for offset, (_, ref)
+                        in zip(offsets, words) if ref[0] == "c"}
         self.store_cols = np.concatenate(
             [plan.store_cols[pos:pos + 4] for pos, _ in words]) \
             if words else np.zeros(0, dtype=np.int64)
+        self.store_words = np.asarray(
+            offsets, dtype=np.int64)[:, None] >> 2
+        self.words = all(offset % 4 == 0 for offset in offsets)
 
-        const_env = sorted((reg, ref[1]) for reg, ref in env.items()
-                           if ref[0] == "c")
-        self.env_const_rows = np.asarray(
-            [reg for reg, _ in const_env], dtype=np.int64)[:, None]
-        self.env_const_values = np.asarray(
-            [value for _, value in const_env], dtype=np.uint32)[:, None]
-        self.env_nodes = tuple((reg, self._value(ref))
-                               for reg, ref in sorted(env.items())
-                               if ref[0] != "c")
+        # the value matrix's rows (see the class docstring)
+        refs = [ref for _, ref in words]
+        const_refs = [ref for _, ref in consts]
+        extra = [ref for _, ref in sorted(env.items()) if ref[0] == "c"]
+        for ref in extra + [("c", POISON)]:
+            if ref not in const_refs:
+                const_refs.append(ref)
+        start = len(gathered) + len(derived)
+        self.const_rows = slice(start, start + len(const_refs))
+        self.const_col = np.asarray([ref[1] for ref in const_refs],
+                                    dtype=np.uint32)[:, None]
+        refs[start:] = const_refs
+        self._r1_row = len(refs)
+        refs.append(("r", 1))
+        self._poison_row = refs.index(("c", POISON))
+        for ref in env.values():
+            if ref not in refs:
+                refs.append(ref)
+        self.take_rows = np.asarray(
+            [ref[1] if ref[0] == "r" else 0 for ref in refs],
+            dtype=np.int64)
+        self.node_rows = tuple((row, ref[1]) for row, ref in enumerate(refs)
+                               if ref[0] == "v")
+        env_regs = sorted(env)
+        self.env_rows = _rows(env_regs)
+        self.env_src = np.asarray([refs.index(env[reg]) for reg in env_regs],
+                                  dtype=np.int64)
         self.carry = self._value(carry) if carry_dirty else None
+        return {offset: (row, ref)
+                for row, (offset, ref) in enumerate(zip(offsets, refs))}
 
     def _lower_restores(self, plan: SiteSequencePlan) -> None:
         slot_of: dict = {}          # register -> its latest fill slot
@@ -778,11 +904,15 @@ class _SiteProgram:
         column = {}
         for index, slot in enumerate(slots):
             column.setdefault(slot, index)
+        offsets = [int(plan.fill_cols[4 * slot]) for slot in slots]
         self.fill_cols = np.concatenate(
             [plan.fill_cols[4 * slot:4 * slot + 4] for slot in slots]) \
             if slots else np.zeros(0, dtype=np.int64)
-        self.fill_rows = np.asarray([reg for reg, _ in final],
-                                    dtype=np.int64)[:, None]
+        self.fill_words = np.asarray(offsets, dtype=np.int64)[:, None] >> 2
+        self.words = self.words and all(offset % 4 == 0
+                                        for offset in offsets)
+        self.fill_rows = _rows(reg for reg, _ in final)
+        self.fill_count = len(final)
 
         def source(slot, reg):
             return (column[slot], None) if slot is not None \
@@ -798,6 +928,58 @@ class _SiteProgram:
                             *source(slot, reg)))
         self.r2p = tuple(r2p)
         self.carry_restore = source(*carry_read) if carry_read else None
+
+    def _lower_clean(self, plan: SiteSequencePlan, stored: dict) -> None:
+        """Prove the restores reduce to one register write when the
+        frame is clean (see the class docstring)."""
+        self.clean = False
+        self.carry_back = None
+        self._net_fills = fills = {}   # register -> value-matrix row
+        node_at = self._node_at
+        held: dict = {}                # register -> ref its fill reloads
+        carry_back = None
+        for op in plan.post_ops:
+            kind = op[0]
+            if kind == "fill":
+                hit = stored.get(int(plan.fill_cols[4 * op[2]]))
+                if hit is None:
+                    return
+                fills[op[1]], held[op[1]] = hit
+                continue
+            ref = held.get(op[1])
+            node = node_at.get(ref[1]) if ref and ref[0] == "v" else None
+            if node is None:
+                return
+            if kind == "r2p":
+                if node[0] != _P2R or op[2] & 0x7F & ~int(node[1]):
+                    return
+            else:  # "ccres" of the ``IADD.X`` spill of the carry read
+                if node[0] != _ADDX or node[1] is not None \
+                        or node_at.get(node[2]) != (_CARRY,):
+                    return
+                carry_back = node[2]
+        self.clean = True
+        if self.carry is not None:
+            self.carry_back = carry_back
+
+    def net(self, num_regs: int, poisons: bool):
+        """``(rows, value rows)`` of a clean visit's one register write:
+        each register's last fill, R1, and with *poisons* every other
+        caller-saved register the warp has."""
+        key = (num_regs, poisons)
+        hit = self._nets.get(key)
+        if hit is None:
+            final = dict(self._net_fills)
+            final[1] = self._r1_row
+            if poisons:
+                for reg in CALLER_SAVED:
+                    if reg < num_regs:
+                        final.setdefault(reg, self._poison_row)
+            regs = sorted(final)
+            hit = self._nets[key] = (
+                _rows(regs),
+                np.asarray([final[reg] for reg in regs], dtype=np.int64))
+        return hit
 
 
 def compile_site_plan(records, start: int, handler_base: int):

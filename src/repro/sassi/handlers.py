@@ -30,7 +30,7 @@ import numpy as np
 from repro.backend import CompileOptions, ptxas
 from repro.isa.program import SassKernel
 from repro.sassi import params as P
-from repro.sassi.abi import CALLER_SAVED, frame_parts
+from repro.sassi.abi import POISON, frame_parts, poison_caller_saved
 from repro.sassi.inject import InjectionReport, instrument_kernel
 from repro.sassi.params import (
     SASSIAfterParams,
@@ -44,8 +44,6 @@ from repro.sassi.threadsimt import ThreadHandlerError, run_warp_handler
 from repro.sim.memory import GLOBAL_BASE, LOCAL_BASE
 from repro.sim.warp import WARP_SIZE, mask_to_u32
 from repro.telemetry.collector import TELEMETRY, span as telemetry_span
-
-POISON = 0xDEADBEEF
 
 
 class HandlerRegistrationError(Exception):
@@ -144,9 +142,18 @@ class SASSIContext:
 
     # ---- device-memory access (handler-side atomics & loads) ----
 
-    def _offset(self, address: int, width: int) -> int:
+    def _word(self, address: int, width: int):
+        """``(typed heap view, index)`` of an aligned in-heap access of
+        *width* 4 or 8, else ``(None, heap offset)``: the caller then
+        goes through ``Memory.read``/``write``, which fault out of heap
+        and handle any alignment."""
         offset = int(address) - GLOBAL_BASE
-        return offset
+        device = self.device
+        words = device.heap_words.get(width)
+        if words is None or offset % width or offset < 0 \
+                or offset + width > device.heap_bytes:
+            return None, offset
+        return words, offset // width
 
     def atomic_add(self, address: int, value: int, width: int = 8) -> int:
         return self.device_atomic(address, value, width, "add")
@@ -159,9 +166,9 @@ class SASSIContext:
 
     def device_atomic(self, address: int, value: int, width: int,
                       op: str) -> int:
+        words, at = self._word(address, width)
         mem = self.device.global_mem
-        offset = self._offset(address, width)
-        old = mem.read(offset, width)
+        old = int(words[at]) if words is not None else mem.read(at, width)
         if op == "add":
             new = old + int(value)
         elif op == "and":
@@ -176,16 +183,25 @@ class SASSIContext:
             new = max(old, int(value))
         else:
             raise ValueError(f"unknown atomic op {op!r}")
-        mem.write(offset, width, new & ((1 << (8 * width)) - 1))
+        new &= (1 << (8 * width)) - 1
+        if words is not None:
+            words[at] = new
+        else:
+            mem.write(at, width, new)
         return old
 
     def read_device(self, address: int, width: int = 4) -> int:
-        return self.device.global_mem.read(self._offset(address, width),
-                                           width)
+        words, at = self._word(address, width)
+        if words is not None:
+            return int(words[at])
+        return self.device.global_mem.read(at, width)
 
     def write_device(self, address: int, value: int, width: int = 4) -> None:
-        self.device.global_mem.write(self._offset(address, width), width,
-                                     int(value))
+        words, at = self._word(address, width)
+        if words is not None:
+            words[at] = int(value) & ((1 << (8 * width)) - 1)
+        else:
+            self.device.global_mem.write(at, width, int(value))
 
 
 class SASSIThreadContext:
@@ -237,7 +253,9 @@ class SassiRuntime:
         #: object and the frame layout, resolved once per site instead
         #: of per invocation (cleared when a new spec is instrumented)
         self._site_cache: dict = {}
-        self._poison_rows: dict = {}
+        #: site plan -> its bound context skeleton, for the ``where`` it
+        #: names first (cleared with the site cache)
+        self._plan_sites: dict = {}
 
     # ---------------------------------------------------- registration
 
@@ -260,8 +278,8 @@ class SassiRuntime:
         registration = _Registration(name, fn, kind, registers)
         self._registrations[name] = registration
         address = self.device.program.add_handler_symbol(name)
-        self.device.handler_bindings[address] = self._make_binding(
-            registration, where)
+        self.device.handler_bindings[address] = _Binding(
+            self, registration, where)
 
     def register_before_handler(self, fn: Callable, kind: str = "warp",
                                 registers: int = 16,
@@ -291,6 +309,7 @@ class SassiRuntime:
                     f"with -maxrregcount={spec.handler_register_cap})")
         self._spec = spec
         self._site_cache.clear()
+        self._plan_sites.clear()
 
         def final_pass(kernel: SassKernel) -> SassKernel:
             report = InjectionReport()
@@ -335,56 +354,10 @@ class SassiRuntime:
 
     # ------------------------------------------------------ trampoline
 
-    def _make_binding(self, registration: _Registration, where: Where):
-        def invoke(ctx):
-            if registration.kind == "warp":
-                registration.fn(ctx)
-                return
-
-            def make_gen(lane):
-                return registration.fn(SASSIThreadContext(ctx, lane))
-
-            def atomic(address, value, width, op):
-                return ctx.device_atomic(address, value, width, op)
-
-            run_warp_handler(ctx.lanes(), make_gen, atomic)
-
-        invocations_key = f"handler.invocations.{registration.name}"
-
-        def binding(executor, warp, cta, mask):
-            ctx = self._build_context(executor, warp, cta, mask, where)
-            telemetry = TELEMETRY
-            if telemetry.enabled:
-                telemetry.incr(invocations_key)
-                start = telemetry.clock()
-                try:
-                    invoke(ctx)
-                finally:
-                    telemetry.add_time("handler_body_seconds",
-                                       telemetry.clock() - start)
-            else:
-                invoke(ctx)
-            if self.poison_caller_saved:
-                self._poison(warp, ctx.lanes_idx)
-
-        return binding
-
-    def _build_context(self, executor, warp, cta, mask,
-                       where: Where) -> SASSIContext:
-        lanes = np.nonzero(mask)[0]
-        lane0 = int(lanes[0])
-        pointer = int(warp.regs[4, lane0]) \
-            | (int(warp.regs[5, lane0]) << 32)
-        base = pointer - LOCAL_BASE
-        view_cls = SASSIAfterParams if where is Where.AFTER \
-            else SASSIBeforeParams
-        shared_mask = mask.copy()
-        bp = view_cls(executor, warp, cta, shared_mask, base, lanes=lanes)
-        # a compiled site plan knows the frame's constant fields (site
-        # key included) without reading them back from local memory
-        plan = getattr(executor, "_site_plan", None)
-        if plan is not None:
-            bp.seed_statics(plan.static_fields(0))
+    def _site(self, bp, where: Where) -> tuple:
+        """``(instr, memory_at, branch_at, regs_at, with_memory,
+        with_branch, with_regs)`` of the site *bp* describes, resolved
+        once per site."""
         site_key = (bp.GetFnAddr(), bp.GetInsOffset(), where)
         site = self._site_cache.get(site_key)
         if site is None:
@@ -398,36 +371,123 @@ class SassiRuntime:
                 wm = wb = wr = False
             site = (instr, memory_at, branch_at, regs_at, wm, wb, wr)
             self._site_cache[site_key] = site
-        instr, memory_at, branch_at, regs_at, wm, wb, wr = site
+        return site
+
+    def _build_context(self, executor, warp, cta, mask, where: Where,
+                       lanes=None, plan=None) -> SASSIContext:
+        """The handler's context at a call.  A compiled site *plan*
+        binds its site, view classes and frame constants once, so later
+        visits only construct the views."""
+        if lanes is None:
+            lanes = np.nonzero(mask)[0]
+        lane0 = int(lanes[0])
+        regs = warp.regs
+        base = (int(regs[4, lane0]) | (int(regs[5, lane0]) << 32)) \
+            - LOCAL_BASE
+        mask = mask.copy()
+        bound = self._plan_sites.get(plan)
+        if bound is None or bound[0] is not where:
+            bound = self._bind(executor, warp, cta, mask, where, lanes, plan,
+                               base)
+            if plan is not None:
+                self._plan_sites[plan] = bound
+        _, view_cls, instr, statics, memory, branch, registers = bound
+        bp = view_cls(executor, warp, cta, mask, base, lanes, statics)
         bp._instruction = instr
         mp = brp = rp = None
-        if wm:
-            mp = SASSIMemoryParams(executor, warp, cta, shared_mask,
-                                   base + memory_at, lanes=lanes)
-            if plan is not None:
-                mp.seed_statics(plan.static_fields(memory_at))
-        if wb:
-            brp = SASSICondBranchParams(executor, warp, cta, shared_mask,
-                                        base + branch_at, lanes=lanes)
-            if plan is not None:
-                brp.seed_statics(plan.static_fields(branch_at))
-        if wr:
-            rp = SASSIRegisterParams(executor, warp, cta, shared_mask,
-                                     base + regs_at, lanes=lanes)
-            if plan is not None:
-                rp.seed_statics(plan.static_fields(regs_at))
-        return SASSIContext(executor, warp, cta, shared_mask, bp,
+        if memory is not None:
+            mp = SASSIMemoryParams(executor, warp, cta, mask,
+                                   base + memory[0], lanes, memory[1])
+        if branch is not None:
+            brp = SASSICondBranchParams(executor, warp, cta, mask,
+                                        base + branch[0], lanes, branch[1])
+        if registers is not None:
+            rp = SASSIRegisterParams(executor, warp, cta, mask,
+                                     base + registers[0], lanes,
+                                     registers[1])
+        return SASSIContext(executor, warp, cta, mask, bp,
                             mp=mp, brp=brp, rp=rp, where=where,
                             lanes=lanes)
 
-    def _poison(self, warp, lanes) -> None:
-        """Overwrite the caller-saved registers of the calling *lanes*
-        (active-lane indices)."""
-        rows = self._poison_rows.get(warp.num_regs)
-        if rows is None:
-            rows = np.asarray(
-                [reg for reg in sorted(CALLER_SAVED)
-                 if reg < warp.num_regs], dtype=np.int64)[:, None]
-            self._poison_rows[warp.num_regs] = rows
-        if rows.size:
-            warp.regs[rows, lanes] = POISON
+    def _bind(self, executor, warp, cta, mask, where: Where, lanes, plan,
+              base: int) -> tuple:
+        """``(where, view class, instruction, statics, memory, branch,
+        registers)`` of a site: each extra view as ``(frame offset,
+        statics)`` or None; statics come from *plan* when there is one."""
+        view_cls = SASSIAfterParams if where is Where.AFTER \
+            else SASSIBeforeParams
+        statics = plan.static_fields(0) if plan is not None else None
+        bp = view_cls(executor, warp, cta, mask, base, lanes, statics)
+        instr, memory_at, branch_at, regs_at, wm, wb, wr = \
+            self._site(bp, where)
+
+        def extra(offset, wanted):
+            if not wanted:
+                return None
+            return (offset,
+                    plan.static_fields(offset) if plan is not None else None)
+
+        return (where, view_cls, instr, statics, extra(memory_at, wm),
+                extra(branch_at, wb), extra(regs_at, wr))
+
+
+class _Binding:
+    """What a ``JCAL`` to a registered handler reaches: it builds the
+    handler's context, runs the body (timed and counted when telemetry
+    is on) and, when the runtime poisons, poisons the caller-saved
+    registers of the calling lanes.
+
+    A compiled site plan calls :meth:`visit` instead, which leaves the
+    poison to the plan's restores (it reports whether to poison)."""
+
+    __slots__ = ("runtime", "registration", "where", "invocations_key")
+
+    def __init__(self, runtime: SassiRuntime, registration: _Registration,
+                 where: Where):
+        self.runtime = runtime
+        self.registration = registration
+        self.where = where
+        self.invocations_key = f"handler.invocations.{registration.name}"
+
+    def __call__(self, executor, warp, cta, mask) -> None:
+        runtime = self.runtime
+        ctx = runtime._build_context(executor, warp, cta, mask, self.where)
+        self._run(ctx)
+        if runtime.poison_caller_saved:
+            poison_caller_saved(warp, ctx.lanes_idx)
+
+    def visit(self, executor, warp, cta, mask, lanes, plan) -> bool:
+        """The call of compiled site *plan* (*lanes*: the active-lane
+        indices of *mask*); returns whether the caller-saved registers
+        must be poisoned."""
+        runtime = self.runtime
+        self._run(runtime._build_context(executor, warp, cta, mask,
+                                         self.where, lanes, plan))
+        return runtime.poison_caller_saved
+
+    def _run(self, ctx: SASSIContext) -> None:
+        telemetry = TELEMETRY
+        if telemetry.enabled:
+            telemetry.incr(self.invocations_key)
+            start = telemetry.clock()
+            try:
+                self._invoke(ctx)
+            finally:
+                telemetry.add_time("handler_body_seconds",
+                                   telemetry.clock() - start)
+        else:
+            self._invoke(ctx)
+
+    def _invoke(self, ctx: SASSIContext) -> None:
+        registration = self.registration
+        if registration.kind == "warp":
+            registration.fn(ctx)
+            return
+
+        def make_gen(lane):
+            return registration.fn(SASSIThreadContext(ctx, lane))
+
+        def atomic(address, value, width, op):
+            return ctx.device_atomic(address, value, width, op)
+
+        run_warp_handler(ctx.lanes(), make_gen, atomic)

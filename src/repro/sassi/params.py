@@ -114,7 +114,8 @@ class _View:
     """
 
     def __init__(self, executor, warp, cta, mask: np.ndarray, base: int,
-                 lanes: Optional[np.ndarray] = None):
+                 lanes: Optional[np.ndarray] = None,
+                 statics: Optional[dict] = None):
         self._executor = executor
         self._warp = warp
         self._cta = cta
@@ -124,7 +125,9 @@ class _View:
             lanes = np.nonzero(mask)[0]
         self._lane_idx = lanes
         self._lanes_list: Optional[List[int]] = None
-        self._row_cache: dict = {}
+        #: *statics* pre-loads fields whose bytes are known to be in
+        #: memory right now (``{(offset, width): value}``), as if read
+        self._row_cache: dict = dict(statics) if statics else {}
 
     @property
     def _lanes(self) -> List[int]:
@@ -144,11 +147,6 @@ class _View:
         self._row_cache.clear()
         self._mem(lane).write(self._base + offset, width, value)
 
-    def seed_statics(self, values: dict) -> None:
-        """Pre-load static fields whose bytes are known to be in memory
-        right now (``{(offset, width): value}``), as if already read."""
-        self._row_cache.update(values)
-
     def _read_static(self, offset: int, width: int = 4) -> int:
         if self._lane_idx.size == 0:
             return 0
@@ -161,7 +159,7 @@ class _View:
 
     def _read_row(self, offset: int, width: int = 4,
                   dtype=np.int64) -> np.ndarray:
-        key = (offset, width, np.dtype(dtype).str)
+        key = (offset, width, dtype)
         row = self._row_cache.get(key)
         if row is None:
             row = self._read_row_uncached(offset, width, dtype)
@@ -182,13 +180,13 @@ class _View:
                 row[lane] = self._read_lane(lane, offset, width)
             return row
         tids = self._warp.lane_thread_ids[idx]
-        cols = start + np.arange(width, dtype=np.int64)
-        raw = np.ascontiguousarray(block[tids[:, None], cols[None, :]])
-        if width == 4:
-            words = raw.view("<u4")[:, 0]
-        elif width == 8:
-            words = raw.view("<u8")[:, 0]
+        if width in (4, 8) and not start % width:
+            # an aligned word: one gather from the block seen as words
+            words = self._cta.local_words(width)[
+                tids * (block.shape[1] // width) + start // width]
         else:
+            cols = start + np.arange(width, dtype=np.int64)
+            raw = np.ascontiguousarray(block[tids[:, None], cols[None, :]])
             words = np.zeros(idx.size, dtype=np.uint64)
             for byte in range(width):
                 words |= raw[:, byte].astype(np.uint64) \
@@ -344,8 +342,7 @@ class SASSIRegisterParams(_View):
 
     def GetRegValue(self, index: int) -> np.ndarray:
         """Per-lane value written to destination *index* (uint32)."""
-        return self._read_row(RP_VALUES + 4 * index,
-                              dtype=np.int64).astype(np.uint32)
+        return self._read_row(RP_VALUES + 4 * index, dtype=np.uint32)
 
     def SetRegValue(self, index: int, lane: int, value: int) -> None:
         """Overwrite the value for one lane; with

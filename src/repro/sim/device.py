@@ -41,6 +41,11 @@ class Device:
                  config: Optional[SimConfig] = None):
         self.heap_bytes = heap_bytes
         self.global_mem = Memory(heap_bytes, name="global")
+        #: the heap's aligned 4- and 8-byte words as typed views that
+        #: alias its bytes (handler-side atomics, loads and stores)
+        self.heap_words = {
+            width: self.global_mem.data[:heap_bytes - heap_bytes % width]
+            .view(f"<u{width}") for width in (4, 8)}
         self.const_mem = Memory(CONST_BANK_BYTES, name="const")
         self.program = SassProgram()
         self.handler_bindings: Dict[int, Callable] = {}
@@ -73,11 +78,6 @@ class Device:
         pointer = self.alloc(array.nbytes, align)
         self.memcpy_htod(pointer, array)
         return pointer
-
-    def reset_heap(self) -> None:
-        """Free everything (bump-allocator reset) and zero the heap."""
-        self._bump = 0x100
-        self.global_mem.data[:] = 0
 
     def _heap_offset(self, pointer: int, nbytes: int) -> int:
         offset = pointer - GLOBAL_BASE
@@ -113,13 +113,6 @@ class Device:
     def load_kernel(self, kernel: SassKernel) -> SassKernel:
         return self.program.add_kernel(kernel)
 
-    def bind_handler(self, name: str, fn: Callable) -> int:
-        """Assign a trampoline address to *fn* under *name* (the nvlink
-        analog for instrumentation handlers)."""
-        address = self.program.add_handler_symbol(name)
-        self.handler_bindings[address] = fn
-        return address
-
     # ------------------------------------------------------- callbacks
 
     def on_kernel_launch(self, callback: LaunchCallback) -> None:
@@ -127,10 +120,6 @@ class Device:
 
     def on_kernel_exit(self, callback: ExitCallback) -> None:
         self._exit_callbacks.append(callback)
-
-    def clear_callbacks(self) -> None:
-        self._launch_callbacks.clear()
-        self._exit_callbacks.clear()
 
     # ----------------------------------------------------------- launch
 

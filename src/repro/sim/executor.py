@@ -111,6 +111,7 @@ class CTAContext:
         self.shared = Memory(max(shared_bytes, SHARED_BYTES), name="shared")
         self.num_threads = num_threads
         self._local_block: Optional[np.ndarray] = None
+        self._local_words: Dict[int, np.ndarray] = {}
         self._local_views: Dict[int, Memory] = {}
 
     def local_block(self) -> np.ndarray:
@@ -118,6 +119,16 @@ class CTAContext:
             self._local_block = np.zeros(
                 (self.num_threads, LOCAL_PHYS_BYTES), dtype=np.uint8)
         return self._local_block
+
+    def local_words(self, width: int = 4) -> np.ndarray:
+        """The local block as one flat run of little-endian *width*-byte
+        words (a view: thread *t*'s word *w* is at
+        ``t * LOCAL_PHYS_BYTES // width + w``)."""
+        words = self._local_words.get(width)
+        if words is None:
+            words = self._local_words[width] = \
+                self.local_block().reshape(-1).view(f"<u{width}")
+        return words
 
     def local_mem(self, tid: int) -> Memory:
         mem = self._local_views.get(tid)
@@ -160,10 +171,6 @@ class Executor:
         #: their opcode histograms are folded into the launch's stats
         #: once, when the launch ends or aborts (``_fold_visits``).
         self._visits: Dict[object, int] = {}
-        #: the site plan whose handler is being called, if any — lets
-        #: the handler runtime read the site's static parameter fields
-        #: from the plan instead of local memory.
-        self._site_plan = None
 
     # ------------------------------------------------------------ launch
 

@@ -25,8 +25,3 @@ class Dim3:
         if isinstance(value, int):
             return cls(value)
         return cls(*value)
-
-
-def grid_for(total_threads: int, block: int) -> Dim3:
-    """A 1-D grid covering *total_threads* with *block*-sized CTAs."""
-    return Dim3((total_threads + block - 1) // block)

@@ -14,6 +14,10 @@ per-lane stack pointer:
   ``Executor._execute``, with per-lane memory
   (:func:`tests.executor_oracle.oracle_executor`).
 
+A second draw makes R1 word-aligned in every lane (sometimes one value
+for the whole warp, as real visits have), so frames move as whole words
+and, after a stock handler, restore through the clean-frame write.
+
 Registers, predicates, carry, ``pc``, the CTA's local-memory bytes,
 device global memory (handler side effects), :class:`KernelStats`,
 issue cycles and telemetry counters (``divergence.partial_dispatch``
@@ -252,6 +256,48 @@ def test_compiled_plan_matches_per_instruction_walk(workload, handler,
     for plan_a, plan_b in zip(plans_a, plans_b):
         assert plan_a.start == plan_b.start
         warp = _warp_state(rng, side_a[1], plan_a, mask)
+        local = rng.integers(0, 256, (WARP_SIZE, LOCAL_PHYS_BYTES),
+                             dtype=np.uint8)
+        compiled = _run(side_a, plan_a, (warp, local), compiled=True)
+        reference = _run(side_b, plan_b, (warp, local), compiled=False)
+        _assert_same(plan_a, compiled, reference)
+
+
+def _align_frames(rng, warp, plan, uniform: bool) -> None:
+    """Redraw R1 word-aligned in every lane — one stack pointer for the
+    whole warp when *uniform*, as the injected code always has."""
+    top = LOCAL_PHYS_BYTES + plan.frame - plan.max_touch
+    words = rng.integers(-(-plan.frame // 4), top // 4 + 1,
+                         1 if uniform else WARP_SIZE)
+    warp.regs[1] = words * 4
+
+
+_partial_masks = st.integers(min_value=1, max_value=(1 << WARP_SIZE) - 2)
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["full", "partial"])
+@pytest.mark.parametrize("handler", sorted(HANDLERS))
+@pytest.mark.parametrize("workload", WORKLOADS)
+@settings(max_examples=2, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       bits=_partial_masks, uniform=st.booleans())
+def test_word_aligned_frames_match_per_instruction_walk(
+        workload, handler, full, seed, bits, uniform):
+    """The draw above almost never aligns R1 (a chance of 4**-32), so
+    this one does: frames then move as whole words."""
+    side_a, side_b = _twin(workload, handler)
+    plans_a, plans_b = side_a[2], side_b[2]
+    assert plans_a and len(plans_a) == len(plans_b)
+    if full:
+        bits = (1 << WARP_SIZE) - 1
+    mask = np.array([(bits >> lane) & 1 for lane in range(WARP_SIZE)],
+                    dtype=bool)
+    rng = np.random.default_rng(seed)
+    for plan_a, plan_b in zip(plans_a, plans_b):
+        assert plan_a.program().words, "a frame with unaligned slots"
+        warp = _warp_state(rng, side_a[1], plan_a, mask)
+        _align_frames(rng, warp, plan_a, uniform)
         local = rng.integers(0, 256, (WARP_SIZE, LOCAL_PHYS_BYTES),
                              dtype=np.uint8)
         compiled = _run(side_a, plan_a, (warp, local), compiled=True)

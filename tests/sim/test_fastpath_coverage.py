@@ -1,8 +1,9 @@
 """The live pipeline stays on the fast path.
 
-Runs ``rodinia/nn`` and ``rodinia/pathfinder`` uninstrumented and under
-``branch_profiler`` and ``opcode_histogram``, and counts, through
-test-side wrappers only, how much of each run left the fused path:
+Runs ``rodinia/nn`` and ``rodinia/pathfinder`` uninstrumented, under
+``branch_profiler``, ``opcode_histogram`` and ``value_profiler``, and as
+a ``TraceRecorder`` capture, and counts, through test-side wrappers
+only, how much of each run left the fused path:
 
 * the share of warp instructions dispatched one at a time through
   ``Executor._execute`` (branches, predicated records and the rest of
@@ -23,10 +24,12 @@ import pytest
 
 import repro.sim.executor as executor_mod
 from repro.backend import ptxas
-from repro.handlers import BranchProfiler, OpcodeHistogram
+from repro.handlers import BranchProfiler, OpcodeHistogram, ValueProfiler
 from repro.sassi.abi import SiteSequencePlan
 from repro.sim import Device
 from repro.sim.executor import Executor
+from repro.trace.capture import TraceRecorder
+from repro.trace.io import TraceWriter
 from repro.workloads import make
 
 pytestmark = pytest.mark.noskip
@@ -34,16 +37,19 @@ pytestmark = pytest.mark.noskip
 WORKLOADS = ["rodinia/nn", "rodinia/pathfinder"]
 
 #: mode -> ceiling on the ``_execute`` share of warp instructions
-#: (measured today: 0.200/0.236, 0.082/0.073, 0.025/0.030 for
-#: nn/pathfinder)
+#: (measured today: 0.200/0.236, 0.082/0.073, 0.025/0.030, 0.024/0.030
+#: and 0.025/0.029 for nn/pathfinder)
 CEILINGS = {
     "uninstrumented": 0.25,
     "branch_profiler": 0.09,
     "opcode_histogram": 0.035,
+    "value_profiler": 0.035,
+    "capture": 0.035,
 }
 
 PROFILERS = {"branch_profiler": BranchProfiler,
-             "opcode_histogram": OpcodeHistogram}
+             "opcode_histogram": OpcodeHistogram,
+             "value_profiler": ValueProfiler}
 
 
 class _Counts:
@@ -81,17 +87,25 @@ def _count(monkeypatch) -> _Counts:
 
 @pytest.mark.parametrize("mode", sorted(CEILINGS))
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_runs_stay_on_the_fast_path(name, mode, monkeypatch):
+def test_runs_stay_on_the_fast_path(name, mode, monkeypatch, tmp_path):
     workload = make(name)
     device = Device()
+    writer = None
     if mode == "uninstrumented":
         kernel = ptxas(workload.build_ir())
+    elif mode == "capture":
+        writer = TraceWriter(str(tmp_path / "capture.rptrace"))
+        kernel = TraceRecorder(device, writer).compile(workload.build_ir())
     else:
         kernel = PROFILERS[mode](device).compile(workload.build_ir())
     launches = []
     device.on_kernel_exit(lambda _d, _k, stats: launches.append(stats))
     counts = _count(monkeypatch)
-    assert workload.verify(workload.execute(device, kernel))
+    try:
+        assert workload.verify(workload.execute(device, kernel))
+    finally:
+        if writer is not None:
+            writer.close()
     warp_instructions = sum(s.warp_instructions for s in launches)
     share = counts.executed / warp_instructions
     assert share <= CEILINGS[mode], \
