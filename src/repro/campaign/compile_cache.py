@@ -24,7 +24,7 @@ import os
 import pickle
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.backend.compiler import CompileOptions, ptxas
 from repro.isa.program import SassKernel
@@ -227,10 +227,3 @@ def cached_sassi_compile(runtime, kernel_ir: KernelIR,
     kernel = runtime.compile(kernel_ir, spec)
     cache.store(key, kernel, runtime.reports[-1])
     return kernel
-
-
-def cache_counter_totals() -> Tuple[int, int]:
-    """(hits, misses) of the process-wide cache — convenience for the
-    telemetry summary and tests."""
-    cache = get_cache()
-    return cache.stats.hits, cache.stats.misses

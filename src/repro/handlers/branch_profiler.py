@@ -15,7 +15,7 @@ provided; tests check they agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -38,10 +38,6 @@ class BranchStats:
     taken_threads: int
     not_taken_threads: int
     divergent: int
-
-    @property
-    def divergence_rate(self) -> float:
-        return self.divergent / self.total if self.total else 0.0
 
 
 @dataclass

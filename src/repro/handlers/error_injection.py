@@ -26,15 +26,13 @@ from __future__ import annotations
 
 import enum
 import os
-import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.campaign.compile_cache import CACHE_DIR_ENV, CompileCache, \
-    get_cache
+from repro.campaign.compile_cache import CompileCache, get_cache
 from repro.campaign.engine import run_tasks, trial_rng
 from repro.sassi import SassiRuntime, spec_from_flags
 from repro.sassi.cupti import CounterBuffer, CuptiSubscription
@@ -54,16 +52,6 @@ INJECT_FLAGS = ("-sassi-inst-after=reg-writes,memory "
 TRACED_INJECT_FLAGS = ("-sassi-inst-before=all "
                        "-sassi-before-args=mem-info,cond-branch-info "
                        + INJECT_FLAGS)
-
-
-def default_trace_dir(workload_name: str) -> str:
-    """Per-workload sidecar directory under the campaign cache layout
-    (``$REPRO_CACHE_DIR/traces/<workload>`` when the cache dir is set)."""
-    root = os.environ.get(CACHE_DIR_ENV) or os.path.join(
-        tempfile.gettempdir(), "repro-cache")
-    safe = "".join(c if c.isalnum() or c in "-_." else "_"
-                   for c in workload_name)
-    return os.path.join(root, "traces", safe)
 
 
 class InjectionOutcome(enum.Enum):

@@ -15,8 +15,8 @@ not kill (guard-false lanes keep the old value along the same path).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.isa.instruction import Instruction, LabelRef
 from repro.isa.opcodes import Opcode
@@ -73,12 +73,11 @@ def _branch_target(instr: Instruction) -> LabelRef:
 
 @dataclass
 class LivenessResult:
-    """Per-instruction live-in/live-out register sets."""
+    """Per-instruction live-in register sets and live-out GPR sets."""
 
     gpr_in: List[FrozenSet[int]]
     gpr_out: List[FrozenSet[int]]
     pred_in: List[FrozenSet[int]]
-    pred_out: List[FrozenSet[int]]
 
     def live_gprs_at(self, index: int) -> Tuple[GPR, ...]:
         """GPRs live *across* the site before instruction *index* — i.e.
@@ -91,9 +90,6 @@ class LivenessResult:
 
     def live_gprs_after(self, index: int) -> Tuple[GPR, ...]:
         return tuple(GPR(i) for i in sorted(self.gpr_out[index]))
-
-    def live_preds_after(self, index: int) -> Tuple[Pred, ...]:
-        return tuple(Pred(i) for i in sorted(self.pred_out[index]))
 
 
 def _uses_defs(instr: Instruction) -> Tuple[Set[int], Set[int], Set[int], Set[int]]:
@@ -138,20 +134,15 @@ def compute_liveness(kernel: SassKernel) -> LivenessResult:
                 changed = True
 
     gpr_out: List[FrozenSet[int]] = []
-    pred_out: List[FrozenSet[int]] = []
     for index in range(count):
         gout: Set[int] = set()
-        pout: Set[int] = set()
         for succ in succs[index]:
             gout |= gpr_in[succ]
-            pout |= pred_in[succ]
         gpr_out.append(frozenset(gout))
-        pred_out.append(frozenset(pout))
     return LivenessResult(
         gpr_in=[frozenset(s) for s in gpr_in],
         gpr_out=gpr_out,
         pred_in=[frozenset(s) for s in pred_in],
-        pred_out=pred_out,
     )
 
 

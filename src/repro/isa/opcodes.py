@@ -187,11 +187,6 @@ def classes_of(opcode: Opcode) -> OpClass:
     return OPCODE_CLASSES[opcode]
 
 
-def opcode_from_value(value: int) -> Opcode:
-    """Inverse of ``Opcode.value`` (raises ``ValueError`` on bad values)."""
-    return Opcode(value)
-
-
 #: Modifier vocabulary, used by both the text parser and the encoder.  Order
 #: matters: a modifier's encoding index is its position in this tuple.
 MODIFIERS = (

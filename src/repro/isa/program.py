@@ -10,7 +10,7 @@ keyed by ``GetInsAddr()``) see realistic-looking byte addresses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.isa.instruction import Instruction, LabelRef
 
@@ -75,17 +75,6 @@ class SassKernel:
             if param.name == name:
                 return param.offset
         raise KeyError(f"kernel {self.name!r} has no param {name!r}")
-
-    def with_instructions(
-        self,
-        instructions: Tuple[Instruction, ...],
-        labels: Optional[Dict[str, int]] = None,
-    ) -> "SassKernel":
-        return replace(
-            self,
-            instructions=instructions,
-            labels=self.labels if labels is None else labels,
-        )
 
     def validate(self) -> None:
         """Check that every label target and label reference is in range."""

@@ -296,11 +296,6 @@ class LaunchSchedule:
     def bubble_cycles(self) -> int:
         return self.cycles - self.busy_cycles
 
-    def top_hotspots(self, n: int = 5) -> List[Hotspot]:
-        rows = sorted(self.hotspots.values(),
-                      key=lambda h: (-h.cost, h.addr))
-        return rows[:n]
-
     def top_bubbles(self, n: int = 5) -> List[Bubble]:
         rows = sorted(self.bubbles,
                       key=lambda b: (-b.cycles, b.cta, b.start))

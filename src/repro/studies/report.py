@@ -101,17 +101,6 @@ def heatmap(matrix: np.ndarray, title: str = "") -> str:
 
 # ----------------------------------------------------- sampled counters
 
-def scaled_estimate(count, rate: int) -> int:
-    """The unbiased estimate a sampled counter stands for.
-
-    Handlers already multiply their increments by the firing's sample
-    rate, so counters read back from the device *are* scaled estimates
-    and ``rate`` here is 1; use this helper when aggregating raw
-    (unscaled) event counts, e.g. trace-event tallies.
-    """
-    return int(count) * int(rate)
-
-
 def sampling_ci(count, rate: int, z: float = 1.96):
     """A normal-approximation confidence interval for a 1/``rate``
     sampled counter whose *scaled* estimate is ``count * rate``.

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 MAGIC = b"RPTR"
 TRAILER_MAGIC = b"RPTE"
@@ -203,9 +203,6 @@ class BranchEvent:
         return self.taken != self.active and self.not_taken != self.active
 
 
-TraceEvent = object  # union marker for documentation purposes
-
-
 # ---------------------------------------------------------------------
 # codec: events <-> bytes (with cross-event delta state)
 # ---------------------------------------------------------------------
@@ -337,47 +334,6 @@ def iter_slice_events(data: bytes) -> Iterator[object]:
         tag, pos = decode_varint(data, pos)
         event, pos = decode_event(tag, data, pos, state)
         yield event
-
-
-def decode_varint_stream(data: bytes, pos: int = 0) -> list:
-    """Every varint in ``data[pos:]`` as one flat list.
-
-    Only valid where the remaining bytes are *pure* varints — true for
-    any span of INSTR/MEM/BRANCH/KEND records (their tags and payloads
-    are all varints; only LAUNCH embeds raw string bytes).  One tight
-    pass over the bytes, no per-value function calls — the decode fast
-    path under columnar replay.
-    """
-    values: list = []
-    append = values.append
-    result = 0
-    shift = 0
-    for byte in memoryview(data)[pos:]:
-        if byte & 0x80:
-            result |= (byte & 0x7F) << shift
-            shift += 7
-            if shift > 70:
-                raise TraceFormatError("varint too long (corrupt trace)")
-        else:
-            append(result | (byte << shift))
-            result = 0
-            shift = 0
-    if shift:
-        raise TraceFormatError("truncated varint (unexpected EOF)")
-    return values
-
-
-def decode_launch_frame(data: bytes) -> Tuple[LaunchEvent, list]:
-    """Split one ``LAUNCH .. KEND`` frame slice into its launch header
-    and the flat varint token stream of every record after it."""
-    pos = 0
-    tag, pos = decode_varint(data, pos)
-    if tag != TAG_LAUNCH:
-        raise TraceFormatError(
-            "frame slice does not start at a launch record")
-    state = EncoderState()
-    launch, pos = decode_event(tag, data, pos, state)
-    return launch, decode_varint_stream(data, pos)
 
 
 # ---------------------------------------------------------------------

@@ -18,11 +18,12 @@ records as ndarray columns.  :func:`decode_frame_columns` builds it
 from an indexed ``LAUNCH .. KEND`` frame slice — the whole varint
 stream in a few numpy passes (continuation-bit segmentation, masked
 shift-accumulate, cumulative-sum zigzag-delta undo, pointer-doubled
-record walk), with the scalar token walk kept as the bit-exact
-reference for frames the vector pass cannot take.  :func:`event_frames`
-builds the same batches from an event stream (no sidecar, stray
+record walk).  :class:`FrameBuilder` builds the same batch from events:
+from the slice's events for frames the vector pass cannot take, and
+through :func:`event_frames` from an event stream (no sidecar, stray
 events, file-object readers).  :func:`repro.trace.replay.replay`, the
-timing model and ``repro trace query`` all consume it.
+timing model and ``repro trace query`` all consume it; query turns a
+hit row back into an event with :meth:`FrameColumns.record`.
 """
 
 from __future__ import annotations
@@ -61,12 +62,10 @@ from repro.trace.format import (
     decode_event,
     decode_footer,
     decode_varint,
-    decode_varint_stream,
     encode_event,
     encode_footer,
     encode_varint,
     iter_slice_events,
-    unzigzag,
 )
 
 #: flush the host-side buffer once it holds this many bytes
@@ -455,7 +454,7 @@ def _parse_footer_block(footer: bytes, version: int,
 
 #: longest varint the vectorized decoder accepts: 9 bytes carry 63
 #: payload bits, so every decoded value fits int64 without overflow.
-#: Longer (still wire-legal) varints punt to the scalar reference.
+#: Longer (still wire-legal) varints punt to the event decoder.
 _VECTOR_VARINT_MAX = 9
 
 #: |cumulative address| ceiling for trusting the int64 delta cumsum; a
@@ -470,9 +469,9 @@ def _decode_varints(data: bytes, pos: int) -> Optional[np.ndarray]:
     The vectorized core of the columnar decoder: terminator bytes
     (``< 0x80``) segment the stream, and one masked shift-accumulate
     per varint-length step assembles all values at once.  Returns
-    ``None`` when the stream needs the scalar reference decoder — a
-    truncated trailing varint (the scalar path raises the canonical
-    error) or a varint longer than 9 bytes (could overflow int64).
+    ``None`` when the stream needs the event decoder — a truncated
+    trailing varint (the event decoder raises the canonical error) or a
+    varint longer than 9 bytes (could overflow int64).
     """
     buf = np.frombuffer(data, dtype=np.uint8, offset=pos)
     if buf.size == 0:
@@ -502,7 +501,7 @@ def _record_starts(tok: np.ndarray) -> Optional[np.ndarray]:
     Pointer doubling walks it in O(log n) array passes instead of one
     Python step per record.  Returns ``None`` on any structural
     anomaly — unknown tag, nested launch, a record overrunning the
-    stream — so the scalar walk can raise its canonical error.
+    stream — so the event decoder can raise its canonical error.
     """
     n = int(tok.size)
     if n == 0:
@@ -545,7 +544,7 @@ def _unzigzag_cumsum(raw: np.ndarray) -> Optional[np.ndarray]:
 
 def _columns_vector(tok: np.ndarray) -> Optional[tuple]:
     """The whole-frame vectorized column extraction; ``None`` punts to
-    the scalar reference (structural anomaly or int64-overflow risk)."""
+    the event decoder (structural anomaly or int64-overflow risk)."""
     rec = _record_starts(tok)
     if rec is None:
         return None
@@ -579,79 +578,6 @@ def _columns_vector(tok: np.ndarray) -> Optional[tuple]:
             tok[branch_at + 2], tok[branch_at + 3], tok[branch_at + 4])
 
 
-def _columns_scalar(tokens: List[int]) -> tuple:
-    """The bit-exact reference walk over a frame's flat token list.
-
-    Mirrors the event decoder record by record and raises the canonical
-    :class:`TraceFormatError` where the stream is structurally bad.  A
-    column holding a value past int64 comes back as an exact object
-    column (:func:`~repro.sim.scheduler.int_column`).
-    """
-    columns = _empty_columns()
-    (record_tags, kend_counts,
-     instr_addr, instr_opcodes, instr_lanes, instr_widths,
-     mem_addr, mem_flags, mem_width, mem_active, mem_nlines, mem_lines,
-     branch_addr, branch_active, branch_taken, branch_not_taken) = columns
-    prev_addr = 0
-    prev_line = 0
-    i = 0
-    n = len(tokens)
-    while i < n:
-        tag = tokens[i]
-        if tag == TAG_INSTR:
-            if i + 5 > n:
-                raise TraceFormatError("truncated record (corrupt trace)")
-            prev_addr += unzigzag(tokens[i + 1])
-            instr_addr.append(prev_addr)
-            instr_opcodes.append(tokens[i + 2])
-            instr_lanes.append(tokens[i + 3])
-            instr_widths.append(tokens[i + 4])
-            i += 5
-        elif tag == TAG_MEM:
-            if i + 6 > n:
-                raise TraceFormatError("truncated record (corrupt trace)")
-            prev_addr += unzigzag(tokens[i + 1])
-            mem_addr.append(prev_addr)
-            mem_flags.append(tokens[i + 2])
-            mem_width.append(tokens[i + 3])
-            mem_active.append(tokens[i + 4])
-            count = tokens[i + 5]
-            mem_nlines.append(count)
-            i += 6
-            if i + count > n:
-                raise TraceFormatError("truncated record (corrupt trace)")
-            for raw in tokens[i:i + count]:
-                prev_line += unzigzag(raw)
-                mem_lines.append(prev_line)
-            i += count
-        elif tag == TAG_BRANCH:
-            if i + 5 > n:
-                raise TraceFormatError("truncated record (corrupt trace)")
-            prev_addr += unzigzag(tokens[i + 1])
-            branch_addr.append(prev_addr)
-            branch_active.append(tokens[i + 2])
-            branch_taken.append(tokens[i + 3])
-            branch_not_taken.append(tokens[i + 4])
-            i += 5
-        elif tag == TAG_KEND:
-            if i + 2 > n:
-                raise TraceFormatError("truncated record (corrupt trace)")
-            kend_counts.append(tokens[i + 1])
-            i += 2
-        elif tag == TAG_LAUNCH:
-            raise TraceFormatError(
-                "nested launch record inside a frame slice")
-        else:
-            raise TraceFormatError(f"unknown event tag {tag}")
-        record_tags.append(tag)
-    return tuple(int_column(column) for column in columns)
-
-
-def _empty_columns() -> Tuple[List[int], ...]:
-    """One empty list per :class:`FrameColumns` column, in slot order."""
-    return tuple([] for _ in range(16))
-
-
 class FrameColumns:
     """One launch's records decoded into ndarray columns.
 
@@ -665,10 +591,11 @@ class FrameColumns:
     order, so kind-local index *k* is the *k*-th record of that kind.
     Columns are int64, except that a column holding a value past int64
     is an exact object column.  ``launch`` is ``None`` for the records
-    a trace holds ahead of its first launch.
+    a trace holds ahead of its first launch.  :meth:`record` turns one
+    row back into its event object.
     """
 
-    __slots__ = ("launch", "events", "warp_instructions",
+    __slots__ = ("launch", "events", "warp_instructions", "_line_offsets",
                  "record_tags", "kend_counts",
                  "instr_addr", "instr_opcodes", "instr_lanes",
                  "instr_widths",
@@ -689,6 +616,31 @@ class FrameColumns:
         self.events = int(self.record_tags.size) + (launch is not None)
         self.warp_instructions = (int(self.kend_counts[-1])
                                   if self.kend_counts.size else 0)
+        self._line_offsets: Optional[List[int]] = None
+
+    def record(self, tag: int, k: int):
+        """The *k*-th ``TAG_INSTR``, ``TAG_MEM`` or ``TAG_BRANCH``
+        record as its event object."""
+        if tag == TAG_INSTR:
+            return InstrEvent(ins_addr=int(self.instr_addr[k]),
+                              opcode=int(self.instr_opcodes[k]),
+                              lanes=int(self.instr_lanes[k]),
+                              width=int(self.instr_widths[k]))
+        if tag == TAG_MEM:
+            offsets = self._line_offsets
+            if offsets is None:
+                offsets = self._line_offsets = np.concatenate(
+                    ([0], np.cumsum(self.mem_nlines))).tolist()
+            lines = self.mem_lines[offsets[k]:offsets[k + 1]]
+            return MemEvent(ins_addr=int(self.mem_addr[k]),
+                            flags=int(self.mem_flags[k]),
+                            width=int(self.mem_width[k]),
+                            active_lanes=int(self.mem_active[k]),
+                            line_addresses=tuple(lines.tolist()))
+        return BranchEvent(ins_addr=int(self.branch_addr[k]),
+                           active=int(self.branch_active[k]),
+                           taken=int(self.branch_taken[k]),
+                           not_taken=int(self.branch_not_taken[k]))
 
     def opcodes(self) -> np.ndarray:
         """``instr_opcodes``, once every id is known to name an
@@ -727,11 +679,10 @@ def decode_frame_columns(data: bytes) -> FrameColumns:
     """Decode one frame slice into :class:`FrameColumns`.
 
     The vectorized pipeline handles well-formed frames in a few array
-    passes; anything else (over-long varints, truncation, bad tags,
-    values that might not fit int64) takes the scalar reference walk,
-    which raises the canonical :class:`TraceFormatError` for corrupt
-    input — so the error behaviour is bit-identical to the streaming
-    decoder — and decodes values past int64 exactly.
+    passes.  Anything else (over-long varints, truncation, bad tags,
+    values that might not fit int64) is decoded event by event into a
+    :class:`FrameBuilder`: corrupt input raises the streaming decoder's
+    :class:`TraceFormatError`, and values past int64 come back exact.
     """
     pos = 0
     tag, pos = decode_varint(data, pos)
@@ -742,9 +693,15 @@ def decode_frame_columns(data: bytes) -> FrameColumns:
     launch, pos = decode_event(tag, data, pos, state)
     tok = _decode_varints(data, pos)
     columns = _columns_vector(tok) if tok is not None else None
-    if columns is None:
-        columns = _columns_scalar(decode_varint_stream(data, pos))
-    return FrameColumns(launch, columns)
+    if columns is not None:
+        return FrameColumns(launch, columns)
+    builder = FrameBuilder(launch)
+    for event in iter_slice_events(data[pos:]):
+        if isinstance(event, LaunchEvent):
+            raise TraceFormatError(
+                "nested launch record inside a frame slice")
+        builder.add(event)
+    return builder.frame()
 
 
 class FrameBuilder:
@@ -754,7 +711,8 @@ class FrameBuilder:
 
     def __init__(self, launch: Optional[LaunchEvent] = None):
         self.launch = launch
-        self._columns = _empty_columns()
+        # one list per FrameColumns column, in slot order
+        self._columns = tuple([] for _ in range(16))
 
     @property
     def empty(self) -> bool:

@@ -23,41 +23,39 @@ Filter semantics:
   (``cta_index * warps_per_cta + warp_index``), recovered by the same
   deterministic warp segmentation the timing model uses.  Only
   meaningful for full captures (warp reconstruction needs every
-  instruction); tagging runs only when the filter is set.
+  instruction); tagging runs only when the filter is set.  Memory and
+  branch events take the warp of their instruction; one cut off from
+  it by a kernel-end record, or recorded before any launch, has no
+  warp and never matches.
 * ``kinds`` — restrict which event kinds are emitted at all
   (``instr`` / ``mem`` / ``branch``).
+
+Both routes filter launch columns: the indexed route decodes each
+visited frame slice with :func:`~repro.trace.io.decode_frame_columns`,
+the full scan groups the event stream with
+:func:`~repro.trace.io.event_frames`, and :func:`_frame_hits` masks
+the columns, building an event object only for a hit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.isa.opcodes import Opcode, OpClass, OPCODE_CLASSES
 from repro.trace import index as index_mod
-from repro.trace.format import (
-    TAG_BRANCH,
-    TAG_INSTR,
-    TAG_KEND,
-    TAG_MEM,
-    BranchEvent,
-    InstrEvent,
-    KernelEndEvent,
-    LaunchEvent,
-    MemEvent,
-    iter_slice_events,
-)
+from repro.trace.format import TAG_BRANCH, TAG_INSTR, TAG_KEND, TAG_MEM
 from repro.trace.io import (
     FrameColumns,
     TraceReader,
     decode_frame_columns,
-    record_error,
-    unknown_opcode,
+    event_frames,
 )
 
 QUERY_KINDS = ("instr", "mem", "branch")
+_KIND_TAGS = {"instr": TAG_INSTR, "mem": TAG_MEM, "branch": TAG_BRANCH}
 
 #: OpClass members addressable from the CLI (lowercase)
 CLASS_NAMES = {name.lower(): member
@@ -135,21 +133,6 @@ class QueryFilter:
         return ((lo is None or ordinal >= lo)
                 and (hi is None or ordinal < hi))
 
-    def addr_matches(self, event) -> bool:
-        if self.addr is None:
-            return True
-        lo, hi = self.addr
-
-        def contains(value: int) -> bool:
-            return ((lo is None or value >= lo)
-                    and (hi is None or value < hi))
-
-        if contains(event.ins_addr):
-            return True
-        if isinstance(event, MemEvent):
-            return any(contains(line) for line in event.line_addresses)
-        return False
-
 
 @dataclass(frozen=True)
 class QueryHit:
@@ -173,28 +156,10 @@ class QueryStats:
     used_index: bool = False
 
 
-def _warp_ordinals(launch: LaunchEvent, events: List[object]) -> List[int]:
-    """Each instruction event's global warp ordinal, from the timing
-    model's warp segmentation; an instruction right before a kernel-end
-    or launch record sees no next instruction."""
-    from repro.trace.timing import segment_warps
-
-    addrs: List[int] = []
-    opcodes: List[int] = []
-    cuts = set()
-    for event in events:
-        if isinstance(event, InstrEvent):
-            addrs.append(event.ins_addr)
-            opcodes.append(event.opcode)
-        elif isinstance(event, (LaunchEvent, KernelEndEvent)) and addrs:
-            cuts.add(len(addrs) - 1)
-    ordinals, _ = segment_warps(launch, addrs, np.asarray(opcodes), cuts)
-    return ordinals.tolist()
-
-
-def _column_warp_ordinals(frame: FrameColumns) -> List[int]:
-    """:func:`_warp_ordinals` from a decoded frame's columns, so the
-    frame's events can stream past the tagger unbuffered."""
+def _warp_ordinals(frame: FrameColumns) -> np.ndarray:
+    """Each instruction's global warp ordinal, from the timing model's
+    warp segmentation; an instruction right before a kernel-end record
+    sees no next instruction."""
     from repro.trace.timing import segment_warps
 
     tags = frame.record_tags
@@ -202,74 +167,7 @@ def _column_warp_ordinals(frame: FrameColumns) -> List[int]:
     cuts = set((before_end[before_end > 0] - 1).tolist())
     ordinals, _ = segment_warps(frame.launch, frame.instr_addr.tolist(),
                                 frame.instr_opcodes, cuts)
-    return ordinals.tolist()
-
-
-def _frame_hits(events, ordinal: int, kernel: str, filt: QueryFilter,
-                stats: QueryStats, launch: Optional[LaunchEvent],
-                warp_ordinals: Optional[List[int]] = None
-                ) -> Iterator[QueryHit]:
-    """Filter one frame's events (the leading launch record excluded).
-
-    Under a warp filter each instruction is tagged with its warp
-    ordinal: from *warp_ordinals* when the caller computed them from
-    the frame's columns, else by segmenting the frame up front (warp
-    handoffs need lookahead, so the frame's events are buffered).
-    Memory and branch events take the warp of the instruction they are
-    attached to.
-    """
-    tagged = filt.warp is not None and launch is not None
-    if tagged:
-        if warp_ordinals is None:
-            events = list(events)
-            warp_ordinals = _warp_ordinals(launch, events)
-        warps = iter(warp_ordinals)
-    want_instr = "instr" in filt.kinds
-    want_mem = "mem" in filt.kinds
-    want_branch = "branch" in filt.kinds
-    # warp of the anchoring instruction (None: no anchor, or untagged)
-    warp: Optional[int] = None
-    # class verdict of the current attachment group; events before the
-    # first instruction have nothing to inherit from
-    group_match = filt.classes is None
-    for event in events:
-        stats.events_scanned += 1
-        if isinstance(event, InstrEvent):
-            classes = _opclasses(event, launch)
-            group_match = (filt.classes is None
-                           or bool(classes & filt.classes))
-            passes = (group_match and want_instr
-                      and filt.addr_matches(event))
-            if tagged:
-                warp = next(warps)
-                passes = passes and warp == filt.warp
-            if passes:
-                stats.hits += 1
-                yield QueryHit(launch=ordinal, kernel=kernel, warp=warp,
-                               event=event)
-        elif isinstance(event, (LaunchEvent, KernelEndEvent)):
-            warp = None
-        else:
-            is_mem = isinstance(event, MemEvent)
-            wanted = want_mem if is_mem else want_branch
-            if not (wanted and group_match and filt.addr_matches(event)):
-                continue
-            # under a warp filter an unanchored event (frameless trace)
-            # cannot be placed, so it is excluded
-            if tagged and (warp is None or warp != filt.warp):
-                continue
-            stats.hits += 1
-            yield QueryHit(launch=ordinal, kernel=kernel, warp=warp,
-                           event=event)
-
-
-def _opclasses(event: InstrEvent, launch: Optional[LaunchEvent]) -> OpClass:
-    """*event*'s opcode classes; an unknown opcode id is a malformed
-    record of *launch*."""
-    try:
-        return OPCODE_CLASSES[Opcode(event.opcode)]
-    except ValueError:
-        raise record_error(launch, "INSTR", unknown_opcode(event.opcode))
+    return ordinals
 
 
 #: opcode id -> OPCODE_CLASSES flag value, for vectorized class tests
@@ -287,110 +185,75 @@ def _opclass_values() -> np.ndarray:
     return _class_values
 
 
-def _frame_hits_columns(frame: FrameColumns, ordinal: int, kernel: str,
-                        filt: QueryFilter, stats: QueryStats
-                        ) -> Iterator[QueryHit]:
-    """Columnar twin of :func:`_frame_hits` for warp-less filters: the
-    class/addr/kind predicates run as array masks over one decoded
-    frame, and only the matching events are materialized as objects.
-    Hit set and order are identical to the event-stream walk."""
+def _frame_hits(frame: FrameColumns, ordinal: int, kernel: str,
+                filt: QueryFilter, stats: QueryStats
+                ) -> Iterator[QueryHit]:
+    """The hits among one frame's records, in record order.
+
+    The kind, class, address and warp predicates run as array masks
+    over the frame's columns, and an event object is built only for a
+    hit (:meth:`FrameColumns.record`).  A memory or branch record takes
+    the class verdict of the nearest preceding instruction and, under a
+    warp filter, its warp — unless a kernel-end record lies between
+    them.  A record with no such instruction fails any class filter and
+    any warp filter, as does every record of a launch-less frame.
+    """
     stats.events_scanned += frame.events
+    opcodes = frame.opcodes()            # rejects an unknown opcode id
     tags = frame.record_tags
-    instr_pos = np.flatnonzero(tags == TAG_INSTR)
+    is_instr = tags == TAG_INSTR
+    sel = np.zeros(tags.size, dtype=bool)
+    for kind in filt.kinds:
+        sel |= tags == _KIND_TAGS[kind]
+    if filt.classes is not None:
+        # verdict 0 stands for "no instruction yet"; record i takes the
+        # verdict of the cumsum(is_instr)[i]-th instruction
+        verdicts = np.zeros(opcodes.size + 1, dtype=bool)
+        verdicts[1:] = (_opclass_values()[opcodes]
+                        & filt.classes.value) != 0
+        sel &= verdicts[np.cumsum(is_instr)]
+    if filt.addr is not None:
+        lo, hi = filt.addr
 
-    addr_range = filt.addr
+        def in_range(values: np.ndarray) -> np.ndarray:
+            match = np.ones(values.size, dtype=bool)
+            if lo is not None:
+                match &= values >= lo
+            if hi is not None:
+                match &= values < hi
+            return match
 
-    def in_range(values: np.ndarray) -> np.ndarray:
-        if addr_range is None:
-            return np.ones(values.size, dtype=bool)
-        lo, hi = addr_range
-        match = np.ones(values.size, dtype=bool)
-        if lo is not None:
-            match &= values >= lo
-        if hi is not None:
-            match &= values < hi
-        return match
-
-    if filt.classes is None:
-        instr_class = np.ones(instr_pos.size, dtype=bool)
-    else:
-        instr_class = (_opclass_values()[frame.instr_opcodes]
-                       & filt.classes.value) != 0
-
-    def inherited(positions: np.ndarray) -> np.ndarray:
-        """Class verdict a mem/branch record inherits from the nearest
-        preceding instruction of the frame (none -> no match unless the
-        class filter is off)."""
-        if filt.classes is None:
-            return np.ones(positions.size, dtype=bool)
-        group = np.searchsorted(instr_pos, positions, side="right") - 1
-        verdict = np.zeros(positions.size, dtype=bool)
-        anchored = group >= 0
-        verdict[anchored] = instr_class[group[anchored]]
-        return verdict
-
-    pos_parts: List[np.ndarray] = []
-    kind_parts: List[np.ndarray] = []
-    local_parts: List[np.ndarray] = []
-
-    def add(kind: int, positions: np.ndarray, sel: np.ndarray) -> None:
-        local = np.flatnonzero(sel)
-        if local.size:
-            pos_parts.append(positions[local])
-            kind_parts.append(np.full(local.size, kind, dtype=np.int64))
-            local_parts.append(local)
-
-    if "instr" in filt.kinds and instr_pos.size:
-        add(0, instr_pos, instr_class & in_range(frame.instr_addr))
-    if "mem" in filt.kinds:
-        mem_pos = np.flatnonzero(tags == TAG_MEM)
-        if mem_pos.size:
-            sel = inherited(mem_pos)
-            if addr_range is not None:
-                line_match = in_range(frame.mem_lines)
-                seg = np.repeat(np.arange(mem_pos.size), frame.mem_nlines)
-                any_line = np.bincount(
-                    seg, weights=line_match,
-                    minlength=mem_pos.size) > 0
-                sel &= in_range(frame.mem_addr) | any_line
-            add(1, mem_pos, sel)
-    if "branch" in filt.kinds:
-        branch_pos = np.flatnonzero(tags == TAG_BRANCH)
-        if branch_pos.size:
-            add(2, branch_pos,
-                inherited(branch_pos) & in_range(frame.branch_addr))
-    if not pos_parts:
+        mems = frame.mem_nlines.size
+        seg = np.repeat(np.arange(mems), frame.mem_nlines)
+        any_line = np.bincount(seg, weights=in_range(frame.mem_lines),
+                               minlength=mems) > 0
+        addr_match = np.zeros(tags.size, dtype=bool)
+        addr_match[is_instr] = in_range(frame.instr_addr)
+        addr_match[tags == TAG_MEM] = in_range(frame.mem_addr) | any_line
+        addr_match[tags == TAG_BRANCH] = in_range(frame.branch_addr)
+        sel &= addr_match
+    if filt.warp is not None:
+        if frame.launch is None:
+            return
+        # record i takes the verdict of the latest instruction or kernel
+        # end at or before it, stored at i + 1; a kernel end's verdict
+        # and slot 0 ("neither yet") are False
+        verdicts = np.zeros(tags.size + 1, dtype=bool)
+        verdicts[1:][is_instr] = _warp_ordinals(frame) == filt.warp
+        latest = np.maximum.accumulate(np.where(
+            is_instr | (tags == TAG_KEND), np.arange(1, tags.size + 1), 0))
+        sel &= verdicts[latest]
+    hit_at = np.flatnonzero(sel)
+    if not hit_at.size:
         return
-    order = np.argsort(np.concatenate(pos_parts))
-    kinds = np.concatenate(kind_parts)[order].tolist()
-    locals_ = np.concatenate(local_parts)[order].tolist()
-    line_offsets = np.concatenate(
-        ([0], np.cumsum(frame.mem_nlines))).tolist()
-    for kind, i in zip(kinds, locals_):
-        if kind == 0:
-            event: object = InstrEvent(
-                ins_addr=int(frame.instr_addr[i]),
-                opcode=int(frame.instr_opcodes[i]),
-                lanes=int(frame.instr_lanes[i]),
-                width=int(frame.instr_widths[i]))
-        elif kind == 1:
-            lines = frame.mem_lines[line_offsets[i]:
-                                    line_offsets[i + 1]]
-            event = MemEvent(
-                ins_addr=int(frame.mem_addr[i]),
-                flags=int(frame.mem_flags[i]),
-                width=int(frame.mem_width[i]),
-                active_lanes=int(frame.mem_active[i]),
-                line_addresses=tuple(lines.tolist()))
-        else:
-            event = BranchEvent(
-                ins_addr=int(frame.branch_addr[i]),
-                active=int(frame.branch_active[i]),
-                taken=int(frame.branch_taken[i]),
-                not_taken=int(frame.branch_not_taken[i]))
+    rank = np.empty(tags.size, dtype=np.int64)   # kind-local index
+    for tag in _KIND_TAGS.values():
+        at = np.flatnonzero(tags == tag)
+        rank[at] = np.arange(at.size)
+    for tag, k in zip(tags[hit_at].tolist(), rank[hit_at].tolist()):
         stats.hits += 1
-        yield QueryHit(launch=ordinal, kernel=kernel, warp=None,
-                       event=event)
+        yield QueryHit(launch=ordinal, kernel=kernel, warp=filt.warp,
+                       event=frame.record(tag, k))
 
 
 def _entry_can_match(entry: "index_mod.LaunchEntry",
@@ -421,9 +284,9 @@ def run_query(trace_path: str, filt: QueryFilter,
     Uses the ``.rpti`` sidecar to skip launches when one is on disk and
     bound to this trace, else falls back to a full scan
     (``stats.used_index`` says which — a missing sidecar is reported as
-    a full scan, never silently rebuilt by a hidden one).  Indexed
-    queries without a warp filter run the columnar fast path
-    (:func:`_frame_hits_columns`) per visited frame.
+    a full scan, never silently rebuilt by a hidden one).  Either way
+    each visited launch is one :class:`FrameColumns` batch filtered by
+    :func:`_frame_hits`.
     """
     stats = QueryStats()
     if index is None:
@@ -440,49 +303,28 @@ def run_query(trace_path: str, filt: QueryFilter,
                     stats.launches_skipped += 1
                     continue
                 stats.launches_visited += 1
-                data = reader.read_frame(entry)
-                frame = decode_frame_columns(data)
-                frame.opcodes()          # rejects an unknown opcode id
-                if filt.warp is None:
-                    yield from _frame_hits_columns(
-                        frame, ordinal, entry.kernel, filt, stats)
-                    continue
-                events = iter(iter_slice_events(data))
-                launch = next(events)
-                stats.events_scanned += 1
-                yield from _frame_hits(events, ordinal, entry.kernel,
-                                       filt, stats, launch,
-                                       _column_warp_ordinals(frame))
+                frame = decode_frame_columns(reader.read_frame(entry))
+                yield from _frame_hits(frame, ordinal, entry.kernel,
+                                       filt, stats)
 
         return indexed_hits(), stats
 
     def scanned_hits() -> Iterator[QueryHit]:
         ordinal = -1
-        launch: Optional[LaunchEvent] = None
-        frame: List[object] = []
-
-        def drain() -> Iterator[QueryHit]:
-            if not frame:
-                return
-            if filt.launch_in_range(ordinal):
-                stats.launches_visited += ordinal >= 0
-                kernel = launch.kernel if launch is not None else ""
-                yield from _frame_hits(frame, ordinal, kernel, filt,
-                                       stats, launch)
-            else:
-                stats.launches_skipped += 1
-                stats.events_scanned += len(frame)
-            frame.clear()
-
-        for event in TraceReader(trace_path).events():
-            if isinstance(event, LaunchEvent):
-                yield from drain()
+        for frame in event_frames(TraceReader(trace_path).events()):
+            if frame.launch is not None:
                 ordinal += 1
-                launch = event
                 stats.launches_total += 1
-                stats.events_scanned += 1
+            if not frame.record_tags.size:
+                stats.events_scanned += frame.events
+            elif not filt.launch_in_range(ordinal):
+                stats.launches_skipped += 1
+                stats.events_scanned += frame.events
             else:
-                frame.append(event)
-        yield from drain()
+                stats.launches_visited += ordinal >= 0
+                kernel = (frame.launch.kernel if frame.launch is not None
+                          else "")
+                yield from _frame_hits(frame, ordinal, kernel, filt,
+                                       stats)
 
     return scanned_hits(), stats

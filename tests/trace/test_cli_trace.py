@@ -227,27 +227,59 @@ class TestTraceQuery:
 
     def test_indexed_warp_filter_streams_the_frame(self, captured_trace,
                                                    monkeypatch):
-        # warp ordinals come from the decoded frame's columns, so the
-        # first hit arrives before the frame's events are all decoded
+        # the warp filter masks the decoded frame's columns, and an
+        # event object is built per hit as the consumer asks for it
         from repro.trace import query
+        from repro.trace.io import FrameColumns
 
-        decoded = []
+        built = []
+        real = FrameColumns.record
 
-        def counting(data):
-            for event in real(data):
-                decoded.append(event)
-                yield event
+        def counting(frame, tag, k):
+            built.append((tag, k))
+            return real(frame, tag, k)
 
-        real = query.iter_slice_events
-        monkeypatch.setattr(query, "iter_slice_events", counting)
+        monkeypatch.setattr(FrameColumns, "record", counting)
         hits, stats = query.run_query(captured_trace,
                                       query.QueryFilter(warp=0))
         first = next(hits)
         assert stats.used_index and first.warp == 0
-        partial = len(decoded)
+        assert len(built) == 1
         rest = list(hits)
         assert rest and all(hit.warp == 0 for hit in rest)
-        assert partial < len(decoded)
+        assert len(built) == 1 + len(rest) == stats.hits
+
+    def test_warp_filter_excludes_unanchored_records(self, tmp_path):
+        # records ahead of the first launch have no warp, and a branch
+        # after the kernel end has no instruction to take one from
+        from repro.isa.opcodes import Opcode
+        from repro.trace.format import (BranchEvent, InstrEvent,
+                                        KernelEndEvent, LaunchEvent)
+        from repro.trace.io import TraceWriter
+        from repro.trace.query import QueryFilter, run_query
+
+        def instr(addr):
+            return InstrEvent(ins_addr=addr, opcode=Opcode.EXIT.value,
+                              lanes=32, width=0)
+
+        def branch(addr):
+            return BranchEvent(ins_addr=addr, active=32, taken=32,
+                               not_taken=0)
+
+        launched = instr(0x100)
+        path = str(tmp_path / "prefix.rptrace")
+        with TraceWriter(path) as writer:
+            for event in (instr(0x10), branch(0x10),
+                          LaunchEvent(kernel="k", grid=(1, 1, 1),
+                                      block=(32, 1, 1), launch_index=0),
+                          launched, KernelEndEvent(warp_instructions=1),
+                          branch(0x100)):
+                writer.write(event)
+        for warp in (0, 5):
+            hits, _ = run_query(path, QueryFilter(warp=warp))
+            got = [(hit.launch, hit.kernel, hit.warp, hit.event)
+                   for hit in hits]
+            assert got == ([(0, "k", 0, launched)] if warp == 0 else [])
 
     def test_indexed_last_launch_reads_one_frame(self, multi_launch_trace,
                                                  monkeypatch):

@@ -1,10 +1,12 @@
 """Hypothesis differential suite for the vectorized frame decoder.
 
 The contract: :func:`repro.trace.io.decode_frame_columns` is a drop-in
-for the scalar event decoder over one ``LAUNCH .. KEND`` frame slice —
-same columns to the bit whenever the vector path runs, the scalar
-walk's canonical :class:`TraceFormatError` on corrupt input, and exact
-object columns (never ``None``) for values that exceed int64.
+for the event decoder over one ``LAUNCH .. KEND`` frame slice — the
+vector path builds the same columns to the bit as a
+:class:`~repro.trace.io.FrameBuilder` fed the frame's events, corrupt
+input raises the event decoder's canonical :class:`TraceFormatError`,
+and values that exceed int64 come back as exact object columns (never
+``None``).
 """
 
 from __future__ import annotations
@@ -24,13 +26,12 @@ from repro.trace.format import (
     MemEvent,
     TraceFormatError,
     decode_varint,
-    decode_varint_stream,
     encode_event,
 )
 from repro.trace.io import (
+    FrameBuilder,
     TraceReader,
     TraceWriter,
-    _columns_scalar,
     _columns_vector,
     _decode_varints,
     decode_frame_columns,
@@ -143,23 +144,38 @@ def test_frame_columns_match_event_ground_truth(launch, records):
                                          max_size=50))
 @settings(max_examples=80)
 def test_vector_walk_matches_scalar_walk(launch, records):
-    """The two decoder cores agree column-for-column on every
-    well-formed frame (and both varint passes agree token-for-token)."""
+    """The vector core agrees column-for-column with a FrameBuilder fed
+    the same records on every well-formed frame (and its varint pass
+    agrees token-for-token with one decode_varint call per token)."""
     blob = frame_bytes(launch, records)
     pos = 0
     tag, pos = decode_varint(blob, pos)
     from repro.trace.format import decode_event
 
     _, pos = decode_event(tag, blob, pos, EncoderState())
-    tokens = decode_varint_stream(blob, pos)
+    tokens = []
+    at = pos
+    while at < len(blob):
+        value, at = decode_varint(blob, at)
+        tokens.append(value)
     tok = _decode_varints(blob, pos)
     assert tok is not None
     assert tok.tolist() == tokens
     vec = _columns_vector(tok)
-    scal = _columns_scalar(tokens)
-    assert vec is not None and scal is not None
-    for v, s in zip(vec, scal):
-        assert v.tolist() == s.tolist()
+    builder = FrameBuilder(launch)
+    for event in records:
+        builder.add(event)
+    built = builder.frame()
+    assert vec is not None
+    slots = ("record_tags", "kend_counts",
+             "instr_addr", "instr_opcodes", "instr_lanes", "instr_widths",
+             "mem_addr", "mem_flags", "mem_width", "mem_active",
+             "mem_nlines", "mem_lines",
+             "branch_addr", "branch_active", "branch_taken",
+             "branch_not_taken")
+    assert len(vec) == len(slots)
+    for v, slot in zip(vec, slots):
+        assert v.tolist() == getattr(built, slot).tolist(), slot
 
 
 @given(st.lists(st.tuples(launch_events(I64_SAFE),
@@ -213,9 +229,9 @@ def test_delta_chains_reset_at_launch_boundaries(frames):
        st.data())
 @settings(max_examples=80)
 def test_truncation_matches_scalar_reference(launch, records, data):
-    """Any truncation either raises the scalar walk's canonical
+    """Any truncation either raises the event decoder's canonical
     TraceFormatError or decodes an exact record-prefix of the frame —
-    never a raw traceback, never divergent vector/scalar behaviour."""
+    never a raw traceback, never divergent vector/event behaviour."""
     blob = frame_bytes(launch, records)
     header = frame_bytes(launch, [])
     cut = data.draw(st.integers(min_value=len(header),
