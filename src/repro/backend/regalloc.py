@@ -5,25 +5,26 @@ virtual predicates → ``P0..P6``.
 initializes it to the top of the thread's local-memory stack, and SASSI's
 injected call sequences adjust it exactly as the paper's Figure 2 shows).
 
-Liveness is computed on the lowered linear code with the same CFG rules as
-:mod:`repro.isa.analysis` (including conservative ``SYNC``/``BRK`` resume
-edges and no-kill predicated definitions).  An interval per *unit* (a
-single virtual register, or an even-aligned pair for 64-bit values) spans
-from the first position where the unit is live or defined to the last.
-Pairs receive even-aligned physical pairs.
+Liveness is computed on the lowered linear code over the CFG of
+:func:`repro.isa.analysis.successors` (including conservative
+``SYNC``/``BRK`` resume edges and the fall-through of a predicated
+``EXIT``/``RET``), with no-kill predicated definitions.  An interval per
+*unit* (a single virtual register, or an even-aligned pair for 64-bit
+values) spans from the first position where the unit is live or defined
+to the last.  Pairs receive even-aligned physical pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Sequence, Set, Tuple, Union
 
 from repro.backend.lowering import LoweredKernel
 from repro.backend.virtual import VirtGPR, VirtPred
+from repro.isa.analysis import successors
 from repro.isa.instruction import Instruction, MemRef, PredGuard
-from repro.isa.opcodes import Opcode
 from repro.isa.program import SassKernel
-from repro.isa.registers import GPR, NUM_PREDS, PT, Pred
+from repro.isa.registers import GPR, NUM_PREDS, Pred
 
 
 class AllocationError(Exception):
@@ -77,42 +78,6 @@ def vpred_defs(instr: Instruction) -> List[int]:
     return [p.index for p in instr.dsts if isinstance(p, VirtPred)]
 
 
-def _successors(instructions: Sequence[Instruction],
-                labels: Dict[str, int], index: int) -> Tuple[int, ...]:
-    from repro.isa.instruction import LabelRef
-
-    instr = instructions[index]
-    limit = len(instructions)
-    nxt = (index + 1,) if index + 1 < limit else ()
-
-    def target() -> int:
-        for operand in instr.srcs:
-            if isinstance(operand, LabelRef):
-                return labels[operand.name]
-        raise ValueError(f"branch without target: {instr!r}")
-
-    if instr.opcode in (Opcode.EXIT, Opcode.RET):
-        return nxt if not instr.guard.is_unconditional else ()
-    if instr.opcode == Opcode.BRA:
-        if instr.guard.is_unconditional:
-            return (target(),)
-        return tuple(sorted({target(), *nxt}))
-    if instr.opcode in (Opcode.SYNC, Opcode.BRK):
-        resume: Set[int] = set(nxt)
-        for other_index, other in enumerate(instructions):
-            if instr.opcode == Opcode.SYNC:
-                if other.opcode == Opcode.BRA \
-                        and not other.guard.is_unconditional \
-                        and other_index + 1 < limit:
-                    resume.add(other_index + 1)
-            elif other.opcode == Opcode.PBK:
-                for operand in other.srcs:
-                    if isinstance(operand, LabelRef):
-                        resume.add(labels[operand.name])
-        return tuple(sorted(resume))
-    return nxt
-
-
 @dataclass
 class _Interval:
     unit: int          # root virtual index (even for GPR units)
@@ -121,12 +86,11 @@ class _Interval:
     paired: bool = False
 
 
-def _liveness(instructions: Sequence[Instruction],
-              labels: Dict[str, int],
-              uses_fn, defs_fn, kills: bool = True) -> List[Set[int]]:
+def _liveness(kernel: SassKernel, uses_fn, defs_fn) -> List[Set[int]]:
     """Per-instruction live-in sets of virtual indices."""
+    instructions = kernel.instructions
     count = len(instructions)
-    succs = [_successors(instructions, labels, i) for i in range(count)]
+    succs = [successors(kernel, i) for i in range(count)]
     live_in: List[Set[int]] = [set() for _ in range(count)]
     changed = True
     while changed:
@@ -212,11 +176,11 @@ def allocate(lowered: LoweredKernel) -> Tuple[List[Union[str, Instruction]], int
         else:
             instructions.append(item)
 
-    gpr_map = _allocate_gprs(instructions, labels, lowered.paired_roots)
-    pred_map = _allocate_preds(instructions, labels)
+    kernel = SassKernel(name="", instructions=tuple(instructions),
+                        labels=labels)
+    gpr_map = _allocate_gprs(kernel, lowered.paired_roots)
+    pred_map = _allocate_preds(kernel)
 
-    rewritten: List[Union[str, Instruction]] = []
-    cursor = 0
     label_positions: Dict[int, List[str]] = {}
     for label, position in labels.items():
         label_positions.setdefault(position, []).append(label)
@@ -233,15 +197,15 @@ def allocate(lowered: LoweredKernel) -> Tuple[List[Union[str, Instruction]], int
     return output, max_reg + 1
 
 
-def _allocate_gprs(instructions, labels, paired_roots) -> Dict[int, int]:
-    live_in = _liveness(instructions, labels, virt_uses, virt_defs)
+def _allocate_gprs(kernel: SassKernel, paired_roots) -> Dict[int, int]:
+    live_in = _liveness(kernel, virt_uses, virt_defs)
 
     def unit_of(index: int) -> int:
         root = index & ~1
         return root if root in paired_roots else index
 
-    intervals = _build_intervals(instructions, live_in, virt_defs, virt_uses,
-                                 unit_of, paired_roots)
+    intervals = _build_intervals(kernel.instructions, live_in, virt_defs,
+                                 virt_uses, unit_of, paired_roots)
     pool = _GPRPool(reserved={STACK_POINTER.index})
     active: List[Tuple[int, _Interval, int]] = []  # (end, interval, phys)
     assignment: Dict[int, int] = {}
@@ -264,9 +228,9 @@ def _allocate_gprs(instructions, labels, paired_roots) -> Dict[int, int]:
     return result
 
 
-def _allocate_preds(instructions, labels) -> Dict[int, int]:
-    live_in = _liveness(instructions, labels, vpred_uses, vpred_defs)
-    intervals = _build_intervals(instructions, live_in, vpred_defs,
+def _allocate_preds(kernel: SassKernel) -> Dict[int, int]:
+    live_in = _liveness(kernel, vpred_uses, vpred_defs)
+    intervals = _build_intervals(kernel.instructions, live_in, vpred_defs,
                                  vpred_uses, lambda i: i, set())
     free = [i for i in range(NUM_PREDS - 1)]
     active: List[Tuple[int, int, int]] = []

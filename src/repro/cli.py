@@ -474,16 +474,8 @@ def _cmd_trace_iters(args) -> int:
 _INFO_LAUNCH_ROWS = 12
 
 
-def _sidecar_index(path: str):
-    """The ``.rpti`` sidecar's index, if present and still bound to
-    *path*'s manifest; ``None`` otherwise (missing/stale/corrupt)."""
-    from repro.trace import sidecar_index
-
-    return sidecar_index(path)
-
-
 def _cmd_trace_info(args) -> int:
-    from repro.trace import TraceFormatError, build_index
+    from repro.trace import TraceFormatError, build_index, sidecar_index
 
     reader = _open_trace_or_die(args.input)
     try:
@@ -498,7 +490,7 @@ def _cmd_trace_info(args) -> int:
         print(f"  {kind:<12} {count:>12,}")
     # per-launch table: free when the .rpti sidecar is present, else a
     # one-off full scan (we say which, so slow == actionable)
-    index = _sidecar_index(args.input)
+    index = sidecar_index(args.input)
     source = "index sidecar"
     if index is None:
         try:
@@ -528,13 +520,13 @@ def _cmd_trace_info(args) -> int:
 
 def _cmd_trace_index(args) -> int:
     from repro.trace import TraceFormatError, build_index, \
-        index_path_for, write_index
+        index_path_for, sidecar_index, write_index
 
     _open_trace_or_die(args.input)
     sidecar = index_path_for(args.input)
     _check_writable(sidecar)
     fresh = False
-    index = None if args.force else _sidecar_index(args.input)
+    index = None if args.force else sidecar_index(args.input)
     if index is None:
         try:
             index = build_index(args.input)
@@ -591,10 +583,9 @@ def _cmd_trace_query(args) -> int:
                                  warp=args.warp, kinds=args.kind)
     except QueryError as exc:
         raise CliError(str(exc))
-    sidecar = _sidecar_index(args.input)
     truncated = False
     try:
-        hits, stats = run_query(args.input, filt, index=sidecar)
+        hits, stats = run_query(args.input, filt)
         for hit in hits:
             if not args.count and stats.hits > args.limit:
                 truncated = True

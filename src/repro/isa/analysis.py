@@ -27,7 +27,8 @@ from repro.isa.registers import GPR, NUM_PREDS, Pred
 def successors(kernel: SassKernel, index: int) -> Tuple[int, ...]:
     """Static successor instruction indices of the instruction at *index*.
 
-    ``EXIT`` and ``RET`` have none; calls fall through (the callee returns);
+    An unconditional ``EXIT`` or ``RET`` has none, a predicated one falls
+    through for its guard-false lanes; calls fall through (the callee returns);
     ``SYNC`` may resume at the fall-through of any divergent branch in the
     kernel (a sound over-approximation of the divergence stack).
     """
@@ -39,7 +40,7 @@ def successors(kernel: SassKernel, index: int) -> Tuple[int, ...]:
         return (next_index,) if next_index < limit else ()
 
     if instr.opcode in (Opcode.EXIT, Opcode.RET):
-        return ()
+        return () if instr.guard.is_unconditional else fallthrough()
     if instr.opcode == Opcode.BRA:
         target = kernel.resolve_target(_branch_target(instr))
         if instr.guard.is_unconditional:

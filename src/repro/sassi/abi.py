@@ -42,7 +42,7 @@ from repro.isa.instruction import (
 )
 from repro.isa.opcodes import Opcode
 from repro.isa.program import STACK_BASE_OFFSET
-from repro.isa.registers import GPR, PT, RZ, Pred
+from repro.isa.registers import GPR, RZ
 from repro.sassi import params as P
 from repro.sassi.spec import InstrumentationSpec, What, Where
 from repro.sim.scheduler import block_issue_cycles
@@ -572,12 +572,7 @@ class SiteSequencePlan:
 
         ex.stats.handler_calls += 1
         warp.pc = self.jcal_index
-        visit = getattr(binding, "visit", None)
-        if visit is None:
-            binding(ex, warp, cta, g)
-            poisons = False
-        else:
-            poisons = visit(ex, warp, cta, g, g_idx, self)
+        poisons = binding.visit(ex, warp, cta, g, g_idx, self)
 
         if prog.clean and flat[index].tobytes() == image.tobytes():
             # the frame still holds what was stored: every fill reloads

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.sassi.spec import SpecDelta
 
@@ -314,9 +314,7 @@ class AdaptiveController:
     picks it up (``Executor.run`` re-reads ``device.adaptive``).  The
     controller combines an :class:`ActiveSiteMask` (which sites may fire
     at all) with a :class:`SamplingPolicy` (how often an enabled site
-    fires), counts fired/skipped/weighted firings per site, and applies
-    scheduled mask patches mid-kernel — at the next site boundary, since
-    ``decide`` runs exactly at superblock/plan boundaries.
+    fires) and counts fired/skipped/weighted firings per site.
 
     Only plan-compiled sites are gated: an injected sequence the plan
     compiler could not match stays on the per-instruction path and
@@ -328,16 +326,12 @@ class AdaptiveController:
                  sampling: Optional[SamplingPolicy] = None):
         self.mask = mask
         self.sampling = sampling if sampling is not None else SamplingPolicy()
-        #: bumped on every mask/sampling change (plan caches, debugging)
-        self.generation = 0
         self.total_firings = 0
         self.fired: Counter = Counter()
         self.skipped: Counter = Counter()
         #: per-site sum of applied weights — the unbiased estimate of
         #: the exact firing count
         self.weighted: Counter = Counter()
-        #: (due_at_total_firings, enable, disable), sorted by due time
-        self._scheduled: List[Tuple[int, tuple, tuple]] = []
 
     # ----------------------------------------------------- installation
 
@@ -355,23 +349,7 @@ class AdaptiveController:
                disable: Iterable[int] = ()) -> ActiveSiteMask:
         """Patch the active-site mask in place (never the SASS)."""
         self.mask = self.mask.enable(enable).disable(disable)
-        self.generation += 1
         return self.mask
-
-    def schedule_toggle(self, after_firings: int,
-                        enable: Iterable[int] = (),
-                        disable: Iterable[int] = ()) -> None:
-        """Apply a mask patch once ``after_firings`` total site firings
-        have been decided — the mid-kernel re-spec hook (takes effect at
-        the next site boundary after the threshold)."""
-        entry = (self.total_firings + max(0, int(after_firings)),
-                 tuple(enable), tuple(disable))
-        self._scheduled.append(entry)
-        self._scheduled.sort(key=lambda e: e[0])
-
-    def set_sampling(self, sampling: Optional[SamplingPolicy]) -> None:
-        self.sampling = sampling if sampling is not None else SamplingPolicy()
-        self.generation += 1
 
     # -------------------------------------------------- executor hooks
 
@@ -385,22 +363,14 @@ class AdaptiveController:
     def observe_fire(self, seconds: float) -> None:
         self.sampling.observe_fire(seconds)
 
-    @staticmethod
-    def site_key(plan) -> int:
-        """The stable id a plan is gated by.  Plans that carried no
-        recoverable ``bp.id`` constant fall back to a key derived from
-        their position (negative, so it can never collide with a real
-        site id)."""
-        site_id = plan.site_id
-        return site_id if site_id is not None else -plan.start - 1
-
     def decide(self, plan, warp, cta) -> int:
-        """The executor's gate: 0 skips the site, N fires it at rate N."""
+        """The executor's gate: 0 skips the site, N fires it at rate N.
+
+        A plan is gated by its stable site id; one that carried no
+        recoverable ``bp.id`` constant falls back to a key derived from
+        its position (negative, so it can never collide with a real
+        site id)."""
         self.total_firings += 1
-        if self._scheduled \
-                and self._scheduled[0][0] <= self.total_firings:
-            due, enable, disable = self._scheduled.pop(0)
-            self.toggle(enable=enable, disable=disable)
         key = plan.site_id
         if key is None:
             key = -plan.start - 1

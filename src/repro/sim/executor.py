@@ -36,12 +36,10 @@ from repro.isa.instruction import (
     Imm,
     Instruction,
     LabelRef,
-    MemRef,
-    MemSpace,
 )
 from repro.isa.opcodes import Opcode
 from repro.isa.program import SassKernel, SassProgram
-from repro.isa.registers import GPR, SpecialReg
+from repro.isa.registers import GPR
 from repro.sim.coalescer import coalesce
 from repro.sim.errors import DeviceFault, HangDetected
 from repro.sim.memory import (
@@ -58,7 +56,7 @@ from repro.telemetry.classify import (
     block_dispatch_counts,
     sassi_key,
 )
-from repro.telemetry.collector import TELEMETRY, Telemetry
+from repro.telemetry.collector import TELEMETRY
 
 #: Physical bytes of local memory actually backed per thread (the
 #: addressing window is larger; see repro.sim.memory).
@@ -350,16 +348,8 @@ class Executor:
         visits = self._visits
         visits[block] = visits.get(block, 0) + 1
         counter.cycles += block.issue_cycles
-        telem = TELEMETRY
-        if telem.enabled:
-            if type(telem).record_dispatch is Telemetry.record_dispatch:
-                telem.record_block(block.telemetry_counts)
-            else:
-                # a subclass wants per-site granularity: replay the
-                # per-instruction hook (guards are uniform, so
-                # lanes == active for every record)
-                for _, dec in block.dispatch:
-                    telem.record_dispatch(dec, lanes, lanes)
+        if TELEMETRY.enabled:
+            TELEMETRY.record_block(block.telemetry_counts)
 
     def _execute_site(self, plan, warp: Warp, cta: CTAContext,
                       counter: CycleCounter) -> None:
@@ -367,9 +357,7 @@ class Executor:
 
         The per-instruction interpretation of the injected sequence is
         authoritative: the plan bails (returning None, before touching
-        any state) on run-time preconditions it cannot batch — and a
-        telemetry subclass observing per-dispatch granularity also
-        forces the per-record path, exactly like ``_execute_block``.
+        any state) on run-time preconditions it cannot batch.
 
         When an :class:`~repro.sassi.runtime.AdaptiveController` is
         installed, it gates every firing first.  Weight 0 skips the
@@ -416,20 +404,16 @@ class Executor:
         g = warp.active
         g_idx = np.nonzero(g)[0]
         self._active_lanes = g_idx
-        telem = TELEMETRY
-        partial = None
-        if not telem.enabled \
-                or type(telem).record_dispatch is Telemetry.record_dispatch:
-            try:
-                partial = plan.execute(self, warp, cta, g, g_idx, counter)
-            except BaseException:
-                if warp.pc == plan.jcal_index:
-                    # the handler raised: everything up to its JCAL ran
-                    # (guard pairs all precede it)
-                    self._account_prefix(
-                        plan.records[:plan.jcal_index - plan.start + 1],
-                        g_idx.size, plan.n_pairs)
-                raise
+        try:
+            partial = plan.execute(self, warp, cta, g, g_idx, counter)
+        except BaseException:
+            if warp.pc == plan.jcal_index:
+                # the handler raised: everything up to its JCAL ran
+                # (guard pairs all precede it)
+                self._account_prefix(
+                    plan.records[:plan.jcal_index - plan.start + 1],
+                    g_idx.size, plan.n_pairs)
+            raise
         if partial is None:
             end = plan.start + length
             records = plan.records
@@ -446,6 +430,7 @@ class Executor:
         visits = self._visits
         visits[plan] = visits.get(plan, 0) + 1
         counter.cycles += plan.issue_cycles
+        telem = TELEMETRY
         if telem.enabled:
             telem.record_block(plan.telemetry_counts)
             if partial:

@@ -12,15 +12,15 @@ so this study reports the principled analogs:
   readback — all of which are *not* instrumented, so launch-heavy apps
   show small ``T`` just as in the paper).
 
-Also reproduces the Section 9.1 finding that ABI/spill bookkeeping
-dominates overhead, by re-running with an empty handler body.
+:func:`spill_cost_fraction` estimates the Section 9.1 finding that
+ABI/spill bookkeeping dominates overhead from the injection report.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.backend import ptxas
 from repro.campaign.compile_cache import cached_ptxas, get_cache
@@ -95,7 +95,6 @@ def _handler_for(case: str, device):
 
 def measure_benchmark(name: str,
                       cases: Sequence[str] = CASE_STUDIES,
-                      empty_handlers: bool = False,
                       use_cache: bool = True) -> Table3Row:
     cache = get_cache() if use_cache else None
     with telemetry_span("overhead", study="table3", workload=name):
@@ -114,8 +113,6 @@ def measure_benchmark(name: str,
         for case in cases:
             instrumented_device = Device()
             profiler = _handler_for(case, instrumented_device)
-            if empty_handlers:
-                _stub_handler(profiler)
             kernel = profiler.compile(workload.build_ir(), cache=cache)
             with telemetry_span("execute", workload=name, case=case):
                 _, wall, trace = _timed_run(workload, instrumented_device,
@@ -127,16 +124,6 @@ def measure_benchmark(name: str,
                 wall_ratio=wall / max(base_wall, 1e-9),
             )
     return row
-
-
-def _stub_handler(profiler) -> None:
-    """Replace the registered handler bodies with no-ops (the paper's
-    'remove the body of the instrumentation handlers' experiment)."""
-    device = profiler.runtime.device
-    for address in list(device.handler_bindings):
-        registration_binding = device.handler_bindings[address]
-        device.handler_bindings[address] = \
-            lambda ex, warp, cta, mask: None
 
 
 def run(benchmarks: Optional[Sequence[str]] = None,

@@ -47,6 +47,8 @@ from typing import Iterator, Tuple
 MAGIC = b"RPTR"
 TRAILER_MAGIC = b"RPTE"
 VERSION = 1
+#: magic + version byte, ahead of the first event record
+HEADER_SIZE = len(MAGIC) + 1
 TRAILER_SIZE = 8
 
 #: event tags (0 is the end-of-events marker, not an event)

@@ -33,19 +33,21 @@ Truncation or corruption of any byte raises
 format's own contract.  The sidecar is written by
 :class:`~repro.trace.io.TraceWriter` at capture time and backfilled
 for existing traces by :func:`build_index` (``repro trace index``);
-both produce byte-identical files for the same trace.
+both produce byte-identical files for the same trace.  The backfill is
+one pass of :class:`~repro.trace.io.TraceReader`'s record walk — the
+walk ``events()`` streams — so its memory is bounded by the read
+chunk, not the trace, and it refuses a trace whose stream CRC-32 or
+event count does not match its footer.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import IO, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.trace.format import (
-    MAGIC,
     TAG_BRANCH,
-    TAG_END,
     TAG_INSTR,
     TAG_KEND,
     TAG_LAUNCH,
@@ -62,9 +64,6 @@ INDEX_TRAILER_MAGIC = b"RPIE"
 INDEX_VERSION = 1
 INDEX_TRAILER_SIZE = 8
 INDEX_SUFFIX = ".rpti"
-
-#: size of the trace header preceding the first event record
-_TRACE_HEADER_SIZE = len(MAGIC) + 1
 
 
 def index_path_for(trace_path: str) -> str:
@@ -349,31 +348,21 @@ def read_index(path: str) -> TraceIndex:
 
 
 def build_index(trace_path: str) -> TraceIndex:
-    """Backfill: scan *trace_path* once, tracking absolute offsets.
+    """Backfill: one pass of the trace reader's record walk.
 
     Produces exactly the index :class:`~repro.trace.io.TraceWriter`
     would have written at capture time (same bytes under
-    :func:`encode_index`).
+    :func:`encode_index`), in memory bounded by the reader's chunk
+    size; a stream that fails its CRC-32 or event-count check raises
+    :class:`TraceFormatError`.
     """
     from repro.trace.io import TraceReader
 
     reader = TraceReader(trace_path)
     manifest = reader.manifest()          # validates header + footer
     builder = IndexBuilder()
-    with open(trace_path, "rb") as handle:
-        handle.seek(_TRACE_HEADER_SIZE)
-        data = handle.read()              # event stream + footer
-    pos = 0
-    from repro.trace.format import EncoderState, decode_event
-    state = EncoderState()
-    while True:
-        start = pos
-        tag, pos = decode_varint(data, pos)
-        if tag == TAG_END:
-            break
-        event, pos = decode_event(tag, data, pos, state)
-        builder.observe(tag, event, _TRACE_HEADER_SIZE + start,
-                        data[start:pos])
+    for tag, event, offset, raw in reader._records():
+        builder.observe(tag, event, offset, raw)
     return builder.finish(manifest)
 
 
@@ -399,24 +388,19 @@ def sidecar_index(trace_path: str) -> Optional[TraceIndex]:
 
 def ensure_index(trace_path: str, write: bool = False
                  ) -> Optional[TraceIndex]:
-    """The sidecar if present and bound to this trace, else a fresh
-    scan (written back when *write* is set).  Returns ``None`` only if
-    the trace itself is unreadable as a trace."""
+    """The sidecar if present and bound to this trace, else
+    :func:`build_index` (written back when *write* is set).  Returns
+    ``None`` when the trace's header or footer is unreadable; a stream
+    that fails its checks raises :class:`TraceFormatError`."""
     from repro.trace.io import TraceReader
 
     try:
-        manifest = TraceReader(trace_path).manifest()
+        TraceReader(trace_path).manifest()
     except TraceFormatError:
         return None
-    sidecar = index_path_for(trace_path)
-    if os.path.exists(sidecar):
-        try:
-            index = read_index(sidecar)
-            if index.matches(manifest):
-                return index
-        except TraceFormatError:
-            pass                          # stale/torn sidecar: rebuild
-    index = build_index(trace_path)
-    if write:
-        write_index(index, sidecar)
+    index = sidecar_index(trace_path)
+    if index is None:
+        index = build_index(trace_path)
+        if write:
+            write_index(index, index_path_for(trace_path))
     return index

@@ -5,8 +5,13 @@ columnar frame decoder.
 bounded byte buffer — host-side memory stays O(buffer), never O(trace),
 no matter how many events the instrumented run produces.  Closing the
 writer publishes the manifest footer; a file without a valid footer is
-reported as torn by :class:`TraceReader`, which streams events lazily
-and verifies the CRC as it goes.
+reported as torn by :class:`TraceReader`.  The reader has one record
+walk over bounded chunks, which checks the stream CRC-32 and event
+count against the footer at the end marker: ``events()`` streams it,
+and the index backfill (:func:`repro.trace.index.build_index`) reads
+the same records with their offsets, so a backfill validates the
+stream CRC in bounded memory.  Indexed frame reads share one length
+and CRC-32 check, and every footer read one footer parse.
 
 Path-target writers also maintain a columnar index
 (:mod:`repro.trace.index`) as they go and publish it to the ``.rpti``
@@ -28,8 +33,10 @@ hit row back into an event with :meth:`FrameColumns.record`.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
+from operator import itemgetter
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -41,6 +48,7 @@ from repro.trace import index as index_mod
 from repro.trace.format import (
     BranchEvent,
     EncoderState,
+    HEADER_SIZE,
     InstrEvent,
     KIND_NAMES,
     KernelEndEvent,
@@ -105,38 +113,17 @@ class TraceWriter:
         # object would be a surprise, and the backfill command covers it
         self._index: Optional["index_mod.IndexBuilder"] = (
             index_mod.IndexBuilder() if self._owns_file else None)
-        self._header_size = len(MAGIC) + 1
         self._file.write(MAGIC + bytes([VERSION]))
 
     # ------------------------------------------------------------ write
 
     def write(self, event) -> None:
-        if self._closed:
-            raise ValueError("trace writer already closed")
-        encoded = encode_event(event, self._state)
-        if self._index is not None:
-            self._index.observe(
-                event.tag, event,
-                self._header_size + self.bytes_written + len(self._buffer),
-                encoded)
-        self._buffer += encoded
-        self._crc = crc32(encoded, self._crc)
-        tag = event.tag
-        self._counts[tag] = self._counts.get(tag, 0) + 1
-        self._total += 1
-        if TELEMETRY.enabled:
-            TELEMETRY.incr("trace.events")
-            TELEMETRY.incr(f"trace.events.{KIND_NAMES[tag]}")
-        if len(self._buffer) >= self._buffer_bytes:
-            self.flush()
+        self.write_batch((event,))
 
     def write_batch(self, events) -> None:
-        """Append several events in order with one buffer/telemetry pass.
-
-        Byte- and counter-identical to calling :meth:`write` per event:
-        the stateful encoder still sees the events sequentially, and the
-        telemetry counters receive the same totals in one ``incr`` each.
-        """
+        """Append events in order with one buffer/telemetry pass: the
+        stateful encoder sees them sequentially, and each telemetry
+        counter gets the batch's total in one ``incr``."""
         if self._closed:
             raise ValueError("trace writer already closed")
         if not events:
@@ -148,8 +135,7 @@ class TraceWriter:
             if index is not None:
                 index.observe(
                     event.tag, event,
-                    self._header_size + self.bytes_written
-                    + len(self._buffer),
+                    HEADER_SIZE + self.bytes_written + len(self._buffer),
                     encoded)
             self._buffer += encoded
             self._crc = crc32(encoded, self._crc)
@@ -214,15 +200,17 @@ class TraceWriter:
 class TraceReader:
     """Lazy event iteration over a ``.rptrace`` file.
 
-    ``for event in reader`` decodes one event at a time from buffered
-    chunks; the whole trace is never resident.  The CRC accumulated
-    while streaming is checked against the footer when the end marker is
-    reached — a torn or bit-rotted file raises
-    :class:`~repro.trace.format.TraceFormatError` mid-iteration instead
-    of yielding silently wrong events.
+    One record walk reads the event stream in bounded chunks, so the
+    whole trace is never resident.  ``for event in reader`` and the
+    index backfill (:func:`~repro.trace.index.build_index`) both
+    consume it, so they see the same records and reject the same
+    corruption: the CRC-32 and event count accumulated while walking
+    are checked against the footer at the end marker, and a torn or
+    bit-rotted file raises :class:`~repro.trace.format.TraceFormatError`
+    instead of yielding silently wrong events.
 
-    Accepts a path (opened per iteration) or a seekable binary file
-    object (rewound per iteration, left open).
+    Accepts a path (opened per pass) or a seekable binary file object
+    (rewound per pass, left open).
     """
 
     def __init__(self, target: Union[str, os.PathLike, IO[bytes]]):
@@ -233,19 +221,25 @@ class TraceReader:
             self._fileobj = None
             self.path = os.fspath(target)
 
-    def _open(self) -> IO[bytes]:
+    @contextlib.contextmanager
+    def _open(self) -> Iterator[IO[bytes]]:
+        """The trace at byte 0: a path is opened and closed around the
+        block, a file object rewound and left open."""
         if self._fileobj is not None:
             self._fileobj.seek(0)
-            return self._fileobj
+            yield self._fileobj
+            return
         try:
-            return open(self.path, "rb")
+            handle = open(self.path, "rb")
         except OSError as exc:
             raise TraceFormatError(
                 f"cannot open trace {self.path}: {exc.strerror or exc}")
+        with handle:
+            yield handle
 
     def _check_header(self, handle: IO[bytes]) -> int:
-        header = handle.read(len(MAGIC) + 1)
-        if len(header) < len(MAGIC) + 1 or header[:len(MAGIC)] != MAGIC:
+        header = handle.read(HEADER_SIZE)
+        if len(header) < HEADER_SIZE or header[:len(MAGIC)] != MAGIC:
             raise TraceFormatError(
                 f"{self._name()} is not a trace (bad magic)")
         version = header[len(MAGIC)]
@@ -265,20 +259,29 @@ class TraceReader:
 
     def events(self) -> Iterator[object]:
         """Yield events lazily; validates the footer checksum at EOF."""
-        handle = self._open()
-        owns = self._fileobj is None
-        try:
+        return map(itemgetter(1), self._records())
+
+    def _records(self) -> Iterator[Tuple[int, object, int, bytes]]:
+        """The record walk: ``(tag, event, offset, raw)`` per event
+        record in stream order, *offset* being the record's absolute
+        byte offset in the file and *raw* its bytes.  Reaching the end
+        marker checks the stream's CRC-32 and event count against the
+        footer."""
+        with self._open() as handle:
             version = self._check_header(handle)
             state = EncoderState()
             buf = b""
+            base = HEADER_SIZE        # file offset of buf[0]
             pos = 0
             crc = 0
             total = 0
             while True:
-                # top up the buffer so one maximal record always fits
+                # keep half a chunk ahead; a longer record takes the
+                # straddle retry below
                 if len(buf) - pos < READ_CHUNK // 2:
                     chunk = handle.read(READ_CHUNK)
                     if chunk:
+                        base += pos
                         buf = buf[pos:] + chunk
                         pos = 0
                 if pos >= len(buf):
@@ -286,34 +289,33 @@ class TraceReader:
                         f"{self._name()}: truncated trace (no end "
                         "marker — torn write?)")
                 start = pos
-                tag, pos = decode_varint(buf, pos)
+                tag, body = decode_varint(buf, pos)
                 if tag == TAG_END:
-                    crc = crc32(buf[start:pos], crc)
-                    footer = buf[pos:] + handle.read()
-                    self._check_footer(footer, version, crc, total)
+                    crc = crc32(buf[start:body], crc)
+                    self._check_stream(
+                        self._footer(handle, version, base + body),
+                        crc, total)
                     return
+                addr, line = state.prev_addr, state.prev_line
                 try:
-                    event, pos = decode_event(tag, buf, pos, state)
+                    event, pos = decode_event(tag, buf, body, state)
                 except TraceFormatError:
-                    # the record may just straddle the buffer boundary;
-                    # pull the rest of the file once, then re-raise
+                    # the record may just straddle the buffer boundary:
+                    # pull the rest of the file once, undo the delta
+                    # state the partial decode advanced, and retry
                     rest = handle.read()
                     if not rest:
                         raise
-                    buf = buf + rest
-                    pos = start
-                    tag, pos = decode_varint(buf, pos)
-                    event, pos = decode_event(tag, buf, pos, state)
-                crc = crc32(buf[start:pos], crc)
+                    buf += rest
+                    state.prev_addr, state.prev_line = addr, line
+                    event, pos = decode_event(tag, buf, body, state)
+                raw = buf[start:pos]
+                crc = crc32(raw, crc)
                 total += 1
-                yield event
-        finally:
-            if owns:
-                handle.close()
+                yield tag, event, base + start, raw
 
-    def _check_footer(self, footer: bytes, version: int, crc: int,
+    def _check_stream(self, manifest: TraceManifest, crc: int,
                       total: int) -> None:
-        manifest = _parse_footer_block(footer, version, self._name())
         if manifest.checksum != crc:
             raise TraceFormatError(
                 f"{self._name()}: checksum mismatch (trace corrupt: "
@@ -323,6 +325,30 @@ class TraceReader:
             raise TraceFormatError(
                 f"{self._name()}: event count mismatch (footer says "
                 f"{manifest.total_events}, stream held {total})")
+
+    def _footer(self, handle: IO[bytes], version: int,
+                end: Optional[int] = None) -> TraceManifest:
+        """Parse the footer the trailer at the end of the file points
+        at.  *end*, the offset just past the stream's end marker when a
+        walk found it, is where the footer must begin."""
+        size = handle.seek(0, io.SEEK_END)
+        if size < HEADER_SIZE + TRAILER_SIZE:
+            raise TraceFormatError(
+                f"{self._name()}: truncated trace (no footer — torn "
+                "write?)")
+        handle.seek(size - TRAILER_SIZE)
+        trailer = handle.read(TRAILER_SIZE)
+        if trailer[4:] != TRAILER_MAGIC:
+            raise TraceFormatError(
+                f"{self._name()}: missing footer trailer (torn write?)")
+        footer_len = int.from_bytes(trailer[:4], "little")
+        footer_at = size - TRAILER_SIZE - footer_len
+        if footer_at < HEADER_SIZE or end is not None and footer_at != end:
+            raise TraceFormatError(
+                f"{self._name()}: implausible footer length "
+                f"{footer_len} (corrupt trace)")
+        handle.seek(footer_at)
+        return decode_footer(handle.read(footer_len), version)
 
     # ------------------------------------------------------------- seek
 
@@ -347,20 +373,28 @@ class TraceReader:
             if index is None:
                 raise TraceFormatError(
                     f"{self._name()} is not a readable trace")
-        entry = index.entry(n)
-        data = self.read_frame(entry)
-        return iter_slice_events(data)
+        return iter_slice_events(self.read_frame(index.entry(n)))
 
     def read_frame(self, entry: "index_mod.LaunchEntry") -> bytes:
         """The raw, CRC-validated bytes of one indexed launch frame."""
-        handle = self._open()
-        owns = self._fileobj is None
-        try:
-            handle.seek(entry.offset)
-            data = handle.read(entry.length)
-        finally:
-            if owns:
-                handle.close()
+        with self._open() as handle:
+            return self._frame_bytes(handle, entry)
+
+    def frames(self, index: "index_mod.TraceIndex"
+               ) -> Iterator[Tuple["index_mod.LaunchEntry", bytes]]:
+        """Yield ``(entry, frame_bytes)`` for every indexed launch frame
+        through a single file handle — the sequential-batch counterpart
+        of :meth:`read_frame` (which reopens the trace per call)."""
+        with self._open() as handle:
+            for entry in index.entries:
+                yield entry, self._frame_bytes(handle, entry)
+
+    def _frame_bytes(self, handle: IO[bytes],
+                     entry: "index_mod.LaunchEntry") -> bytes:
+        """Frame *entry*'s bytes, checked against its indexed length
+        and CRC-32."""
+        handle.seek(entry.offset)
+        data = handle.read(entry.length)
         if len(data) != entry.length:
             raise TraceFormatError(
                 f"{self._name()}: indexed frame at {entry.offset} runs "
@@ -371,81 +405,12 @@ class TraceReader:
                 f"{entry.launch_index} (stale index or corrupt trace)")
         return data
 
-    def frames(self, index: "index_mod.TraceIndex"
-               ) -> Iterator[Tuple["index_mod.LaunchEntry", bytes]]:
-        """Yield ``(entry, frame_bytes)`` for every indexed launch frame
-        through a single file handle — the sequential-batch counterpart
-        of :meth:`read_frame` (which reopens the trace per call).  Each
-        frame is validated against the index's per-frame CRC before it
-        is yielded."""
-        handle = self._open()
-        owns = self._fileobj is None
-        try:
-            for entry in index.entries:
-                handle.seek(entry.offset)
-                data = handle.read(entry.length)
-                if len(data) != entry.length:
-                    raise TraceFormatError(
-                        f"{self._name()}: indexed frame at {entry.offset}"
-                        " runs past the end of the trace (stale index?)")
-                if crc32(data) != entry.checksum:
-                    raise TraceFormatError(
-                        f"{self._name()}: frame checksum mismatch at "
-                        f"launch {entry.launch_index} (stale index or "
-                        "corrupt trace)")
-                yield entry, data
-        finally:
-            if owns:
-                handle.close()
-
     # ---------------------------------------------------------- summary
 
     def manifest(self) -> TraceManifest:
         """Read the footer without scanning events (uses the trailer)."""
-        handle = self._open()
-        owns = self._fileobj is None
-        try:
-            version = self._check_header(handle)
-            handle.seek(0, io.SEEK_END)
-            size = handle.tell()
-            if size < len(MAGIC) + 1 + TRAILER_SIZE:
-                raise TraceFormatError(
-                    f"{self._name()}: truncated trace (no footer — "
-                    "torn write?)")
-            handle.seek(size - TRAILER_SIZE)
-            trailer = handle.read(TRAILER_SIZE)
-            if trailer[4:] != TRAILER_MAGIC:
-                raise TraceFormatError(
-                    f"{self._name()}: missing footer trailer (torn "
-                    "write?)")
-            footer_len = int.from_bytes(trailer[:4], "little")
-            footer_at = size - TRAILER_SIZE - footer_len
-            if footer_len > size or footer_at < len(MAGIC) + 1:
-                raise TraceFormatError(
-                    f"{self._name()}: implausible footer length "
-                    f"{footer_len} (corrupt trace)")
-            handle.seek(footer_at)
-            return decode_footer(handle.read(footer_len), version)
-        finally:
-            if owns:
-                handle.close()
-
-
-def _parse_footer_block(footer: bytes, version: int,
-                        name: str) -> TraceManifest:
-    """Parse ``footer body + trailer`` bytes read off the event stream."""
-    if len(footer) < TRAILER_SIZE:
-        raise TraceFormatError(f"{name}: truncated footer (torn write?)")
-    trailer = footer[-TRAILER_SIZE:]
-    if trailer[4:] != TRAILER_MAGIC:
-        raise TraceFormatError(f"{name}: missing footer trailer "
-                               "(torn write?)")
-    footer_len = int.from_bytes(trailer[:4], "little")
-    body = footer[:-TRAILER_SIZE]
-    if footer_len != len(body):
-        raise TraceFormatError(f"{name}: footer length mismatch "
-                               "(corrupt trace)")
-    return decode_footer(body, version)
+        with self._open() as handle:
+            return self._footer(handle, self._check_header(handle))
 
 
 # ---------------------------------------------------------------------

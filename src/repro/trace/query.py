@@ -273,8 +273,7 @@ def _entry_can_match(entry: "index_mod.LaunchEntry",
     return True
 
 
-def run_query(trace_path: str, filt: QueryFilter,
-              index: Optional["index_mod.TraceIndex"] = None
+def run_query(trace_path: str, filt: QueryFilter
               ) -> Tuple[Iterator[QueryHit], QueryStats]:
     """Run *filt* over *trace_path*.
 
@@ -289,8 +288,7 @@ def run_query(trace_path: str, filt: QueryFilter,
     :func:`_frame_hits`.
     """
     stats = QueryStats()
-    if index is None:
-        index = index_mod.sidecar_index(trace_path)
+    index = index_mod.sidecar_index(trace_path)
     if index is not None and index.shardable:
         stats.used_index = True
         stats.launches_total = index.launches
@@ -318,7 +316,7 @@ def run_query(trace_path: str, filt: QueryFilter,
             if not frame.record_tags.size:
                 stats.events_scanned += frame.events
             elif not filt.launch_in_range(ordinal):
-                stats.launches_skipped += 1
+                stats.launches_skipped += ordinal >= 0
                 stats.events_scanned += frame.events
             else:
                 stats.launches_visited += ordinal >= 0

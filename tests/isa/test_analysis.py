@@ -32,6 +32,19 @@ class TestSuccessors:
     def test_exit_has_none(self):
         assert successors(LOOP_KERNEL, 6) == ()
 
+    def test_predicated_exit_falls_through(self):
+        # guard-false lanes of @P0 EXIT run on, so liveness must follow
+        kernel = parse_kernel("""
+.kernel k
+        @P0 EXIT ;
+        STG [R6], R2 ;
+        @!P1 RET ;
+        EXIT ;
+""")
+        assert successors(kernel, 0) == (1,)
+        assert successors(kernel, 2) == (3,)
+        assert GPR(2) in compute_liveness(kernel).live_gprs_at(0)
+
     def test_brk_resumes_at_pbk_targets(self):
         kernel = parse_kernel("""
 .kernel k

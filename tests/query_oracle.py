@@ -134,7 +134,7 @@ def oracle_query(events: Iterable[object], filt: QueryFilter
             hits.extend(frame_hits(frame, ordinal, kernel, filt, stats,
                                    launch))
         else:
-            stats.launches_skipped += 1
+            stats.launches_skipped += ordinal >= 0
             stats.events_scanned += len(frame)
         frame.clear()
 

@@ -224,6 +224,41 @@ class TestSemanticPreservation:
         assert (device.read_array(ptr, 64, np.uint32) == data[::-1]).all()
 
 
+class TestPredicatedExit:
+    """A site ahead of ``@P0 EXIT`` must preserve what the guard-false
+    lanes use after it: hand-written SASS, one CTA of 32 threads, where
+    threads 0-15 survive the exit and store R5."""
+
+    SOURCE = """
+.kernel pexit
+.param out 0x140 8
+        S2R R0, SR_TID.X ;
+        MOV32I R5, 0x7 ;
+        ISETP.GE.U32.AND P0, PT, R0, 0x10, PT ;
+        @P0 EXIT ;
+        MOV R10, c[0x0][0x140] ;
+        MOV R11, c[0x0][0x144] ;
+        STG [R10], R5 ;
+        EXIT ;
+"""
+
+    def stored(self, flags=None):
+        from repro.isa import parse_kernel
+
+        device = Device()
+        kernel = parse_kernel(self.SOURCE)
+        if flags is not None:
+            runtime = SassiRuntime(device)
+            runtime.register_before_handler(noop_handler)
+            kernel = runtime.instrument(spec_from_flags(flags))(kernel)
+        out = device.alloc(4)
+        device.launch(kernel, Dim3(1), Dim3(32), [out])
+        return int(device.read_array(out, 1, np.uint32)[0])
+
+    def test_instrumented_run_keeps_r5(self):
+        assert self.stored() == self.stored("-sassi-inst-before=all") == 0x7
+
+
 class TestSiteSelection:
     def test_memory_only_instruments_memory_ops(self):
         device = Device()

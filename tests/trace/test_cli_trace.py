@@ -281,6 +281,33 @@ class TestTraceQuery:
                    for hit in hits]
             assert got == ([(0, "k", 0, launched)] if warp == 0 else [])
 
+    def test_full_scan_skips_count_launches_only(self, tmp_path):
+        # records ahead of the first launch are no launch, so a
+        # --launches range that excludes them skips nothing
+        from repro.isa.opcodes import Opcode
+        from repro.trace.format import (InstrEvent, KernelEndEvent,
+                                        LaunchEvent)
+        from repro.trace.io import TraceWriter
+        from repro.trace.query import QueryFilter, run_query
+
+        def instr(addr):
+            return InstrEvent(ins_addr=addr, opcode=Opcode.EXIT.value,
+                              lanes=32, width=0)
+
+        path = str(tmp_path / "prefix.rptrace")
+        with TraceWriter(path) as writer:
+            writer.write_batch((
+                instr(0x10),
+                LaunchEvent(kernel="k", grid=(1, 1, 1), block=(32, 1, 1),
+                            launch_index=0),
+                instr(0x100), KernelEndEvent(warp_instructions=1)))
+        os.remove(index_path_for(path))
+        hits, stats = run_query(path, QueryFilter.parse(launches="0:"))
+        assert len(list(hits)) == 1
+        assert not stats.used_index
+        assert (stats.launches_total, stats.launches_visited,
+                stats.launches_skipped) == (1, 1, 0)
+
     def test_indexed_last_launch_reads_one_frame(self, multi_launch_trace,
                                                  monkeypatch):
         # the indexed seek: one frame read, only its events scanned

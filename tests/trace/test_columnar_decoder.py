@@ -200,11 +200,10 @@ def test_delta_chains_reset_at_launch_boundaries(frames):
     path_reader = TraceReader(io.BytesIO(blob))
     assert list(path_reader.events())  # container is well-formed
     # slice frames exactly as the index does: LAUNCH..next LAUNCH
-    from repro.trace.format import TAG_LAUNCH
-    import repro.trace.index as index_mod
+    from repro.trace.format import HEADER_SIZE, TAG_LAUNCH
 
     starts = []
-    data = blob[index_mod._TRACE_HEADER_SIZE:]
+    data = blob[HEADER_SIZE:]
     pos = 0
     state = EncoderState()
     from repro.trace.format import TAG_END, decode_event
