@@ -416,6 +416,16 @@ def _open_trace_or_die(path: str):
     return TraceReader(path)
 
 
+def _trace_error(path: str, exc: Exception) -> CliError:
+    """A trace error as one CLI line naming *path* once: the reader
+    already leads its own messages with the path, the rest (frame
+    decode errors, record errors naming their launch) get it here."""
+    message = str(exc)
+    if message.startswith((f"{path}: ", f"{path} is not ")):
+        return CliError(message)
+    return CliError(f"{path}: {message}")
+
+
 def _cmd_replay(args) -> int:
     from repro.trace import ANALYSES, TraceFormatError, make_analysis, \
         replay
@@ -434,7 +444,7 @@ def _cmd_replay(args) -> int:
         replay(reader, analyses)
         elapsed = time.perf_counter() - start
     except TraceFormatError as exc:
-        raise CliError(f"{args.input}: {exc}")
+        raise _trace_error(args.input, exc)
     for analysis in analyses:
         print(analysis.report())
     print(f"replayed {args.input} in {elapsed:.2f}s", file=sys.stderr)
@@ -452,7 +462,7 @@ def _timing_report(args):
     try:
         replay(reader, [analysis])
     except TraceFormatError as exc:
-        raise CliError(f"{args.input}: {exc}")
+        raise _trace_error(args.input, exc)
     return analysis.model.schedule(args.policy)
 
 
@@ -481,7 +491,7 @@ def _cmd_trace_info(args) -> int:
     try:
         manifest = reader.manifest()
     except TraceFormatError as exc:
-        raise CliError(f"{args.input}: {exc}")
+        raise _trace_error(args.input, exc)
     size = os.path.getsize(args.input)
     print(f"{args.input}: rptrace v{manifest.version}, "
           f"{size:,} bytes, {manifest.total_events:,} events, "
@@ -496,7 +506,7 @@ def _cmd_trace_info(args) -> int:
         try:
             index = build_index(args.input)
         except TraceFormatError as exc:
-            raise CliError(f"{args.input}: {exc}")
+            raise _trace_error(args.input, exc)
         source = "full scan — no usable .rpti sidecar; " \
                  "run `repro trace index` to keep one"
     if index.entries:
@@ -531,7 +541,7 @@ def _cmd_trace_index(args) -> int:
         try:
             index = build_index(args.input)
         except TraceFormatError as exc:
-            raise CliError(f"{args.input}: {exc}")
+            raise _trace_error(args.input, exc)
         write_index(index, sidecar)
         fresh = True
     state = "written" if fresh else "up to date"
@@ -593,7 +603,7 @@ def _cmd_trace_query(args) -> int:
             if not args.count:
                 print(_format_query_hit(hit))
     except TraceFormatError as exc:
-        raise CliError(f"{args.input}: {exc}")
+        raise _trace_error(args.input, exc)
     how = ("(index sidecar)" if stats.used_index
            else "(full scan — no usable .rpti sidecar; "
                 "run `repro trace index` to keep one)")

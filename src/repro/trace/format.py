@@ -78,6 +78,10 @@ class TraceFormatError(Exception):
     """The file is not a valid (complete) trace."""
 
 
+class TruncatedRecordError(TraceFormatError):
+    """A record runs past the end of the bytes it is decoded from."""
+
+
 # ---------------------------------------------------------------------
 # varint codec
 # ---------------------------------------------------------------------
@@ -104,7 +108,7 @@ def decode_varint(buf: bytes, pos: int) -> Tuple[int, int]:
     shift = 0
     while True:
         if pos >= len(buf):
-            raise TraceFormatError("truncated varint (unexpected EOF)")
+            raise TruncatedRecordError("truncated varint (unexpected EOF)")
         byte = buf[pos]
         pos += 1
         result |= (byte & 0x7F) << shift
@@ -270,7 +274,7 @@ def decode_event(tag: int, buf: bytes, pos: int,
     if tag == TAG_LAUNCH:
         length, pos = decode_varint(buf, pos)
         if pos + length > len(buf):
-            raise TraceFormatError("truncated kernel name")
+            raise TruncatedRecordError("truncated kernel name")
         try:
             name = buf[pos:pos + length].decode("utf-8")
         except UnicodeDecodeError as exc:

@@ -20,11 +20,13 @@ to launch *n* instead of scanning the whole stream.
 
 :class:`FrameColumns` is the replay stack's batch currency: one launch's
 records as ndarray columns.  :func:`decode_frame_columns` builds it
-from an indexed ``LAUNCH .. KEND`` frame slice — the whole varint
-stream in a few numpy passes (continuation-bit segmentation, masked
-shift-accumulate, cumulative-sum zigzag-delta undo, pointer-doubled
-record walk).  :class:`FrameBuilder` builds the same batch from events:
-from the slice's events for frames the vector pass cannot take, and
+from indexed ``LAUNCH .. KEND`` frame slices, one slice or a run of
+consecutive ones at a time: each launch header on its own, then every
+record body of the run in a few numpy passes (continuation-bit
+segmentation, masked shift-accumulate, one linear record walk,
+cumulative-sum zigzag-delta undo restarted at each launch), split per
+frame.  :class:`FrameBuilder` builds the same batch from events: from
+the slice's events for frames the vector pass cannot take, and
 through :func:`event_frames` from an event stream (no sidecar, stray
 events, file-object readers).  :func:`repro.trace.replay.replay`, the
 timing model and ``repro trace query`` all consume it; query turns a
@@ -37,7 +39,8 @@ import contextlib
 import io
 import os
 from operator import itemgetter
-from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (IO, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -65,6 +68,7 @@ from repro.trace.format import (
     TRAILER_SIZE,
     TraceFormatError,
     TraceManifest,
+    TruncatedRecordError,
     VERSION,
     crc32,
     decode_event,
@@ -207,7 +211,9 @@ class TraceReader:
     corruption: the CRC-32 and event count accumulated while walking
     are checked against the footer at the end marker, and a torn or
     bit-rotted file raises :class:`~repro.trace.format.TraceFormatError`
-    instead of yielding silently wrong events.
+    instead of yielding silently wrong events.  Only a record that runs
+    off the end of the window reads on, a chunk at a time; any other
+    malformed record raises at once, naming the trace.
 
     Accepts a path (opened per pass) or a seekable binary file object
     (rewound per pass, left open).
@@ -233,7 +239,7 @@ class TraceReader:
             handle = open(self.path, "rb")
         except OSError as exc:
             raise TraceFormatError(
-                f"cannot open trace {self.path}: {exc.strerror or exc}")
+                f"{self.path}: cannot open trace: {exc.strerror or exc}")
         with handle:
             yield handle
 
@@ -251,6 +257,9 @@ class TraceReader:
 
     def _name(self) -> str:
         return self.path or "<trace stream>"
+
+    def _error(self, exc: TraceFormatError) -> TraceFormatError:
+        return TraceFormatError(f"{self._name()}: {exc}")
 
     # ---------------------------------------------------------- iterate
 
@@ -289,26 +298,30 @@ class TraceReader:
                         f"{self._name()}: truncated trace (no end "
                         "marker — torn write?)")
                 start = pos
-                tag, body = decode_varint(buf, pos)
+                addr, line = state.prev_addr, state.prev_line
+                while True:
+                    try:
+                        tag, pos = decode_varint(buf, start)
+                        if tag != TAG_END:
+                            event, pos = decode_event(tag, buf, pos, state)
+                        break
+                    except TruncatedRecordError as exc:
+                        # the record may straddle the buffer's end: read
+                        # on a chunk at a time, undo the delta state the
+                        # partial decode advanced, and retry
+                        chunk = handle.read(READ_CHUNK)
+                        if not chunk:
+                            raise self._error(exc) from None
+                        buf += chunk
+                        state.prev_addr, state.prev_line = addr, line
+                    except TraceFormatError as exc:
+                        raise self._error(exc) from None
                 if tag == TAG_END:
-                    crc = crc32(buf[start:body], crc)
+                    crc = crc32(buf[start:pos], crc)
                     self._check_stream(
-                        self._footer(handle, version, base + body),
+                        self._footer(handle, version, base + pos),
                         crc, total)
                     return
-                addr, line = state.prev_addr, state.prev_line
-                try:
-                    event, pos = decode_event(tag, buf, body, state)
-                except TraceFormatError:
-                    # the record may just straddle the buffer boundary:
-                    # pull the rest of the file once, undo the delta
-                    # state the partial decode advanced, and retry
-                    rest = handle.read()
-                    if not rest:
-                        raise
-                    buf += rest
-                    state.prev_addr, state.prev_line = addr, line
-                    event, pos = decode_event(tag, buf, body, state)
                 raw = buf[start:pos]
                 crc = crc32(raw, crc)
                 total += 1
@@ -446,71 +459,92 @@ def _decode_varints(data: bytes, pos: int) -> Optional[np.ndarray]:
         return None
     ends = np.flatnonzero(terminators)
     lengths = np.diff(ends, prepend=-1)
-    max_len = int(lengths.max())
+    starts = ends - lengths + 1
+    values = buf[starts].astype(np.int64)
+    # most varints are one byte, already their value: mask and extend
+    # only the longer ones
+    multi = np.flatnonzero(lengths > 1)
+    if not multi.size:
+        return values
+    max_len = int(lengths[multi].max())
     if max_len > _VECTOR_VARINT_MAX:
         return None
-    starts = ends - lengths + 1
-    payload = (buf & 0x7F).astype(np.int64)
-    values = payload[starts]
+    values[multi] &= 0x7F
     for k in range(1, max_len):
-        more = lengths > k
-        values[more] |= payload[starts[more] + k] << (7 * k)
+        multi = multi[lengths[multi] > k]
+        values[multi] |= ((buf[starts[multi] + k] & 0x7F).astype(np.int64)
+                          << (7 * k))
     return values
 
 
-def _record_starts(tok: np.ndarray) -> Optional[np.ndarray]:
+def _record_walk(tok: np.ndarray) -> Optional[np.ndarray]:
     """Start position of every record in the flat token stream *tok*.
 
     Record lengths are data-dependent (MEM records embed a line count),
-    so the boundaries form a linked list ``i -> i + len(record at i)``.
-    Pointer doubling walks it in O(log n) array passes instead of one
-    Python step per record.  Returns ``None`` on any structural
+    so the boundaries form a chain ``i -> i + len(record at i)``,
+    walked once from the front.  Returns ``None`` on any structural
     anomaly — unknown tag, nested launch, a record overrunning the
     stream — so the event decoder can raise its canonical error.
     """
-    n = int(tok.size)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    step = np.full(n, -1, dtype=np.int64)
-    step[tok == TAG_KEND] = 2
-    step[(tok == TAG_INSTR) | (tok == TAG_BRANCH)] = 5
-    mem = np.flatnonzero(tok == TAG_MEM)
-    counted = mem[mem + 5 < n]
-    counts = tok[counted + 5]
-    sane = counts <= n            # larger can never fit; avoids overflow
-    step[counted[sane]] = 6 + counts[sane]
-    targets = np.arange(n, dtype=np.int64) + step
-    jump = np.empty(n + 2, dtype=np.int64)
-    jump[:n] = np.where((step > 0) & (targets <= n), targets, n + 1)
-    jump[n] = n                   # clean end: absorbing
-    jump[n + 1] = n + 1           # anomaly: absorbing
-    starts = np.zeros(1, dtype=np.int64)
-    reached = 1
-    while reached < n:
-        starts = np.concatenate([starts, jump[starts]])
-        jump = jump[jump]
-        reached *= 2
-    starts = np.unique(starts)
-    if starts[-1] != n:           # walk hit a bad tag or fell off
-        return None
-    return starts[:-1]
-
-
-def _unzigzag_cumsum(raw: np.ndarray) -> Optional[np.ndarray]:
-    """Undo zigzag and the delta chain in two array ops; ``None`` when
-    the reconstructed values might not fit int64."""
-    deltas = (raw >> 1) ^ -(raw & 1)
-    if deltas.size:
-        shadow = np.cumsum(deltas.astype(np.float64))
-        if float(np.abs(shadow).max()) >= _ADDR_SAFE_LIMIT:
+    tokens = memoryview(tok)
+    n = len(tokens)
+    starts = []
+    start = starts.append
+    i = 0
+    while i < n:
+        start(i)
+        tag = tokens[i]
+        if tag == TAG_INSTR or tag == TAG_BRANCH:
+            i += 5
+        elif tag == TAG_MEM and i + 5 < n:
+            i += 6 + tokens[i + 5]
+        elif tag == TAG_KEND:
+            i += 2
+        else:
             return None
-    return np.cumsum(deltas)
+    if i != n:                    # the last record ran off the end
+        return None
+    return np.array(starts, dtype=np.int64)
 
 
-def _columns_vector(tok: np.ndarray) -> Optional[tuple]:
-    """The whole-frame vectorized column extraction; ``None`` punts to
-    the event decoder (structural anomaly or int64-overflow risk)."""
-    rec = _record_starts(tok)
+def _unzigzag_cumsum(raw: np.ndarray,
+                     firsts: np.ndarray) -> Optional[np.ndarray]:
+    """Undo zigzag and the delta chain in two array ops, restarting the
+    chain at each index in *firsts* (where a later frame's deltas
+    begin); ``None`` when the reconstructed values might not fit
+    int64."""
+    deltas = (raw >> 1) ^ -(raw & 1)
+    values = np.cumsum(deltas)
+    if not deltas.size:
+        return values
+    shadow = np.cumsum(deltas.astype(np.float64))
+    if firsts.size:
+        # int64 sums wrap modulo 2**64, so taking off the running total
+        # at each restart is exact wherever the restarted value fits,
+        # which the shadow, restarted alike, proves
+        starts = np.concatenate(([0], firsts))
+        counts = np.diff(starts, append=deltas.size)
+        values -= np.repeat(np.concatenate(([0], values))[starts], counts)
+        shadow -= np.repeat(np.concatenate(([0.0], shadow))[starts],
+                            counts)
+    if float(np.abs(shadow).max()) >= _ADDR_SAFE_LIMIT:
+        return None
+    return values
+
+
+def _columns_vector(tok: np.ndarray, *cuts: int) -> Optional[tuple]:
+    """The vectorized column extraction; ``None`` punts to the event
+    decoder (structural anomaly or int64-overflow risk).
+
+    *tok* is one frame's record tokens, and the result its 16 columns
+    in :class:`FrameColumns` slot order.  For a batch of consecutive
+    frames, *tok* is their tokens end to end and *cuts* the positions
+    where the second and later frames' records begin: the address and
+    line chains restart at each cut, and each of the 16 entries is a
+    list of per-frame columns.  A record crossing a cut declines the
+    batch, so no frame reads another's tokens.
+    """
+    rec = _record_walk(tok)
     if rec is None:
         return None
     tags = tok[rec]
@@ -519,28 +553,49 @@ def _columns_vector(tok: np.ndarray) -> Optional[tuple]:
     branch_at = rec[tags == TAG_BRANCH]
     kend_at = rec[tags == TAG_KEND]
     addr_at = rec[tags != TAG_KEND]
-    addrs = _unzigzag_cumsum(tok[addr_at + 1])
+    cut = np.array(cuts, dtype=np.int64)
+    if cut.size and not np.array_equal(
+            np.append(rec, tok.size)[np.searchsorted(rec, cut)], cut):
+        return None
+    addrs = _unzigzag_cumsum(tok[addr_at + 1],
+                             np.searchsorted(addr_at, cut))
     if addrs is None:
         return None
     nlines = tok[mem_at + 5]
-    total = int(nlines.sum())
+    cum = np.cumsum(nlines)
+    line_cut = np.concatenate(([0], cum))[np.searchsorted(mem_at, cut)]
+    total = int(cum[-1]) if cum.size else 0
     if total:
-        cum = np.cumsum(nlines)
         flat = (np.repeat(mem_at + 6 - (cum - nlines), nlines)
                 + np.arange(total, dtype=np.int64))
-        lines = _unzigzag_cumsum(tok[flat])
+        lines = _unzigzag_cumsum(tok[flat], line_cut)
         if lines is None:
             return None
     else:
         lines = np.empty(0, dtype=np.int64)
-    return (tags, tok[kend_at + 1],
-            addrs[np.searchsorted(addr_at, instr_at)],
-            tok[instr_at + 2], tok[instr_at + 3], tok[instr_at + 4],
-            addrs[np.searchsorted(addr_at, mem_at)],
-            tok[mem_at + 2], tok[mem_at + 3], tok[mem_at + 4],
-            nlines, lines,
-            addrs[np.searchsorted(addr_at, branch_at)],
-            tok[branch_at + 2], tok[branch_at + 3], tok[branch_at + 4])
+    columns = (tags, tok[kend_at + 1],
+               addrs[np.searchsorted(addr_at, instr_at)],
+               tok[instr_at + 2], tok[instr_at + 3], tok[instr_at + 4],
+               addrs[np.searchsorted(addr_at, mem_at)],
+               tok[mem_at + 2], tok[mem_at + 3], tok[mem_at + 4],
+               nlines, lines,
+               addrs[np.searchsorted(addr_at, branch_at)],
+               tok[branch_at + 2], tok[branch_at + 3], tok[branch_at + 4])
+    if not cut.size:
+        return columns
+    record_cut, kend_cut, instr_cut, mem_cut, branch_cut = (
+        np.searchsorted(at, cut)
+        for at in (rec, kend_at, instr_at, mem_at, branch_at))
+    splits = (record_cut, kend_cut, instr_cut, instr_cut, instr_cut,
+              instr_cut, mem_cut, mem_cut, mem_cut, mem_cut, mem_cut,
+              line_cut, branch_cut, branch_cut, branch_cut, branch_cut)
+    return tuple(_split(column, split)
+                 for column, split in zip(columns, splits))
+
+
+def _split(column: np.ndarray, cut: np.ndarray) -> List[np.ndarray]:
+    edges = [0, *cut.tolist(), column.size]
+    return [column[a:b] for a, b in zip(edges, edges[1:])]
 
 
 class FrameColumns:
@@ -548,10 +603,11 @@ class FrameColumns:
 
     The replay stack's batch currency, and the only input a replay
     analysis accepts.  Built from a ``LAUNCH .. KEND`` frame slice by
-    :func:`decode_frame_columns` (a few whole-frame array passes, no
-    per-event objects), or from an event stream by
-    :class:`FrameBuilder`; consumed by the analyses, the timing model
-    and the indexed query path.  ``record_tags`` preserves the record
+    :func:`decode_frame_columns` (a few array passes over a run of
+    frames, no per-event objects; the columns may be views into the
+    run's arrays), or from an event stream by :class:`FrameBuilder`;
+    consumed by the analyses, the timing model and the indexed query
+    path.  ``record_tags`` preserves the record
     order after the launch record; the per-kind columns are in stream
     order, so kind-local index *k* is the *k*-th record of that kind.
     Columns are int64, except that a column holding a value past int64
@@ -640,33 +696,71 @@ _KNOWN_OPCODE = np.zeros(max(op.value for op in Opcode) + 1, dtype=bool)
 _KNOWN_OPCODE[[op.value for op in Opcode]] = True
 
 
-def decode_frame_columns(data: bytes) -> FrameColumns:
-    """Decode one frame slice into :class:`FrameColumns`.
+def decode_frame_columns(data: Union[bytes, Sequence[bytes]]
+                         ) -> Union[FrameColumns, List[FrameColumns]]:
+    """Decode frame slices into :class:`FrameColumns`.
 
-    The vectorized pipeline handles well-formed frames in a few array
-    passes.  Anything else (over-long varints, truncation, bad tags,
-    values that might not fit int64) is decoded event by event into a
+    *data* is one ``LAUNCH .. KEND`` frame slice, for one
+    :class:`FrameColumns`, or a batch: a list of consecutive frame
+    slices, for one :class:`FrameColumns` per slice.  Each launch
+    header is decoded on its own; the bodies of the whole batch take
+    one varint pass and one vector pass (:func:`_columns_vector`), so
+    a run of small frames costs about what one large frame does.  A
+    batch the vector pass declines is decoded frame by frame, and a
+    frame it declines (over-long varints, truncation, bad tags, values
+    that might not fit int64) event by event into a
     :class:`FrameBuilder`: corrupt input raises the streaming decoder's
     :class:`TraceFormatError`, and values past int64 come back exact.
     """
-    pos = 0
-    tag, pos = decode_varint(data, pos)
-    if tag != TAG_LAUNCH:
-        raise TraceFormatError(
-            "frame slice does not start at a launch record")
-    state = EncoderState()
-    launch, pos = decode_event(tag, data, pos, state)
-    tok = _decode_varints(data, pos)
-    columns = _columns_vector(tok) if tok is not None else None
+    if isinstance(data, (bytes, bytearray)):
+        return _decode_batch([data])[0]
+    return _decode_batch(list(data))
+
+
+def _decode_batch(slices: List[bytes]) -> List[FrameColumns]:
+    launches = []
+    bodies = []
+    for data in slices:
+        tag, pos = decode_varint(data, 0)
+        if tag != TAG_LAUNCH:
+            raise TraceFormatError(
+                "frame slice does not start at a launch record")
+        launch, pos = decode_event(tag, data, pos, EncoderState())
+        launches.append(launch)
+        bodies.append(data[pos:])
+    body = b"".join(bodies)
+    tok = _decode_varints(body, 0)
+    cuts = _token_cuts(body, bodies) if tok is not None else None
+    columns = _columns_vector(tok, *cuts) if cuts is not None else None
     if columns is not None:
-        return FrameColumns(launch, columns)
-    builder = FrameBuilder(launch)
-    for event in iter_slice_events(data[pos:]):
+        if len(slices) == 1:
+            return [FrameColumns(launches[0], columns)]
+        return [FrameColumns(launch, frame)
+                for launch, frame in zip(launches, zip(*columns))]
+    if len(slices) > 1:
+        return [frame for data in slices for frame in _decode_batch([data])]
+    builder = FrameBuilder(launches[0])
+    for event in iter_slice_events(body):
         if isinstance(event, LaunchEvent):
             raise TraceFormatError(
                 "nested launch record inside a frame slice")
         builder.add(event)
-    return builder.frame()
+    return [builder.frame()]
+
+
+def _token_cuts(body: bytes, bodies: List[bytes]) -> Optional[List[int]]:
+    """The token positions in *body*, the concatenated *bodies*, where
+    the second and later bodies begin; ``None`` when a varint runs
+    across a body's end (a frame slice that does not end on a varint
+    terminator)."""
+    byte_cuts = np.cumsum([len(b) for b in bodies[:-1]], dtype=np.int64)
+    if not byte_cuts.size:
+        return []
+    terminal = np.frombuffer(body, dtype=np.uint8) < 0x80
+    inner = byte_cuts[byte_cuts > 0]
+    if not terminal[inner - 1].all():
+        return None
+    return np.searchsorted(np.flatnonzero(terminal), byte_cuts).tolist()
 
 
 class FrameBuilder:

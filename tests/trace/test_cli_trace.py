@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import pytest
 
 from repro.cli import main
-from repro.trace.index import index_path_for
+from repro.trace.index import index_path_for, read_index
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,53 @@ class TestReplaySidecar:
         with pytest.raises(SystemExit) as exc:
             main(["replay", captured_trace, "--jobs", "2"])
         assert exc.value.code == 2
+
+
+def _flipped_copy(trace: str, directory, sidecar: bool) -> str:
+    """*trace* with the low bit of a byte below 0x7E in its first frame
+    flipped (it stays a varint terminator, so the records still decode
+    and only a checksum can tell); its sidecar copied when asked."""
+    entry = read_index(index_path_for(trace)).entries[0]
+    data = bytearray(open(trace, "rb").read())
+    at = next(i for i in range(entry.offset + entry.length // 2,
+                               entry.offset + entry.length)
+              if data[i] < 0x7E)
+    data[at] ^= 1
+    path = str(directory / "flipped.rptrace")
+    with open(path, "wb") as handle:
+        handle.write(bytes(data))
+    if sidecar:
+        shutil.copyfile(index_path_for(trace), index_path_for(path))
+    return path
+
+
+class TestTraceErrorsNameThePathOnce:
+    """A reader error is one ``repro: PATH: problem`` line: the path is
+    not repeated when the reader's message already leads with it."""
+
+    @pytest.mark.parametrize("command, sidecar, problem", [
+        (["replay"], True, "frame checksum mismatch at launch 0"),
+        (["replay"], False, "checksum mismatch"),
+        (["trace", "info"], False, "checksum mismatch"),
+        (["trace", "index"], False, "checksum mismatch"),
+    ])
+    def test_flipped_byte(self, captured_trace, tmp_path, capsys, command,
+                          sidecar, problem):
+        path = _flipped_copy(captured_trace, tmp_path, sidecar)
+        assert main(command + [path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: {path}: {problem}")
+        assert err.count(path) == 1
+
+    @pytest.mark.parametrize("command", [["replay"], ["trace", "info"],
+                                         ["trace", "index"]])
+    def test_not_a_trace(self, tmp_path, capsys, command):
+        bogus = str(tmp_path / "bogus.rptrace")
+        with open(bogus, "wb") as handle:
+            handle.write(b"this is not a trace")
+        assert main(command + [bogus]) == 2
+        assert capsys.readouterr().err == \
+            f"repro: {bogus} is not a trace (bad magic)\n"
 
 
 class TestReplayPolicy:

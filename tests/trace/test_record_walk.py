@@ -1,7 +1,8 @@
 """The trace reader's one record walk, which both the event stream and
 the index backfill read: corruption the stream CRC catches fails both,
 the backfill holds a bounded window of the trace rather than the whole
-file, and a record longer than the read window decodes exactly."""
+file, a record longer than the read window decodes exactly, and a
+malformed record fails at once, naming the trace."""
 
 from __future__ import annotations
 
@@ -12,8 +13,10 @@ import tracemalloc
 import pytest
 
 from repro.cli import main
-from repro.trace.format import (InstrEvent, KernelEndEvent, LaunchEvent,
-                                MemEvent, TraceFormatError)
+from repro.trace.format import (HEADER_SIZE, MAGIC, TAG_INSTR, TAG_LAUNCH,
+                                VERSION, EncoderState, InstrEvent,
+                                KernelEndEvent, LaunchEvent, MemEvent,
+                                TraceFormatError, encode_event)
 from repro.trace.index import (build_index, ensure_index, index_path_for,
                                read_index)
 from repro.trace.io import READ_CHUNK, TraceReader, TraceWriter
@@ -98,3 +101,49 @@ def test_record_longer_than_read_window():
     with TraceWriter(buf) as writer:
         writer.write_batch(events)
     assert list(TraceReader(io.BytesIO(buf.getvalue())).events()) == events
+
+
+def test_malformed_record_raises_at_once(tmp_path):
+    # 42 launch records carried by 100 KiB kernel names, the second's
+    # tag rewritten to the unknown 9: the walk must name the trace and
+    # stop there, holding about one read window, not read on to the end
+    path = str(tmp_path / "tag9.rptrace")
+    name = "k" * (100 << 10)
+    with TraceWriter(path) as writer:
+        for n in range(42):
+            writer.write(LaunchEvent(kernel=name, grid=(1, 1, 1),
+                                     block=(32, 1, 1), launch_index=n))
+    os.remove(index_path_for(path))
+    with open(path, "rb") as handle:
+        data = bytearray(handle.read())
+    assert len(data) >= 4 << 20
+    second = HEADER_SIZE + len(encode_event(
+        LaunchEvent(kernel=name, grid=(1, 1, 1), block=(32, 1, 1),
+                    launch_index=0), EncoderState()))
+    assert data[second] == TAG_LAUNCH
+    data[second] = 9
+    with open(path, "wb") as handle:
+        handle.write(bytes(data))
+    del data
+    for walk in (lambda: list(TraceReader(path).events()),
+                 lambda: build_index(path)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TraceFormatError) as exc:
+                walk()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"{path}: unknown event tag 9"
+        assert peak < 3 * READ_CHUNK
+
+
+def test_record_truncated_at_end_of_file_names_the_trace(tmp_path):
+    # a torn stream: the last record's bytes stop short of its payload
+    # and nothing follows it, so the straddle retry finds no more data
+    path = str(tmp_path / "torn.rptrace")
+    with open(path, "wb") as handle:
+        handle.write(MAGIC + bytes([VERSION]) + bytes([TAG_INSTR]))
+    with pytest.raises(TraceFormatError) as exc:
+        list(TraceReader(path).events())
+    assert str(exc.value) == f"{path}: truncated varint (unexpected EOF)"
