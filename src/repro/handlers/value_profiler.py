@@ -114,8 +114,10 @@ class ValueProfiler:
         # and the isScalar flag are idempotent and must not be scaled
         ctx.atomic_add(ptr(WEIGHT), ctx.sample_rate)
 
-        # AND-reduce the active values and compare against the first
-        # active lane in one vector pass per destination
+        # one AND and one OR reduction per destination: bits set in
+        # every active value are the AND, bits clear in every one are
+        # the complement of the OR, and the lanes agree exactly when
+        # the two are equal
         idx = ctx.lanes_idx
         for dst in range(num_dsts):
             values = ctx.rp.GetRegValue(dst)
@@ -124,8 +126,9 @@ class ValueProfiler:
             active = values[idx].astype(np.uint32, copy=False)
             if active.size:
                 combined_ones = int(np.bitwise_and.reduce(active))
-                combined_zeros = int(np.bitwise_and.reduce(~active))
-                all_same = bool((active == active[0]).all())
+                combined_or = int(np.bitwise_or.reduce(active))
+                combined_zeros = ~combined_or & 0xFFFFFFFF
+                all_same = combined_ones == combined_or
             else:
                 combined_ones = combined_zeros = 0xFFFFFFFF
                 all_same = True

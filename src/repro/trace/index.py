@@ -7,8 +7,9 @@ byte with a fresh :class:`~repro.trace.format.EncoderState`.  The index
 records, per launch frame, everything a reader needs to exploit that:
 the absolute byte offset and length, a CRC-32 of the frame bytes, the
 event counts per record kind, and the launch geometry — so
-``TraceReader.open_launch(n)`` seeks straight to launch *n*, replay
-decodes a trace frame by frame without scanning it, and
+``TraceReader.frames`` seeks straight to the frames of any selection
+of launches (replay reads them all, ``trace query`` only the ones its
+filter can match) without scanning the stream, and
 ``repro trace info``/``query`` answer per-launch questions from the
 sidecar alone.
 
@@ -24,7 +25,8 @@ File layout (all integers unsigned LEB128 varints unless noted)::
                CRC-32, events, instr, mem, branch
     [stray]    events outside any complete frame (before the first
                launch, between frames, or in a torn frame) — nonzero
-               disables frame-decoded replay but not ``open_launch``
+               sends replay and query to the event stream, though
+               ``TraceReader.frames`` still reads the indexed frames
     [crc]      4 bytes LE: CRC-32 of everything since the header
     [trailer]  fixed 8 bytes: u32-LE body length + magic b"RPIE"
 
@@ -121,14 +123,6 @@ class TraceIndex:
         return (self.trace_version == manifest.version
                 and self.trace_total_events == manifest.total_events
                 and self.trace_checksum == manifest.checksum)
-
-    def entry(self, n: int) -> LaunchEntry:
-        try:
-            return self.entries[n]
-        except IndexError:
-            raise TraceFormatError(
-                f"launch {n} out of range (index holds "
-                f"{len(self.entries)} launches)")
 
 
 class IndexBuilder:

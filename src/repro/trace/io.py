@@ -10,27 +10,29 @@ walk over bounded chunks, which checks the stream CRC-32 and event
 count against the footer at the end marker: ``events()`` streams it,
 and the index backfill (:func:`repro.trace.index.build_index`) reads
 the same records with their offsets, so a backfill validates the
-stream CRC in bounded memory.  Indexed frame reads share one length
-and CRC-32 check, and every footer read one footer parse.
+stream CRC in bounded memory.  Every footer read shares one footer
+parse.
 
 Path-target writers also maintain a columnar index
 (:mod:`repro.trace.index`) as they go and publish it to the ``.rpti``
-sidecar at close — :meth:`TraceReader.open_launch` then seeks straight
-to launch *n* instead of scanning the whole stream.
+sidecar at close.  :meth:`TraceReader.frames` is the one indexed frame
+read: given the index entries of any in-order selection of launches,
+it seeks straight to each frame instead of scanning the stream, checks
+its indexed length and CRC-32, and decodes the frames in batches.
 
 :class:`FrameColumns` is the replay stack's batch currency: one launch's
 records as ndarray columns.  :func:`decode_frame_columns` builds it
-from indexed ``LAUNCH .. KEND`` frame slices, one slice or a run of
-consecutive ones at a time: each launch header on its own, then every
-record body of the run in a few numpy passes (continuation-bit
-segmentation, masked shift-accumulate, one linear record walk,
-cumulative-sum zigzag-delta undo restarted at each launch), split per
-frame.  :class:`FrameBuilder` builds the same batch from events: from
-the slice's events for frames the vector pass cannot take, and
-through :func:`event_frames` from an event stream (no sidecar, stray
-events, file-object readers).  :func:`repro.trace.replay.replay`, the
-timing model and ``repro trace query`` all consume it; query turns a
-hit row back into an event with :meth:`FrameColumns.record`.
+from a batch of indexed ``LAUNCH .. KEND`` frame slices: each launch
+header on its own, then every record body of the batch in a few numpy
+passes (continuation-bit segmentation, masked shift-accumulate, one
+linear record walk, cumulative-sum zigzag-delta undo restarted at each
+launch), split per frame.  :class:`FrameBuilder` builds the same batch
+from events: from the slice's events for frames the vector pass cannot
+take, and through :func:`event_frames` from an event stream (no
+sidecar, stray events, file-object readers).
+:func:`repro.trace.replay.replay`, the timing model and
+``repro trace query`` all consume it; query turns a hit row back into
+an event with :meth:`FrameColumns.record`.
 """
 
 from __future__ import annotations
@@ -84,6 +86,9 @@ from repro.trace.format import (
 DEFAULT_BUFFER_BYTES = 256 << 10
 #: reader chunk size
 READ_CHUNK = 256 << 10
+#: byte budget of one frame decode batch: :meth:`TraceReader.frames`
+#: decodes frames together until the next would pass it
+DECODE_BATCH_BYTES = 256 << 10
 
 
 class TraceWriter:
@@ -363,44 +368,34 @@ class TraceReader:
         handle.seek(footer_at)
         return decode_footer(handle.read(footer_len), version)
 
-    # ------------------------------------------------------------- seek
+    # ------------------------------------------------------------ frames
 
-    def open_launch(self, n: int,
-                    index: Optional["index_mod.TraceIndex"] = None
-                    ) -> Iterator[object]:
-        """Decode exactly launch frame *n* — O(frame), not O(trace).
+    def frames(self, entries: Iterable["index_mod.LaunchEntry"]
+               ) -> Iterator[FrameColumns]:
+        """The indexed launch frames *entries* as :class:`FrameColumns`.
 
-        Yields the :class:`~repro.trace.format.LaunchEvent`, the frame's
-        events in stream order, and the closing
-        :class:`~repro.trace.format.KernelEndEvent`.  Uses the ``.rpti``
-        sidecar when *index* is not given (building one in memory if the
-        sidecar is missing or stale).  The frame bytes are validated
-        against the index's per-frame CRC before any event is yielded.
+        *entries* come in stream order and may skip launches: replay
+        passes every entry, ``trace query`` only the launches its
+        filter can match.  They are read through one file handle, each
+        frame checked against its indexed length and CRC-32 before it
+        joins a batch, and decoded by :func:`decode_frame_columns` in
+        batches of up to :data:`DECODE_BATCH_BYTES` of frame bytes (a
+        larger frame is a batch of its own).  A batch need not be
+        adjacent frames: every frame restarts its address and line
+        chains.
         """
-        if index is None:
-            if self.path is None:
-                raise TraceFormatError(
-                    "open_launch on a trace stream needs an explicit "
-                    "index (no path to find the sidecar by)")
-            index = index_mod.ensure_index(self.path)
-            if index is None:
-                raise TraceFormatError(
-                    f"{self._name()} is not a readable trace")
-        return iter_slice_events(self.read_frame(index.entry(n)))
-
-    def read_frame(self, entry: "index_mod.LaunchEntry") -> bytes:
-        """The raw, CRC-validated bytes of one indexed launch frame."""
         with self._open() as handle:
-            return self._frame_bytes(handle, entry)
-
-    def frames(self, index: "index_mod.TraceIndex"
-               ) -> Iterator[Tuple["index_mod.LaunchEntry", bytes]]:
-        """Yield ``(entry, frame_bytes)`` for every indexed launch frame
-        through a single file handle — the sequential-batch counterpart
-        of :meth:`read_frame` (which reopens the trace per call)."""
-        with self._open() as handle:
-            for entry in index.entries:
-                yield entry, self._frame_bytes(handle, entry)
+            batch: List[bytes] = []
+            size = 0
+            for entry in entries:
+                data = self._frame_bytes(handle, entry)
+                if batch and size + len(data) > DECODE_BATCH_BYTES:
+                    yield from decode_frame_columns(batch)
+                    batch, size = [], 0
+                batch.append(data)
+                size += len(data)
+            if batch:
+                yield from decode_frame_columns(batch)
 
     def _frame_bytes(self, handle: IO[bytes],
                      entry: "index_mod.LaunchEntry") -> bytes:
@@ -537,11 +532,11 @@ def _columns_vector(tok: np.ndarray, *cuts: int) -> Optional[tuple]:
     decoder (structural anomaly or int64-overflow risk).
 
     *tok* is one frame's record tokens, and the result its 16 columns
-    in :class:`FrameColumns` slot order.  For a batch of consecutive
-    frames, *tok* is their tokens end to end and *cuts* the positions
-    where the second and later frames' records begin: the address and
-    line chains restart at each cut, and each of the 16 entries is a
-    list of per-frame columns.  A record crossing a cut declines the
+    in :class:`FrameColumns` slot order.  For a batch of frames, *tok*
+    is their tokens end to end and *cuts* the positions where the
+    second and later frames' records begin: the address and line
+    chains restart at each cut, and each of the 16 entries is a list
+    of per-frame columns.  A record crossing a cut declines the
     batch, so no frame reads another's tokens.
     """
     rec = _record_walk(tok)
@@ -603,13 +598,13 @@ class FrameColumns:
 
     The replay stack's batch currency, and the only input a replay
     analysis accepts.  Built from a ``LAUNCH .. KEND`` frame slice by
-    :func:`decode_frame_columns` (a few array passes over a run of
+    :func:`decode_frame_columns` (a few array passes over a batch of
     frames, no per-event objects; the columns may be views into the
-    run's arrays), or from an event stream by :class:`FrameBuilder`;
-    consumed by the analyses, the timing model and the indexed query
-    path.  ``record_tags`` preserves the record
-    order after the launch record; the per-kind columns are in stream
-    order, so kind-local index *k* is the *k*-th record of that kind.
+    batch's arrays), or from an event stream by :class:`FrameBuilder`;
+    consumed by the analyses, the timing model and the query filter.
+    ``record_tags`` preserves the record order after the launch
+    record; the per-kind columns are in stream order, so kind-local
+    index *k* is the *k*-th record of that kind.
     Columns are int64, except that a column holding a value past int64
     is an exact object column.  ``launch`` is ``None`` for the records
     a trace holds ahead of its first launch.  :meth:`record` turns one
@@ -696,25 +691,21 @@ _KNOWN_OPCODE = np.zeros(max(op.value for op in Opcode) + 1, dtype=bool)
 _KNOWN_OPCODE[[op.value for op in Opcode]] = True
 
 
-def decode_frame_columns(data: Union[bytes, Sequence[bytes]]
-                         ) -> Union[FrameColumns, List[FrameColumns]]:
-    """Decode frame slices into :class:`FrameColumns`.
+def decode_frame_columns(slices: Sequence[bytes]) -> List[FrameColumns]:
+    """Decode a batch of frame slices, one :class:`FrameColumns` each.
 
-    *data* is one ``LAUNCH .. KEND`` frame slice, for one
-    :class:`FrameColumns`, or a batch: a list of consecutive frame
-    slices, for one :class:`FrameColumns` per slice.  Each launch
-    header is decoded on its own; the bodies of the whole batch take
-    one varint pass and one vector pass (:func:`_columns_vector`), so
-    a run of small frames costs about what one large frame does.  A
-    batch the vector pass declines is decoded frame by frame, and a
-    frame it declines (over-long varints, truncation, bad tags, values
-    that might not fit int64) event by event into a
-    :class:`FrameBuilder`: corrupt input raises the streaming decoder's
-    :class:`TraceFormatError`, and values past int64 come back exact.
+    *slices* are ``LAUNCH .. KEND`` frame slices, in any order and not
+    necessarily adjacent in the trace.  Each launch header is decoded
+    on its own; the bodies of the whole batch take one varint pass and
+    one vector pass (:func:`_columns_vector`), so a run of small
+    frames costs about what one large frame does.  A batch the vector
+    pass declines is decoded frame by frame, and a frame it declines
+    (over-long varints, truncation, bad tags, values that might not
+    fit int64) event by event into a :class:`FrameBuilder`: corrupt
+    input raises the streaming decoder's :class:`TraceFormatError`,
+    and values past int64 come back exact.
     """
-    if isinstance(data, (bytes, bytearray)):
-        return _decode_batch([data])[0]
-    return _decode_batch(list(data))
+    return _decode_batch(list(slices))
 
 
 def _decode_batch(slices: List[bytes]) -> List[FrameColumns]:

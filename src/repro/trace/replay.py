@@ -17,9 +17,8 @@ One driver, :func:`replay`, feeds them all, and every analysis consumes
 one input: :class:`~repro.trace.io.FrameColumns`, a launch's records as
 ndarray columns, through ``feed_columns`` — vectorized batch kernels
 (``np.bincount``-style reductions) instead of per-event Python
-dispatch.  With a usable ``.rpti`` sidecar the driver decodes the
-indexed launch frames in batches of consecutive frames
-(:func:`~repro.trace.io.decode_frame_columns`);
+dispatch.  With a usable ``.rpti`` sidecar the driver reads every
+indexed launch frame through :meth:`~repro.trace.io.TraceReader.frames`;
 otherwise it groups the event stream into the same batches
 (:func:`~repro.trace.io.event_frames`); both routes yield the same
 batches, so results never depend on whether the sidecar was there.  A
@@ -43,7 +42,6 @@ from repro.trace import index as index_mod
 from repro.trace.io import (
     FrameColumns,
     TraceReader,
-    decode_frame_columns,
     event_frames,
     record_error,
 )
@@ -348,44 +346,23 @@ def make_analysis(name: str, **kwargs) -> TraceAnalysis:
     return cls(**kwargs)
 
 
-#: byte budget of one decode batch: consecutive indexed frames are
-#: decoded together until the next would pass it (a larger frame is a
-#: batch of its own)
-DECODE_BATCH_BYTES = 256 << 10
-
-
-def _decoded_frames(reader: TraceReader, index: "index_mod.TraceIndex"):
-    """Every indexed frame of *reader* as :class:`FrameColumns`,
-    decoded in batches of consecutive frames."""
-    batch: List[bytes] = []
-    size = 0
-    for _, data in reader.frames(index):
-        if batch and size + len(data) > DECODE_BATCH_BYTES:
-            yield from decode_frame_columns(batch)
-            batch, size = [], 0
-        batch.append(data)
-        size += len(data)
-    if batch:
-        yield from decode_frame_columns(batch)
-
-
 def replay(trace, analyses: Sequence[TraceAnalysis]) -> List[TraceAnalysis]:
     """One serial pass over *trace*, feeding every analysis.
 
     *trace* is a path or a :class:`TraceReader`.  Returns the analyses
     (now holding their results) for convenience.  When a ``.rpti``
     sidecar bound to the trace covers every event, its launch frames
-    are decoded straight into :class:`FrameColumns`, a batch of frames
-    up to :data:`DECODE_BATCH_BYTES` per decode call; otherwise the
-    event stream is grouped into the same batches.  Telemetry splits
-    the pass into decode and analyze time.
+    are decoded straight into :class:`FrameColumns` by
+    :meth:`TraceReader.frames`; otherwise the event stream is grouped
+    into the same batches.  Telemetry splits the pass into decode and
+    analyze time.
     """
     reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)
     analyses = list(analyses)
     path = reader.path
     index = index_mod.sidecar_index(path) if path is not None else None
     if index is not None and index.shardable:
-        frames = _decoded_frames(reader, index)
+        frames = reader.frames(index.entries)
     else:
         frames = event_frames(reader.events())
     events = 0

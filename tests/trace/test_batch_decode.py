@@ -24,7 +24,7 @@ from repro.trace.format import (
     TraceFormatError,
     encode_event,
 )
-from repro.trace.io import FrameColumns, decode_frame_columns
+from repro.trace.io import FrameBuilder, FrameColumns, decode_frame_columns
 from tests.trace.test_columnar_decoder import (
     I64_SAFE,
     U64_MAX,
@@ -100,7 +100,7 @@ MEM_3 = MemEvent(ins_addr=0x48, flags=1, width=4, active_lanes=32,
           (LAUNCH, [INSTR], 10)])                      # u64, overlong
 def test_batch_equals_frame_by_frame(frames):
     slices = [frame_slice(*frame) for frame in frames]
-    alone = [decode_frame_columns(data) for data in slices]
+    alone = [decode_frame_columns([data])[0] for data in slices]
     assert_same_frames(decode_frame_columns(slices), alone)
 
 
@@ -138,7 +138,7 @@ def mid_varint() -> bytes:
 def test_overrunning_frame_raises_its_own_error(bad_frame, before, after):
     bad = bad_frame()
     with pytest.raises(TraceFormatError) as alone:
-        decode_frame_columns(bad)
+        decode_frame_columns([bad])
     slices = ([frame_slice(launch, records) for launch, records in before]
               + [bad]
               + [frame_slice(launch, records) for launch, records in after])
@@ -148,10 +148,12 @@ def test_overrunning_frame_raises_its_own_error(bad_frame, before, after):
 
 
 def test_batch_of_one_is_the_single_frame_case():
-    data = frame_slice(LAUNCH, [INSTR, MEM, KernelEndEvent(
-        warp_instructions=2)])
-    (frame,) = decode_frame_columns([data])
-    assert_same_frames([frame], [decode_frame_columns(data)])
+    records = [INSTR, MEM, KernelEndEvent(warp_instructions=2)]
+    (frame,) = decode_frame_columns([frame_slice(LAUNCH, records)])
+    builder = FrameBuilder(LAUNCH)
+    for event in records:
+        builder.add(event)
+    assert_same_frames([frame], [builder.frame()])
     assert frame.mem_lines.dtype == np.int64
 
 
@@ -163,7 +165,7 @@ def test_varint_never_runs_into_the_next_frame():
     first = frame_slice(LAUNCH, [INSTR]) + bytes([TAG_KEND | 0x80])
     second = frame_slice(LAUNCH, []) + bytes([0x00, 0x05])
     with pytest.raises(TraceFormatError) as alone:
-        decode_frame_columns(first)
+        decode_frame_columns([first])
     with pytest.raises(TraceFormatError) as batch:
         decode_frame_columns([first, second])
     assert str(batch.value) == str(alone.value)

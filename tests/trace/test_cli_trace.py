@@ -363,13 +363,13 @@ class TestTraceQuery:
         from repro.trace.index import sidecar_index
 
         frames = []
-        real = query.TraceReader.read_frame
+        real = query.TraceReader._frame_bytes
 
-        def read_frame(reader, entry):
+        def frame_bytes(reader, handle, entry):
             frames.append(entry)
-            return real(reader, entry)
+            return real(reader, handle, entry)
 
-        monkeypatch.setattr(query.TraceReader, "read_frame", read_frame)
+        monkeypatch.setattr(query.TraceReader, "_frame_bytes", frame_bytes)
         index = sidecar_index(multi_launch_trace)
         last = index.launches - 1
         assert last > 0

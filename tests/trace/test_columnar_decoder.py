@@ -135,7 +135,7 @@ def assert_frame_matches(frame, launch, records):
                                          max_size=50))
 @settings(max_examples=80)
 def test_frame_columns_match_event_ground_truth(launch, records):
-    frame = decode_frame_columns(frame_bytes(launch, records))
+    frame = decode_frame_columns([frame_bytes(launch, records)])[0]
     assert frame is not None
     assert_frame_matches(frame, launch, records)
 
@@ -218,7 +218,7 @@ def test_delta_chains_reset_at_launch_boundaries(frames):
             starts.append(at)
         _, pos = decode_event(tag, data, pos, state)
     for i, (launch, records) in enumerate(all_events):
-        frame = decode_frame_columns(data[starts[i]:starts[i + 1]])
+        frame = decode_frame_columns([data[starts[i]:starts[i + 1]]])[0]
         assert frame is not None
         assert_frame_matches(frame, launch, records)
 
@@ -236,13 +236,13 @@ def test_truncation_matches_scalar_reference(launch, records, data):
     cut = data.draw(st.integers(min_value=len(header),
                                 max_value=len(blob) - 1))
     try:
-        frame = decode_frame_columns(blob[:cut])
+        frame = decode_frame_columns([blob[:cut]])[0]
     except TraceFormatError:
         return
     assert frame is not None
     assert frame.events <= len(records) + 1
     # a successful decode must be a record-prefix of the full frame
-    full = decode_frame_columns(blob)
+    full = decode_frame_columns([blob])[0]
     n = frame.record_tags.size
     assert frame.record_tags.tolist() == full.record_tags.tolist()[:n]
 
@@ -256,7 +256,7 @@ def test_bit_flip_never_tracebacks(launch, records, data):
     index = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
     blob[index] ^= data.draw(st.integers(min_value=1, max_value=255))
     try:
-        frame = decode_frame_columns(bytes(blob))
+        frame = decode_frame_columns([bytes(blob)])[0]
     except TraceFormatError:
         return
     assert frame.events >= 1
@@ -272,7 +272,7 @@ def test_bit_flip_never_tracebacks(launch, records, data):
 def test_full_u64_addresses_decode_exactly_or_fall_back(launch, records):
     """Addresses anywhere in u64: the columns are always exact — int64
     where every value fits, an object column where one does not."""
-    frame = decode_frame_columns(frame_bytes(launch, records))
+    frame = decode_frame_columns([frame_bytes(launch, records)])[0]
     assert_frame_matches(frame, launch, records)
 
 
@@ -287,12 +287,15 @@ def test_non_launch_frame_slice_is_rejected():
                                               block=(1, 1, 1),
                                               launch_index=0), state))
     with pytest.raises(TraceFormatError, match="launch"):
-        decode_frame_columns(blob[launch_len:])
+        decode_frame_columns([blob[launch_len:]])
 
 
-def test_corrupt_frame_bytes_fail_crc_before_decode(tmp_path):
+def test_corrupt_frame_bytes_fail_crc_before_decode(tmp_path,
+                                                    monkeypatch):
     """The read path (``TraceReader.frames``) rejects flipped frame
     bytes via the index CRC before the columnar decoder ever runs."""
+    from repro.trace import io as trace_io
+
     path = str(tmp_path / "t.rptrace")
     with TraceWriter(path) as writer:
         writer.write(LaunchEvent(kernel="k", grid=(2, 1, 1),
@@ -309,6 +312,15 @@ def test_corrupt_frame_bytes_fail_crc_before_decode(tmp_path):
         byte = handle.read(1)
         handle.seek(entry.offset + entry.length // 2)
         handle.write(bytes([byte[0] ^ 0xFF]))
+    decoded = []
+    real = trace_io.decode_frame_columns
+
+    def counted(slices):
+        decoded.append(slices)
+        return real(slices)
+
+    monkeypatch.setattr(trace_io, "decode_frame_columns", counted)
     reader = TraceReader(path)
     with pytest.raises(TraceFormatError, match="checksum"):
-        list(reader.frames(index))
+        list(reader.frames(index.entries))
+    assert decoded == []

@@ -2,8 +2,9 @@
 
 The contracts: the index codec round-trips bit-exactly; the sidecar a
 :class:`TraceWriter` streams out equals the :func:`build_index`
-backfill byte-for-byte; ``open_launch(n)`` returns exactly the events
-a full scan attributes to launch *n*; and any truncation or byte flip
+backfill byte-for-byte; ``TraceReader.frames`` over any in-order
+subset of the index's launches yields exactly the columns a full scan
+groups for those launches; and any truncation or byte flip
 of a sidecar raises a clean :class:`TraceFormatError` (a stale or torn
 sidecar is then silently rebuilt by :func:`ensure_index`).
 """
@@ -30,7 +31,7 @@ from repro.trace.index import (
     read_index,
     write_index,
 )
-from repro.trace.io import TraceReader, TraceWriter
+from repro.trace.io import FrameColumns, TraceReader, TraceWriter, event_frames
 
 from tests.trace.test_codec_properties import (
     branches,
@@ -104,32 +105,42 @@ def test_any_byte_flip_raises_trace_format_error(trace_frames, data):
         decode_index(bytes(blob))
 
 
+def _assert_frames_match_scan(path, index, data):
+    """A random in-order subset of *index*'s entries, which may skip
+    launches, read through ``TraceReader.frames`` equals the full
+    scan's :func:`event_frames` batches at those ordinals, column for
+    column."""
+    scanned = [frame for frame in event_frames(TraceReader(path).events())
+               if frame.launch is not None]
+    assert len(scanned) == index.launches
+    chosen = sorted(data.draw(st.sets(st.integers(
+        min_value=0, max_value=index.launches - 1))))
+    read = list(TraceReader(path).frames(
+        index.entries[n] for n in chosen))
+    assert len(read) == len(chosen)
+    for frame, n in zip(read, chosen):
+        want = scanned[n]
+        assert frame.launch == want.launch
+        assert frame.events == want.events == index.entries[n].events
+        assert frame.warp_instructions == want.warp_instructions
+        for slot in FrameColumns.__slots__[4:]:
+            got, expected = getattr(frame, slot), getattr(want, slot)
+            assert got.dtype == expected.dtype, slot
+            assert got.tolist() == expected.tolist(), slot
+
+
 @given(framed_traces, st.data())
 @settings(max_examples=40, deadline=None)
-def test_open_launch_matches_full_scan(trace_frames, data):
-    n = data.draw(st.integers(min_value=0,
-                              max_value=len(trace_frames) - 1))
+def test_frames_match_full_scan(trace_frames, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = _write_trace([e for f in trace_frames for e in f], tmp)
-        # the frame as a full scan sees it: nth LAUNCH through its KEND
-        scanned = []
-        ordinal = -1
-        for event in TraceReader(path).events():
-            if isinstance(event, LaunchEvent):
-                ordinal += 1
-            if ordinal == n:
-                scanned.append(event)
-                if isinstance(event, KernelEndEvent):
-                    break
-        seeked = list(TraceReader(path).open_launch(n))
-        assert seeked == scanned
-        with pytest.raises(TraceFormatError):
-            TraceReader(path).open_launch(len(trace_frames))
+        index = read_index(index_path_for(path))
+        _assert_frames_match_scan(path, index, data)
 
 
-@given(bodies.filter(bool), framed_traces)
+@given(bodies.filter(bool), framed_traces, st.data())
 @settings(max_examples=25, deadline=None)
-def test_stray_events_disable_sharding(preamble, trace_frames):
+def test_stray_events_disable_sharding(preamble, trace_frames, data):
     events = list(preamble) + [e for f in trace_frames for e in f]
     with tempfile.TemporaryDirectory() as tmp:
         path = _write_trace(events, tmp)
@@ -137,9 +148,9 @@ def test_stray_events_disable_sharding(preamble, trace_frames):
         assert index.stray_events == len(preamble)
         assert not index.shardable
         assert index.launches == len(trace_frames)
-        # seeking still works even when sharded replay is off the table
-        first = list(TraceReader(path).open_launch(0, index))
-        assert first == trace_frames[0]
+        # the indexed frames still read correctly even when frame
+        # replay is off the table
+        _assert_frames_match_scan(path, index, data)
 
 
 def test_stale_sidecar_rebuilt(tmp_path):

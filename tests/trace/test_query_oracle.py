@@ -11,6 +11,9 @@ ranges, opcode classes, address ranges, warps and kinds.  Hits must
 equal the oracle's with the ``.rpti`` sidecar present, missing and
 stale; whenever the query runs as a full scan its
 :class:`~repro.trace.query.QueryStats` must equal the oracle's too.
+On traces the sidecar covers whole, the indexed route's stats must
+equal the launches and events the filter can reach, counted from the
+written frames.
 """
 
 from __future__ import annotations
@@ -25,7 +28,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.isa.opcodes import OpClass
-from repro.trace.format import KernelEndEvent, MemEvent
+from repro.trace.format import (
+    BranchEvent,
+    InstrEvent,
+    KernelEndEvent,
+    LaunchEvent,
+    MemEvent,
+)
 from repro.trace.index import index_path_for, sidecar_index
 from repro.trace.query import QueryFilter, run_query
 from tests.query_oracle import oracle_query
@@ -104,3 +113,72 @@ def test_query_equals_oracle(events, sidecar, seed):
                 assert not stats.used_index
             if not stats.used_index:
                 assert stats == want_stats, filt
+
+
+def _framed(events):
+    """*events* with each run of records outside a ``LAUNCH .. KEND``
+    frame wrapped in a launch of its own, which may hold no
+    instruction, and a cut-off last frame closed: the sidecar then
+    covers every event, so a query takes the indexed route."""
+    framed = []
+    in_frame = False
+    for event in events:
+        launch = isinstance(event, LaunchEvent)
+        if in_frame and launch:
+            framed.append(KernelEndEvent(warp_instructions=0))
+        elif not in_frame and not launch:
+            framed.append(LaunchEvent(kernel="wrapped", grid=(1, 1, 1),
+                                      block=(32, 1, 1),
+                                      launch_index=len(framed)))
+        framed.append(event)
+        in_frame = not isinstance(event, KernelEndEvent)
+    if in_frame:
+        framed.append(KernelEndEvent(warp_instructions=0))
+    return framed
+
+
+_KINDS = {InstrEvent: "instr", MemEvent: "mem", BranchEvent: "branch"}
+
+
+def _indexed_stats(events, filt: QueryFilter):
+    """``(launches_total, launches_visited, launches_skipped,
+    events_scanned)`` of an indexed query: an in-range launch is
+    visited when the filter's kinds occur in it (and, under a class
+    filter, it also holds an instruction), and scanning it reads all of
+    its events."""
+    frames = []
+    for event in events:
+        if isinstance(event, LaunchEvent):
+            frames.append([])
+        frames[-1].append(event)
+    lo, hi = filt.launches or (None, None)
+    visited = scanned = 0
+    for ordinal, frame in enumerate(frames):
+        kinds = [_KINDS.get(type(event)) for event in frame]
+        if ((lo is None or ordinal >= lo) and (hi is None or ordinal < hi)
+                and any(kind in filt.kinds for kind in kinds)
+                and (filt.classes is None or "instr" in kinds)):
+            visited += 1
+            scanned += len(frame)
+    return len(frames), visited, len(frames) - visited, scanned
+
+
+@settings(max_examples=40, deadline=None)
+@given(events=traces(), seed=st.integers(0, 2 ** 32 - 1))
+def test_indexed_query_stats(events, seed):
+    events = _framed(events)
+    rng = random.Random(seed)
+    addrs = _addresses(events)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.rptrace")
+        _write(path, events)
+        assert sidecar_index(path).shardable
+        for _ in range(FILTERS_PER_TRACE):
+            filt = _random_filter(rng, addrs)
+            want, _ = oracle_query(events, filt)
+            hits, stats = run_query(path, filt)
+            assert _rows(hits) == _rows(want), filt
+            assert stats.used_index and stats.hits == len(want)
+            assert (stats.launches_total, stats.launches_visited,
+                    stats.launches_skipped, stats.events_scanned) == \
+                _indexed_stats(events, filt), filt
