@@ -34,6 +34,7 @@ import asyncio
 import json
 import multiprocessing
 import os
+import shutil
 import tempfile
 import threading
 import time
@@ -111,7 +112,10 @@ class ProfilingServer:
         self._shutdown = asyncio.Event()
         self._wall_ema: Optional[float] = None
         self.address: Optional[tuple] = None
-        self._artifact_dir = self.config.artifact_dir \
+        #: a directory the server made itself is removed at shutdown;
+        #: a configured one is left alone
+        self._owns_artifact_dir = not self.config.artifact_dir
+        self.artifact_dir = self.config.artifact_dir \
             or tempfile.mkdtemp(prefix="repro-server-")
 
     # ------------------------------------------------------- lifecycle
@@ -156,6 +160,8 @@ class ProfilingServer:
             # wait=True joins the pool's plumbing threads; skipping that
             # races them against interpreter teardown (spurious EBADF)
             pool.shutdown(wait=True, cancel_futures=True)
+        if self._owns_artifact_dir:
+            shutil.rmtree(self.artifact_dir, ignore_errors=True)
 
     def _new_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=self.config.workers,
@@ -224,7 +230,7 @@ class ProfilingServer:
         start = time.perf_counter()
         try:
             tasks = job_tasks(record.spec,
-                              artifact_dir=self._artifact_dir,
+                              artifact_dir=self.artifact_dir,
                               job_id=record.id)
             futures = [loop.run_in_executor(pool, run_job_task, task)
                        for task in tasks]

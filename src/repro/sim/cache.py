@@ -11,8 +11,8 @@ through these same models.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -34,7 +34,12 @@ class CacheStats:
 
 
 class Cache:
-    """An LRU set-associative cache of line addresses."""
+    """An LRU set-associative cache of line addresses.
+
+    Each set is a dict of its tags in recency order (dicts keep
+    insertion order): a hit re-inserts its tag at the end, and a fill
+    past the associativity evicts the first tag.
+    """
 
     def __init__(self, size_bytes: int, line_bytes: int = 32,
                  ways: int = 4, name: str = "cache",
@@ -47,7 +52,7 @@ class Cache:
         self.name = name
         self.next_level = next_level
         self.stats = CacheStats()
-        self._sets: Dict[int, OrderedDict] = {}
+        self._sets: Dict[int, Dict[int, bool]] = {}
 
     def access(self, line_addr: int) -> bool:
         """Access one line address; returns True on hit.  Misses are
@@ -58,9 +63,12 @@ class Cache:
 
     def _access_line(self, index: int, tag: int, line_addr: int) -> bool:
         self.stats.accesses += 1
-        ways = self._sets.setdefault(index, OrderedDict())
+        ways = self._sets.get(index)
+        if ways is None:
+            ways = self._sets[index] = {}
         if tag in ways:
-            ways.move_to_end(tag)
+            del ways[tag]
+            ways[tag] = True
             self.stats.hits += 1
             return True
         self.stats.misses += 1
@@ -68,83 +76,95 @@ class Cache:
             self.next_level.access(line_addr)
         ways[tag] = True
         if len(ways) > self.ways:
-            ways.popitem(last=False)
+            del ways[next(iter(ways))]
             self.stats.evictions += 1
         return False
 
     def access_lines(self, line_addresses: Sequence[int],
-                     outcomes: Optional[List[int]] = None) -> int:
+                     outcomes: Optional[List[int]] = None,
+                     flushes: Sequence[int] = ()) -> int:
         """Access a whole transaction vector (in order); returns the
         number of misses at this level.
 
         Equivalent to ``sum(not self.access(a) for a in line_addresses)``
         — stats, LRU state and next-level forwarding are identical to
-        the one-at-a-time loop — but set indices and tags come from one
-        vectorized pass, and this level and the next run as one inlined
-        loop.  When *outcomes* is given, each line's grade is appended
-        to it: 0 hit at this level, 1 hit at the next level, 2 missed
-        every level modelled here (a DRAM trip).
+        the one-at-a-time loop — but set indices and tags of this level
+        and the next come from one vectorized pass, and the two levels
+        run as one inlined loop.  When *outcomes* is given, each line's
+        grade is appended to it: 0 hit at this level, 1 hit at the next
+        level, 2 missed every level modelled here (a DRAM trip).  The
+        hierarchy is invalidated ahead of the line at each (ascending)
+        position in *flushes*, as at a kernel-launch boundary.
         """
-        if len(line_addresses) == 0:
+        n = len(line_addresses)
+        if n == 0:
             return 0
-        line_bytes, num_sets = self.line_bytes, self.num_sets
+        nxt = self.next_level
+        below = None if nxt is None else nxt.next_level
         try:
             raw = np.asarray(line_addresses, dtype=np.int64)
         except OverflowError:        # u64 addresses past int64
             addrs = [int(a) for a in line_addresses]
-            indices = [a // line_bytes % num_sets for a in addrs]
-            tags = [a // line_bytes // num_sets for a in addrs]
+            keys = [([a // c.line_bytes % c.num_sets for a in addrs],
+                     [a // c.line_bytes // c.num_sets for a in addrs])
+                    for c in (self, nxt) if c is not None]
         else:
-            lines = raw // line_bytes
-            indices = (lines % num_sets).tolist()
-            tags = (lines // num_sets).tolist()
-            addrs = raw.tolist()
+            addrs = raw.tolist() if below is not None else None
+            keys = [((raw // c.line_bytes % c.num_sets).tolist(),
+                     (raw // c.line_bytes // c.num_sets).tolist())
+                    for c in (self, nxt) if c is not None]
+        if nxt is None:
+            keys.append((repeat(None), repeat(None)))
+        (indices, tags), (indices2, tags2) = keys
+        rows = zip(indices, tags, indices2, tags2,
+                   repeat(None) if addrs is None else addrs)
         grade = ([] if outcomes is None else outcomes).append
         sets, assoc = self._sets, self.ways
         hits = evictions = 0
-        nxt = self.next_level
         if nxt is not None:
             sets2, assoc2 = nxt._sets, nxt.ways
-            line_bytes2, num_sets2 = nxt.line_bytes, nxt.num_sets
-            below = nxt.next_level
             hits2 = misses2 = evictions2 = 0
-        for index, tag, addr in zip(indices, tags, addrs):
-            ways = sets.get(index)
-            if ways is None:
-                ways = sets[index] = OrderedDict()
-            if tag in ways:
-                ways.move_to_end(tag)
-                hits += 1
-                grade(0)
-                continue
-            ways[tag] = True
-            if len(ways) > assoc:
-                ways.popitem(last=False)
-                evictions += 1
-            if nxt is None:
+        bounds = [0, *flushes, n]
+        for segment, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if segment:
+                self.invalidate()
+            for index, tag, index2, tag2, addr in islice(rows, hi - lo):
+                ways = sets.get(index)
+                if ways is None:
+                    ways = sets[index] = {}
+                if tag in ways:
+                    del ways[tag]
+                    ways[tag] = True
+                    hits += 1
+                    grade(0)
+                    continue
+                ways[tag] = True
+                if len(ways) > assoc:
+                    del ways[next(iter(ways))]
+                    evictions += 1
+                if nxt is None:
+                    grade(2)
+                    continue
+                ways2 = sets2.get(index2)
+                if ways2 is None:
+                    ways2 = sets2[index2] = {}
+                if tag2 in ways2:
+                    del ways2[tag2]
+                    ways2[tag2] = True
+                    hits2 += 1
+                    grade(1)
+                    continue
+                misses2 += 1
+                if below is not None:
+                    below.access(addr)
+                ways2[tag2] = True
+                if len(ways2) > assoc2:
+                    del ways2[next(iter(ways2))]
+                    evictions2 += 1
                 grade(2)
-                continue
-            line2 = addr // line_bytes2
-            index2, tag2 = line2 % num_sets2, line2 // num_sets2
-            ways2 = sets2.get(index2)
-            if ways2 is None:
-                ways2 = sets2[index2] = OrderedDict()
-            if tag2 in ways2:
-                ways2.move_to_end(tag2)
-                hits2 += 1
-                grade(1)
-                continue
-            misses2 += 1
-            if below is not None:
-                below.access(addr)
-            ways2[tag2] = True
-            if len(ways2) > assoc2:
-                ways2.popitem(last=False)
-                evictions2 += 1
-            grade(2)
-        misses = len(addrs) - hits
+        misses = n - hits
         stats = self.stats
-        stats.accesses += len(addrs)
+        stats.accesses += n
         stats.hits += hits
         stats.misses += misses
         stats.evictions += evictions

@@ -6,10 +6,11 @@ accumulates inline: it answers *how many* issue slots a kernel consumed
 memory instruction pays extra slots per coalesced transaction beyond
 the first — the address-divergence cost the paper's Case Study II
 quantifies).  The scheduler answers *where the time went*.  It
-replays per-warp instruction streams — one launch at a time, as the
-:class:`StreamColumns` :mod:`repro.trace.timing` rebuilds from a
-recorded trace — through a single-issue scheduler in the fixed-latency
-stall-count + scoreboard-barrier style of SASSI-era hardware models:
+replays per-warp instruction streams — a batch of launches at a time,
+as the :class:`StreamColumns` :mod:`repro.trace.timing` rebuilds from a
+recorded trace, each launch starting at cycle 0 — through a
+single-issue scheduler in the fixed-latency stall-count +
+scoreboard-barrier style of SASSI-era hardware models:
 
 * every opcode has an explicit :class:`LatencyEntry` — issue-port
   occupancy (identical to the flat model's cost, so Table 3 ratios are
@@ -28,10 +29,13 @@ stall-count + scoreboard-barrier style of SASSI-era hardware models:
   ``lrr`` (loose round-robin).
 
 Whenever the issue port sits idle because no warp is ready, the gap is
-recorded as a :class:`Bubble` classified by the binding constraint of
-the earliest-ready warp (``mem_dep``, ``exec_dep``, or ``scoreboard``)
-and attributed to the producing instruction — the raw material for the
-``repro trace summary`` hotspot and idle-gap reports.
+recorded as a bubble classified by the binding constraint of the
+earliest-ready warp (``mem_dep``, ``exec_dep``, or ``scoreboard``),
+summed into that reason's stall cycles and attributed to the producing
+instruction — the raw material for the ``repro trace summary`` hotspot
+and idle-gap reports.  The :class:`Bubble` and :class:`Hotspot` objects
+those reports print are built from the batch's columns only when first
+read.
 
 :func:`schedule_launch` and :func:`divergence_spans` accept
 :class:`WarpStream` objects and convert them to the same columns.
@@ -279,7 +283,13 @@ class Hotspot:
 
 @dataclass
 class LaunchSchedule:
-    """The scheduled timing of one kernel launch (CTAs sequential)."""
+    """The scheduled timing of one kernel launch (CTAs sequential).
+
+    ``stall_cycles`` is summed while scheduling.  A schedule from
+    :func:`schedule_columns` builds its ``bubbles`` and ``hotspots``
+    from the batch's columns on first read; a default-constructed one
+    starts with an empty list and table that the caller fills.
+    """
 
     policy: str
     cycles: int = 0
@@ -289,8 +299,30 @@ class LaunchSchedule:
     divergent_instrs: int = 0
     stall_cycles: Dict[str, int] = field(
         default_factory=lambda: {reason: 0 for reason in REASONS})
-    bubbles: List[Bubble] = field(default_factory=list)
-    hotspots: Dict[int, Hotspot] = field(default_factory=dict)
+    _bubbles: List[Bubble] = field(default_factory=list, init=False,
+                                   repr=False, compare=False)
+    _hotspots: Dict[int, Hotspot] = field(default_factory=dict, init=False,
+                                          repr=False, compare=False)
+    #: (the batch's report rows, this launch's index in the batch),
+    #: until ``bubbles``/``hotspots`` is read
+    _rows: Optional[Tuple["_ReportRows", int]] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def _build(self) -> None:
+        if self._rows is not None:
+            rows, index = self._rows
+            self._bubbles, self._hotspots = rows.launch(index)
+            self._rows = None
+
+    @property
+    def bubbles(self) -> List[Bubble]:
+        self._build()
+        return self._bubbles
+
+    @property
+    def hotspots(self) -> Dict[int, Hotspot]:
+        self._build()
+        return self._hotspots
 
     @property
     def bubble_cycles(self) -> int:
@@ -340,15 +372,19 @@ def int_column(values: Sequence[int]) -> np.ndarray:
 
 @dataclass
 class StreamColumns:
-    """One launch's warp streams as parallel per-instruction columns.
+    """A batch of launches' warp streams as parallel per-instruction
+    columns.
 
-    Rows are in *stream order*: CTA-major, then warp index, then each
-    warp's instructions in program order.  ``warp_lengths[c][w]`` is
-    the row count of CTA ``c``'s warp ``w`` (0 for a warp that ran
-    nothing).  ``transactions``/``l1_misses``/``l2_misses`` carry the
-    coalescer and cache outcome of the instruction's recorded memory
-    access; ``divergent`` marks rows executed with fewer active lanes
-    than the warp's reconverged width.
+    Rows are in *stream order*: launch-major, then CTA, then warp index,
+    then each warp's instructions in program order.
+    ``launch_ctas[i]`` is launch *i*'s CTA count (0 for a launch that
+    ran nothing), and ``warp_lengths`` lists every CTA of the batch in
+    order: ``warp_lengths[c][w]`` is the row count of CTA ``c``'s warp
+    ``w`` (0 for a warp that ran nothing).
+    ``transactions``/``l1_misses``/``l2_misses`` carry the coalescer and
+    cache outcome of the instruction's recorded memory access;
+    ``divergent`` marks rows executed with fewer active lanes than the
+    warp's reconverged width.
     """
 
     addr: np.ndarray
@@ -359,14 +395,15 @@ class StreamColumns:
     l2_misses: np.ndarray
     divergent: np.ndarray        # bool
     warp_lengths: List[List[int]]
+    launch_ctas: List[int]
 
     def __len__(self) -> int:
         return len(self.addr)
 
 
 def stream_columns(ctas: Sequence[Sequence[WarpStream]]) -> StreamColumns:
-    """Columns of object-built streams (the adapter for callers that
-    hold :class:`WarpStream` lists)."""
+    """Columns of one launch's object-built streams (the adapter for
+    callers that hold :class:`WarpStream` lists)."""
     instrs = [instr for streams in ctas for stream in streams
               for instr in stream.instrs]
     return StreamColumns(
@@ -378,7 +415,8 @@ def stream_columns(ctas: Sequence[Sequence[WarpStream]]) -> StreamColumns:
         l2_misses=int_column([i.l2_misses for i in instrs]),
         divergent=np.array([bool(i.divergent) for i in instrs], dtype=bool),
         warp_lengths=[[len(stream.instrs) for stream in streams]
-                      for streams in ctas])
+                      for streams in ctas],
+        launch_ctas=[len(ctas)])
 
 
 def _timing_columns(cols: StreamColumns) -> Tuple[np.ndarray, ...]:
@@ -406,35 +444,36 @@ def _timing_columns(cols: StreamColumns) -> Tuple[np.ndarray, ...]:
 _NEVER = 1 << 62
 
 
+def _bounded_sums(values: np.ndarray, bounds: List[int]) -> List[int]:
+    """Sums of *values* between consecutive *bounds*."""
+    sums = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
+    return np.diff(sums[bounds]).tolist()
+
+
 def schedule_columns(cols: StreamColumns,
                      config: Optional[SchedulerConfig] = None
-                     ) -> LaunchSchedule:
-    """Schedule one launch: CTAs run back to back (the executor is
-    sequential across CTAs), warps within a CTA compete for the single
-    issue port under ``config.policy``.
+                     ) -> List[LaunchSchedule]:
+    """Schedule a batch of launches, one :class:`LaunchSchedule` per
+    launch: each launch starts at cycle 0, its CTAs run back to back
+    (the executor is sequential across CTAs), and warps within a CTA
+    compete for the single issue port under ``config.policy``.
 
-    What does not depend on issue order — ``issued``, ``busy_cycles``,
-    ``divergent_instrs`` and every hotspot's issue counts — is summed
-    over the columns once.  The per-CTA loop keeps only ordered state
-    in flat per-warp lists and scans the CTA's warps for the next
-    issue: the earliest ready warp (lowest index on ties) sets the issue
-    cycle and, if the port must idle first, takes the bubble's blame;
-    GTO then reissues the last warp if it is ready by that cycle, else
-    the lowest ready index, and LRR takes the next ready index after
-    the last warp, wrapping.  When no live warp can issue, all are
-    parked at the CTA barrier, which releases.
+    What does not depend on issue order — the per-row timing columns,
+    each launch's ``issued``, ``busy_cycles`` and ``divergent_instrs``
+    — is computed over the whole batch at once.  The per-CTA loop keeps
+    only ordered state in flat per-warp lists and scans the CTA's warps
+    for the next issue: the earliest ready warp (lowest index on ties)
+    sets the issue cycle and, if the port must idle first, takes the
+    bubble's blame; GTO then reissues the last warp if it is ready by
+    that cycle, else the lowest ready index, and LRR takes the next
+    ready index after the last warp, wrapping.  When no live warp can
+    issue, all are parked at the CTA barrier, which releases.  A bubble
+    is kept as a row and summed into its reason's ``stall_cycles``;
+    :class:`Bubble` and :class:`Hotspot` objects wait for a reader.
     """
     config = config or SchedulerConfig()
-    acc = LaunchSchedule(policy=config.policy)
-    n = len(cols)
-    if n == 0:
-        return acc
     occupancy, resume_delta, latency, sets_barrier, ismem = \
         _timing_columns(cols)
-    acc.issued = n
-    acc.busy_cycles = int(occupancy.sum())
-    acc.divergent_instrs = int(np.count_nonzero(cols.divergent))
-
     occ = occupancy.tolist()
     rdelta = resume_delta.tolist()
     lat = latency.tolist()
@@ -444,146 +483,205 @@ def schedule_columns(cols: StreamColumns,
     slots = config.scoreboard_slots
     dep = config.dep_distance
     greedy = config.policy == "gto"
-    #: (cta, start, cycles, reason, blamed row)
+    #: (cta, start, cycles, reason, blamed row), launch-major
     bubbles: List[Tuple[int, int, int, str, int]] = []
-    releases = 0
-    base_cycle = 0
+    schedules: List[LaunchSchedule] = []
+    row_bounds = [0]
+    bubble_bounds = [0]
+    warp_lengths = iter(cols.warp_lengths)
     row = 0
-    for cta, lengths in enumerate(cols.warp_lengths):
-        nw = len(lengths)
-        pos = []
-        end = []
-        for length in lengths:
-            pos.append(row)
-            row += length
-            end.append(row)
-        # earliest issue cycle of each warp's next row; _NEVER while the
-        # warp is parked at the CTA barrier or done
-        ready = [0 if p < e else _NEVER for p, e in zip(pos, end)]
-        live = nw - ready.count(_NEVER)
-        parked: List[Tuple[int, int]] = []     # (warp, ready cycle)
-        resume = [0] * nw
-        #: outstanding scoreboard barriers per warp, allocation order:
-        #: (row, completion, reason)
-        bars: List[List[Tuple[int, int, str]]] = [[] for _ in range(nw)]
-        port = 0
-        last = 0
-        while live:
-            w = last
-            if greedy and ready[w] <= port:
-                cycle = port
-            else:
-                best_when = min(ready)
-                if best_when == _NEVER:
-                    # every live warp is parked at the CTA barrier
-                    releases += 1
-                    for v, when in parked:
-                        ready[v] = when
-                    parked = []
+    for nctas in cols.launch_ctas:
+        stalls = {reason: 0 for reason in REASONS}
+        releases = 0
+        base_cycle = 0
+        for cta in range(nctas):
+            lengths = next(warp_lengths)
+            nw = len(lengths)
+            pos = []
+            end = []
+            for length in lengths:
+                pos.append(row)
+                row += length
+                end.append(row)
+            # earliest issue cycle of each warp's next row; _NEVER while
+            # the warp is parked at the CTA barrier or done
+            ready = [0 if p < e else _NEVER for p, e in zip(pos, end)]
+            live = nw - ready.count(_NEVER)
+            parked: List[Tuple[int, int]] = []     # (warp, ready cycle)
+            resume = [0] * nw
+            #: outstanding scoreboard barriers per warp, allocation
+            #: order: (row, completion, reason)
+            bars: List[List[Tuple[int, int, str]]] = [[] for _ in range(nw)]
+            port = 0
+            last = 0
+            while live:
+                w = last
+                if greedy and ready[w] <= port:
+                    cycle = port
+                else:
+                    best_when = min(ready)
+                    if best_when == _NEVER:
+                        # every live warp is parked at the CTA barrier
+                        releases += 1
+                        for v, when in parked:
+                            ready[v] = when
+                        parked = []
+                        continue
+                    best = ready.index(best_when)
+                    if best_when > port:
+                        cycle = best_when
+                        # blame the binding constraint of the earliest
+                        # warp (a warp that has not issued yet is ready
+                        # at cycle 0, so it has a last-issued row to
+                        # blame)
+                        reason, blamed = REASON_EXEC, pos[best] - 1
+                        when = resume[best]
+                        held = bars[best]
+                        limit = pos[best] - dep
+                        for b in held:
+                            if b[0] <= limit and b[1] > when:
+                                when, reason, blamed = b[1], b[2], b[0]
+                        if barrier[pos[best]] and len(held) >= slots:
+                            oldest = min(held, key=lambda b: b[1])
+                            if oldest[1] > when:
+                                reason, blamed = REASON_SCOREBOARD, oldest[0]
+                        bubbles.append((cta, base_cycle + port, cycle - port,
+                                        reason, blamed))
+                        stalls[reason] += cycle - port
+                        if greedy:
+                            w = last if ready[last] == cycle else best
+                    else:
+                        cycle = port
+                        if greedy:
+                            w = 0
+                            while ready[w] > cycle:
+                                w += 1
+                    if not greedy:
+                        for w in range(last + 1, nw):
+                            if ready[w] <= cycle:
+                                break
+                        else:
+                            w = 0
+                            while ready[w] > cycle:
+                                w += 1
+                    last = w
+                # issue warp w's next row at `cycle`
+                j = pos[w]
+                held = bars[w]
+                if held:
+                    held = bars[w] = [b for b in held if b[1] > cycle]
+                if barrier[j]:
+                    held.append((j, cycle + lat[j], kind[j]))
+                when = resume[w] = cycle + rdelta[j]
+                port = cycle + occ[j]
+                j += 1
+                pos[w] = j
+                if j == end[w]:
+                    ready[w] = _NEVER
+                    live -= 1
                     continue
-                best = ready.index(best_when)
-                if best_when > port:
-                    cycle = best_when
-                    # blame the binding constraint of the earliest warp
-                    # (a warp that has not issued yet is ready at cycle
-                    # 0, so it has a last-issued row to blame)
-                    reason, blamed = REASON_EXEC, pos[best] - 1
-                    when = resume[best]
-                    held = bars[best]
-                    limit = pos[best] - dep
+                if held:
+                    limit = j - dep
                     for b in held:
                         if b[0] <= limit and b[1] > when:
-                            when, reason, blamed = b[1], b[2], b[0]
-                    if barrier[pos[best]] and len(held) >= slots:
-                        oldest = min(held, key=lambda b: b[1])
-                        if oldest[1] > when:
-                            reason, blamed = REASON_SCOREBOARD, oldest[0]
-                    bubbles.append((cta, base_cycle + port, cycle - port,
-                                    reason, blamed))
-                    if greedy:
-                        w = last if ready[last] == cycle else best
+                            when = b[1]
+                    # expire-before-allocate keeps at most `slots`
+                    # barriers outstanding, so the slot frees at the
+                    # oldest completion
+                    if barrier[j] and len(held) >= slots:
+                        freed = min(b[1] for b in held)
+                        if freed > when:
+                            when = freed
+                if parks[j - 1]:
+                    parked.append((w, when))
+                    ready[w] = _NEVER
                 else:
-                    cycle = port
-                    if greedy:
-                        w = 0
-                        while ready[w] > cycle:
-                            w += 1
-                if not greedy:
-                    for w in range(last + 1, nw):
-                        if ready[w] <= cycle:
-                            break
-                    else:
-                        w = 0
-                        while ready[w] > cycle:
-                            w += 1
-                last = w
-            # issue warp w's next row at `cycle`
-            j = pos[w]
-            held = bars[w]
-            if held:
-                held = bars[w] = [b for b in held if b[1] > cycle]
-            if barrier[j]:
-                held.append((j, cycle + lat[j], kind[j]))
-            when = resume[w] = cycle + rdelta[j]
-            port = cycle + occ[j]
-            j += 1
-            pos[w] = j
-            if j == end[w]:
-                ready[w] = _NEVER
-                live -= 1
-                continue
-            if held:
-                limit = j - dep
-                for b in held:
-                    if b[0] <= limit and b[1] > when:
-                        when = b[1]
-                # expire-before-allocate keeps at most `slots` barriers
-                # outstanding, so the slot frees at the oldest completion
-                if barrier[j] and len(held) >= slots:
-                    freed = min(b[1] for b in held)
-                    if freed > when:
-                        when = freed
-            if parks[j - 1]:
-                parked.append((w, when))
-                ready[w] = _NEVER
-            else:
-                ready[w] = when
-        base_cycle += port
-    acc.cycles = base_cycle
-    acc.barrier_releases = releases
-    _account_hotspots(acc, cols, occupancy, bubbles)
-    return acc
+                    ready[w] = when
+            base_cycle += port
+        schedules.append(LaunchSchedule(
+            policy=config.policy, cycles=base_cycle,
+            barrier_releases=releases, stall_cycles=stalls))
+        row_bounds.append(row)
+        bubble_bounds.append(len(bubbles))
+    rows = _ReportRows(cols, occupancy, bubbles, row_bounds, bubble_bounds)
+    for index, (acc, lo, hi, busy, divergent) in enumerate(zip(
+            schedules, row_bounds, row_bounds[1:],
+            _bounded_sums(occupancy, row_bounds),
+            _bounded_sums(cols.divergent, row_bounds))):
+        acc.issued = hi - lo
+        acc.busy_cycles = busy
+        acc.divergent_instrs = divergent
+        acc._rows = (rows, index)
+    return schedules
 
 
-def _account_hotspots(acc: LaunchSchedule, cols: StreamColumns,
-                      occupancy: np.ndarray,
-                      bubbles: List[Tuple[int, int, int, str, int]]
-                      ) -> None:
-    """Per-address issue counts and cycles (one grouped sum over the
-    columns), then the bubble records with their stall blame."""
+class _ReportRows:
+    """What one scheduled batch's :class:`Bubble` and :class:`Hotspot`
+    objects are built from, for every launch at once, the first time one
+    of its schedules is asked for them."""
+
+    def __init__(self, cols: StreamColumns, occupancy: np.ndarray,
+                 bubbles: List[Tuple[int, int, int, str, int]],
+                 row_bounds: List[int], bubble_bounds: List[int]):
+        self.cols = cols
+        self.occupancy = occupancy
+        self.bubbles = bubbles
+        self.row_bounds = row_bounds
+        self.bubble_bounds = bubble_bounds
+        self._built: Optional[List[Tuple[List[Bubble],
+                                         Dict[int, Hotspot]]]] = None
+
+    def launch(self, index: int
+               ) -> Tuple[List[Bubble], Dict[int, Hotspot]]:
+        """Launch *index*'s bubble records and hotspot table."""
+        if self._built is None:
+            self._built = _account_hotspots(
+                self.cols, self.occupancy, self.bubbles, self.row_bounds,
+                self.bubble_bounds)
+        return self._built[index]
+
+
+def _account_hotspots(cols: StreamColumns, occupancy: np.ndarray,
+                      bubbles: List[Tuple[int, int, int, str, int]],
+                      row_bounds: List[int], bubble_bounds: List[int]
+                      ) -> List[Tuple[List[Bubble], Dict[int, Hotspot]]]:
+    """Per-(launch, address) issue counts and cycles (one grouped sum
+    over the batch's columns), then each launch's bubble records with
+    their stall blame; one ``(bubbles, hotspots)`` pair per launch."""
+    launches = len(row_bounds) - 1
+    tables: List[Dict[int, Hotspot]] = [{} for _ in range(launches)]
+    records: List[List[Bubble]] = [[] for _ in range(launches)]
     addr = cols.addr
-    order = np.argsort(addr, kind="stable")
-    ranked = addr[order]
-    firsts = np.flatnonzero(np.concatenate(
-        ([True], ranked[1:] != ranked[:-1])))
-    issues = np.diff(np.append(firsts, len(ranked))).tolist()
-    cycles = np.add.reduceat(occupancy[order], firsts).tolist()
-    rows = order[firsts]
-    opcodes = cols.opcode[rows].tolist()
-    hotspots = acc.hotspots
-    for key, op, count, busy in zip(addr[rows].tolist(), opcodes, issues,
-                                    cycles):
-        hotspots[key] = Hotspot(key, _OPCODE_BY_VALUE[op], count, busy)
-    if not bubbles:
-        return
-    blamed = np.array([bubble[4] for bubble in bubbles], dtype=np.int64)
-    stalls = acc.stall_cycles
-    for (cta, start, length, reason, _), key, op in zip(
-            bubbles, addr[blamed].tolist(), cols.opcode[blamed].tolist()):
-        acc.bubbles.append(Bubble(cta, start, length, reason, key,
+    n = len(addr)
+    if n:
+        row_launch = np.repeat(np.arange(launches), np.diff(row_bounds))
+        order = np.argsort(addr, kind="stable")
+        order = order[np.argsort(row_launch[order], kind="stable")]
+        ranked = addr[order]
+        ranked_launch = row_launch[order]
+        firsts = np.flatnonzero(np.concatenate(
+            ([True], (ranked[1:] != ranked[:-1])
+             | (ranked_launch[1:] != ranked_launch[:-1]))))
+        issues = np.diff(np.append(firsts, n)).tolist()
+        cycles = np.add.reduceat(occupancy[order], firsts).tolist()
+        rows = order[firsts]
+        for launch, key, op, count, busy in zip(
+                row_launch[rows].tolist(), addr[rows].tolist(),
+                cols.opcode[rows].tolist(), issues, cycles):
+            tables[launch][key] = Hotspot(key, _OPCODE_BY_VALUE[op], count,
+                                          busy)
+    if bubbles:
+        blamed = np.array([bubble[4] for bubble in bubbles], dtype=np.int64)
+        keys = addr[blamed].tolist()
+        opcodes = cols.opcode[blamed].tolist()
+        for out, hotspots, lo, hi in zip(records, tables, bubble_bounds,
+                                         bubble_bounds[1:]):
+            for (cta, start, length, reason, _), key, op in zip(
+                    bubbles[lo:hi], keys[lo:hi], opcodes[lo:hi]):
+                out.append(Bubble(cta, start, length, reason, key,
                                   _OPCODE_BY_VALUE[op]))
-        stalls[reason] += length
-        hotspots[key].stall_cycles += length
+                hotspots[key].stall_cycles += length
+    return list(zip(records, tables))
 
 
 def column_spans(cols: StreamColumns) -> List[Tuple[int, int, int]]:
@@ -616,8 +714,10 @@ def column_spans(cols: StreamColumns) -> List[Tuple[int, int, int]]:
 def schedule_launch(ctas: Sequence[Sequence[WarpStream]],
                     config: Optional[SchedulerConfig] = None
                     ) -> LaunchSchedule:
-    """:func:`schedule_columns` over object-built streams."""
-    return schedule_columns(stream_columns(ctas), config)
+    """:func:`schedule_columns` over one launch's object-built
+    streams."""
+    (schedule,) = schedule_columns(stream_columns(ctas), config)
+    return schedule
 
 
 def divergence_spans(stream: WarpStream) -> List[Tuple[int, int, int]]:

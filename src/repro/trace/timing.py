@@ -7,16 +7,29 @@ the executor's inline accounting stays the flat model, and the
 stall-accurate numbers come from replaying a trace (or from tee-ing a
 live capture through :class:`TimingSink`, which by construction gives
 bit-identical results — both paths hand each closed launch to the same
-:func:`rebuild_launch`).
+:meth:`TimingModel.feed_frame`).
 
-**Launch-columnar rebuild.**  A launch is rebuilt once, when it closes,
-from its record columns (a decoded :class:`FrameColumns` frame, or the
-columns an event feed buffered): every memory record belongs to the
-instruction before it, all of the launch's lines are graded by one
-:meth:`Cache.access_lines` call against caches that start cold, and
-per-instruction transactions and L1/L2 misses are bincounts over the
-owning instruction.  The result is one stream-ordered
-:class:`~repro.sim.scheduler.StreamColumns` set per launch.
+**Launch-batch rebuild and schedule.**  Closed launches wait in a batch
+of record columns (decoded :class:`FrameColumns` frames, or the columns
+an event feed buffered).  :func:`rebuild_launches` rebuilds a batch in
+one pass once it holds :data:`BATCH_RECORDS` records, and at
+``schedule``/``finish``: every memory record belongs to the instruction
+before it, the batch's lines are graded by one
+:meth:`Cache.access_lines` call that flushes the caches at every launch
+cut (each launch starts cold), per-instruction transactions and L1/L2
+misses are bincounts over the owning instruction, and warp segmentation
+and divergence flags run over the concatenated columns with per-launch
+state restarting at each cut.  The batch becomes one launch-major
+:class:`~repro.sim.scheduler.StreamColumns`, and each launch's
+:class:`LaunchStreams` holds views into it.  A batch is scheduled by one
+:func:`~repro.sim.scheduler.schedule_columns` call, one
+:class:`~repro.sim.scheduler.LaunchSchedule` per launch.
+
+**Report objects on first read.**  ``result()`` and ``report()`` read
+scalars only — cycles, busy cycles, per-reason stall sums — which the
+scheduler computes exactly.  A launch's ``Bubble`` records, ``Hotspot``
+table and divergence ``spans`` are built from the columns the first
+time something (``render_summary``, a test) reads them.
 
 **Warp segmentation.**  Trace events carry no warp IDs (the format is
 unchanged), so streams are rebuilt from the executor's deterministic
@@ -103,26 +116,42 @@ def _launch_shape(launch: LaunchEvent) -> Tuple[int, int, int]:
 def segment_warps(launch: LaunchEvent, addr: Sequence[int],
                   opcodes: np.ndarray, cuts: Collection[int] = ()
                   ) -> Tuple[np.ndarray, int]:
-    """Assign each of a launch's instructions (in record order) to a
-    warp; returns ``(ordinals, desyncs)``.
+    """Assign each of one launch's instructions (in record order) to a
+    warp; returns ``(ordinals, desyncs)``: :func:`segment_batch` over a
+    batch of one launch, whose ordinals are
+    ``cta * warps_per_cta + warp``."""
+    ordinals, _, desyncs = segment_batch([_launch_shape(launch)],
+                                         [len(addr)], addr, opcodes, cuts)
+    return ordinals, desyncs[0]
 
-    ``ordinals[k]`` is instruction *k*'s global warp ordinal,
-    ``cta * warps_per_cta + warp``.  ``desyncs`` counts instructions
-    that arrived after every warp of the last CTA retired — a trace the
-    scheduling contract cannot explain; they stay with the last warp.
-    An ``EXIT``/``RET`` at a position in *cuts* (or at the end) sees no
-    next instruction, as if the launch's record stream ended there.
+
+def segment_batch(shapes: Sequence[Tuple[int, int, int]],
+                  ends: Sequence[int], addr: Sequence[int],
+                  opcodes: np.ndarray, cuts: Collection[int] = ()
+                  ) -> Tuple[np.ndarray, List[int], List[int]]:
+    """Assign each instruction of a batch of launches (in record order)
+    to a warp; returns ``(ordinals, ctas, desyncs)``.
+
+    Launch *i* has the :func:`_launch_shape` ``shapes[i]`` and its rows
+    end at ``ends[i]``; the segmentation state restarts at every launch.
+    ``ordinals[k]`` is row *k*'s batch-wide warp ordinal: launch *i*'s
+    rows get ``base + cta * warps_per_cta + warp``, where *base* counts
+    the warps of the launches before it, so ordinals are launch-major.
+    ``ctas[i]`` is the number of CTAs launch *i*'s rows reach.
+    ``desyncs[i]`` counts launch *i*'s instructions that arrived after
+    every warp of its last CTA retired — a trace the scheduling contract
+    cannot explain; they stay with the last warp.  An ``EXIT``/``RET``
+    at a row in *cuts* (or at the end of its launch) sees no next
+    instruction, as if the launch's record stream ended there.
     """
     n = len(addr)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), 0
-    threads, nwarps, nctas = _launch_shape(launch)
-    entry = addr[0]
-    alive = [True] * nwarps
-    parked = [False] * nwarps
-    started = [True] + [False] * (nwarps - 1)
-    resume = [0] * nwarps
-    cur = cta = 0
+    ops = np.asarray(opcodes)
+    known = (ops >= 0) & (ops < len(_HANDOFF))
+    handoffs = np.flatnonzero(
+        _HANDOFF[np.where(known, ops, 0).astype(np.int64)] & known)
+    positions = handoffs.tolist()
+    handoff_ops = ops[handoffs].tolist()
+    splits = np.searchsorted(handoffs, ends).tolist()
 
     def select_next(skip: int):
         """What runs after warp *cur* hands off, ignoring warp *skip*:
@@ -138,58 +167,79 @@ def segment_warps(launch: LaunchEvent, addr: Sequence[int],
             return "cta", 0, entry, False
         return "end", 0, None, False
 
-    run_starts = [0]
-    run_ordinals = [0]
-    desyncs = 0
-    ops = np.asarray(opcodes)
-    known = (ops >= 0) & (ops < len(_HANDOFF))
-    handoffs = np.flatnonzero(
-        _HANDOFF[np.where(known, ops, 0).astype(np.int64)] & known)
-    for k, op in zip(handoffs.tolist(), ops[handoffs].tolist()):
-        here = addr[k]
-        if op == _BAR:
-            parked[cur] = True
-            resume[cur] = here + INSTRUCTION_BYTES
-        else:
-            ahead = addr[k + 1] if k + 1 < n and k not in cuts else None
-            if ahead is not None:
-                if ahead == here + INSTRUCTION_BYTES:
-                    continue         # surviving lanes fell through
-                kind, _, start, _ = select_next(skip=cur)
-                if kind == "end" or ahead != start:
-                    continue         # divergence-stack unwind
-            alive[cur] = False
-        kind, index, _, release = select_next(skip=-1)
-        if kind == "end":
-            desyncs = n - k - 1
-            break
-        if kind == "cta":
-            cta += 1
-            alive = [True] * nwarps
-            parked = [False] * nwarps
-            started = [True] + [False] * (nwarps - 1)
-            resume = [0] * nwarps
-            cur = 0
-        else:
-            if release:
+    run_starts: List[int] = []
+    run_ordinals: List[int] = []
+    ctas: List[int] = []
+    desyncs: List[int] = []
+    lo = first = base = 0
+    for (_, nwarps, nctas), hi, last in zip(shapes, ends, splits):
+        if lo == hi:
+            ctas.append(0)
+            desyncs.append(0)
+            first = last
+            continue
+        entry = addr[lo]
+        alive = [True] * nwarps
+        parked = [False] * nwarps
+        started = [True] + [False] * (nwarps - 1)
+        resume = [0] * nwarps
+        cur = cta = 0
+        run_starts.append(lo)
+        run_ordinals.append(base)
+        desync = 0
+        for k, op in zip(positions[first:last], handoff_ops[first:last]):
+            here = addr[k]
+            if op == _BAR:
+                parked[cur] = True
+                resume[cur] = here + INSTRUCTION_BYTES
+            else:
+                ahead = addr[k + 1] if k + 1 < hi and k not in cuts \
+                    else None
+                if ahead is not None:
+                    if ahead == here + INSTRUCTION_BYTES:
+                        continue         # surviving lanes fell through
+                    kind, _, start, _ = select_next(skip=cur)
+                    if kind == "end" or ahead != start:
+                        continue         # divergence-stack unwind
+                alive[cur] = False
+            kind, index, _, release = select_next(skip=-1)
+            if kind == "end":
+                desync = hi - k - 1
+                break
+            if kind == "cta":
+                cta += 1
+                alive = [True] * nwarps
                 parked = [False] * nwarps
-            cur = index
-            started[index] = True
-        run_starts.append(k + 1)
-        run_ordinals.append(cta * nwarps + cur)
+                started = [True] + [False] * (nwarps - 1)
+                resume = [0] * nwarps
+                cur = 0
+            else:
+                if release:
+                    parked = [False] * nwarps
+                cur = index
+                started[index] = True
+            run_starts.append(k + 1)
+            run_ordinals.append(base + cta * nwarps + cur)
+        # a handoff at the launch's last row opens an empty run
+        tail = run_ordinals[-1] if run_starts[-1] < hi else run_ordinals[-2]
+        count = (tail - base) // nwarps + 1
+        ctas.append(count)
+        desyncs.append(desync)
+        base += count * nwarps
+        lo, first = hi, last
     run_starts.append(n)
     ordinals = np.repeat(np.array(run_ordinals, dtype=np.int64),
                          np.diff(run_starts))
-    return ordinals, desyncs
+    return ordinals, ctas, desyncs
 
 
 def _divergent_flags(lanes: np.ndarray, ordinals: np.ndarray,
-                     opcodes: np.ndarray, threads: int, nwarps: int
+                     opcodes: np.ndarray, widths: np.ndarray
                      ) -> np.ndarray:
     """Stream-ordered divergence flags: ``0 < lanes < width`` where the
     width is the running maximum of the warp's lanes, starting at the
-    warp's thread count and restarting at ``max(lanes, 1)`` after every
-    ``EXIT``/``RET``."""
+    warp's thread count (*widths*, per row) and restarting at
+    ``max(lanes, 1)`` after every ``EXIT``/``RET``."""
     n = len(lanes)
     if n == 0:
         return np.zeros(0, dtype=bool)
@@ -198,8 +248,6 @@ def _divergent_flags(lanes: np.ndarray, ordinals: np.ndarray,
     exits = _EXITS[opcodes]
     rebase = np.zeros(n, dtype=bool)
     rebase[1:] = exits[:-1] & ~new_stream[1:]
-    widths = np.minimum(WARP_SIZE,
-                        threads - (ordinals % nwarps) * WARP_SIZE)
     floor = np.where(new_stream, widths, 1)
     starts = new_stream | rebase
     combined = np.concatenate((lanes, np.where(starts, np.maximum(lanes,
@@ -219,7 +267,7 @@ def _divergent_flags(lanes: np.ndarray, ordinals: np.ndarray,
 @dataclass
 class LaunchStreams:
     """One launch rebuilt for scheduling: its warp streams as columns
-    plus the segmentation's bookkeeping."""
+    (views into its batch's) plus the segmentation's bookkeeping."""
 
     kernel: str
     launch_index: int
@@ -237,78 +285,143 @@ class LaunchStreams:
         return len(self.streams)
 
 
-def rebuild_launch(launch: LaunchEvent, tags: np.ndarray,
-                   instr_addr: np.ndarray, instr_opcodes: np.ndarray,
-                   instr_lanes: np.ndarray, mem_nlines: np.ndarray,
-                   mem_lines: np.ndarray, l1: Cache,
-                   warp_instructions: int = 0) -> LaunchStreams:
-    """Rebuild one launch from its record columns.
+def _prefix_counts(mask: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``mask``'s true count before each of *bounds*."""
+    return np.concatenate(([0], np.cumsum(mask)))[bounds]
 
-    *tags* is the launch's record order up to (not including) its
-    kernel-end record; the instr/mem columns hold at least as many rows
-    as *tags* names, and every opcode names an :class:`Opcode`.  *l1*
-    (and the levels below it) is invalidated first — memory latencies
-    are graded against caches that start cold at every kernel launch.
+
+def rebuild_launches(frames: Sequence[FrameColumns], l1: Cache
+                     ) -> Tuple[StreamColumns, List[LaunchStreams]]:
+    """Rebuild a batch of launch frames in one pass; returns the batch's
+    columns and one :class:`LaunchStreams` per launch, whose columns are
+    views into the batch's.
+
+    A launch's records run up to (not including) its first kernel-end
+    record, and every opcode names an :class:`Opcode`.  Each launch's
+    lines are graded against caches that start cold (*l1* and the
+    levels below it are invalidated first).
     """
-    threads, nwarps, _ = _launch_shape(launch)
-    is_instr = tags == TAG_INSTR
-    n = int(np.count_nonzero(is_instr))
-    addr = instr_addr[:n]
-    opcodes = instr_opcodes[:n]
-    lanes = instr_lanes[:n]
+    shapes = [_launch_shape(frame.launch) for frame in frames]
+    tags = np.concatenate([frame.record_tags for frame in frames])
+    record_bounds = np.cumsum([0] + [frame.record_tags.size
+                                     for frame in frames])
+    # a launch keeps the records ahead of its first kernel-end record
+    ended = np.concatenate(([0], np.cumsum(tags == TAG_KEND)))
+    kept = ended[:-1] == np.repeat(ended[record_bounds[:-1]],
+                                   np.diff(record_bounds))
+    is_instr = (tags == TAG_INSTR) & kept
+    is_mem = (tags == TAG_MEM) & kept
+    instr_bounds = _prefix_counts(is_instr, record_bounds)
+    mem_bounds = _prefix_counts(is_mem, record_bounds)
+    rows = np.diff(instr_bounds).tolist()
+    mems = np.diff(mem_bounds).tolist()
+    addr = np.concatenate([f.instr_addr[:k] for f, k in zip(frames, rows)])
+    opcodes = np.concatenate([f.instr_opcodes[:k]
+                              for f, k in zip(frames, rows)])
+    lanes = np.concatenate([f.instr_lanes[:k] for f, k in zip(frames, rows)])
+    nlines = np.concatenate([f.mem_nlines[:k] for f, k in zip(frames, mems)])
+    n = len(addr)
 
     # memory records belong to the instruction before them; records
-    # ahead of the first instruction have none and are not graded
-    owner = (np.cumsum(is_instr) - 1)[tags == TAG_MEM]
-    nlines = mem_nlines[:owner.size]
-    orphans = int(np.count_nonzero(owner < 0))
-    line_ends = np.cumsum(nlines)
-    first_line = int(line_ends[orphans - 1]) if orphans else 0
-    last_line = int(line_ends[-1]) if owner.size else 0
-    line_owner = np.repeat(owner[orphans:], nlines[orphans:])
-    l1.invalidate()
+    # ahead of their launch's first instruction have none and are not
+    # graded (they lead the launch's memory records)
+    owner = np.cumsum(is_instr)[is_mem] - 1
+    orphan = owner < np.repeat(instr_bounds[:-1], mems)
+    line_bounds = np.concatenate(([0], np.cumsum(nlines)))
+    firsts = line_bounds[mem_bounds[:-1] + np.diff(
+        _prefix_counts(orphan, mem_bounds))] - line_bounds[mem_bounds[:-1]]
+    lasts = line_bounds[mem_bounds[1:]] - line_bounds[mem_bounds[:-1]]
+    graded_lines = [f.mem_lines[first:last] for f, first, last
+                    in zip(frames, firsts.tolist(), lasts.tolist())]
     grades: List[int] = []
-    l1.access_lines(mem_lines[first_line:last_line], grades)
+    l1.access_lines(np.concatenate(graded_lines), grades,
+                    flushes=np.cumsum([0] + [lines.size for lines
+                                             in graded_lines[:-1]]).tolist())
     graded = np.array(grades, dtype=np.int8)
+    line_owner = np.repeat(owner[~orphan], nlines[~orphan])
     transactions = np.bincount(line_owner, minlength=n)
     l1_misses = np.bincount(line_owner[graded > 0], minlength=n)
     l2_misses = np.bincount(line_owner[graded == 2], minlength=n)
 
-    ordinals, desyncs = segment_warps(launch, addr.tolist(), opcodes)
+    ordinals, ctas, desyncs = segment_batch(
+        shapes, instr_bounds[1:].tolist(), addr.tolist(), opcodes)
     order = np.argsort(ordinals, kind="stable")
     ordinals = ordinals[order]
     opcodes = opcodes[order]
     lanes = lanes[order]
-    nctas = int(ordinals[-1]) // nwarps + 1 if n else 0
-    warp_lengths = np.bincount(ordinals, minlength=nctas * nwarps)
-    streams = StreamColumns(
+    threads = [shape[0] for shape in shapes]
+    nwarps = [shape[1] for shape in shapes]
+    warps = [count * nw for count, nw in zip(ctas, nwarps)]
+    bases = np.cumsum([0] + warps)
+    # each row's warp index within its CTA, and that warp's thread count
+    warp = (ordinals - np.repeat(bases[:-1], rows)) % np.repeat(nwarps, rows)
+    widths = np.minimum(WARP_SIZE, np.repeat(threads, rows) - warp * WARP_SIZE)
+    counts = np.bincount(ordinals, minlength=int(bases[-1])).tolist()
+    warp_lengths = [counts[at:at + nw] for base, count, nw
+                    in zip(bases.tolist(), ctas, nwarps)
+                    for at in range(base, base + count * nw, nw)]
+    batch = StreamColumns(
         addr=addr[order], opcode=opcodes, lanes=lanes,
         transactions=transactions[order], l1_misses=l1_misses[order],
         l2_misses=l2_misses[order],
-        divergent=_divergent_flags(lanes, ordinals, opcodes, threads,
-                                   nwarps),
-        warp_lengths=warp_lengths.reshape(nctas, nwarps).tolist())
-    return LaunchStreams(
-        kernel=launch.kernel, launch_index=launch.launch_index,
-        grid=launch.grid, block=launch.block, warps_per_cta=nwarps,
-        streams=streams, desyncs=desyncs,
-        warp_instructions=warp_instructions)
+        divergent=_divergent_flags(lanes, ordinals, opcodes, widths),
+        warp_lengths=warp_lengths, launch_ctas=ctas)
+
+    launches = []
+    lo = cta = 0
+    for frame, k, count, nw, desync in zip(frames, rows, ctas, nwarps,
+                                           desyncs):
+        hi = lo + k
+        streams = StreamColumns(
+            addr=batch.addr[lo:hi], opcode=batch.opcode[lo:hi],
+            lanes=batch.lanes[lo:hi],
+            transactions=batch.transactions[lo:hi],
+            l1_misses=batch.l1_misses[lo:hi],
+            l2_misses=batch.l2_misses[lo:hi],
+            divergent=batch.divergent[lo:hi],
+            warp_lengths=warp_lengths[cta:cta + count], launch_ctas=[count])
+        launch = frame.launch
+        launches.append(LaunchStreams(
+            kernel=launch.kernel, launch_index=launch.launch_index,
+            grid=launch.grid, block=launch.block, warps_per_cta=nw,
+            streams=streams, desyncs=desync,
+            warp_instructions=(int(frame.kend_counts[0])
+                               if frame.kend_counts.size else 0)))
+        lo, cta = hi, cta + count
+    return batch, launches
 
 
-@dataclass
 class LaunchTiming:
-    """One launch's scheduled timing plus its divergence geometry."""
+    """One launch's scheduled timing plus its divergence geometry.
 
-    kernel: str
-    launch_index: int
-    grid: Tuple[int, int, int]
-    block: Tuple[int, int, int]
-    ctas: int
-    warps: int
-    instructions: int
-    schedule: LaunchSchedule
-    #: (start_addr, length, min_lanes), longest first
-    spans: List[Tuple[int, int, int]]
+    ``spans`` — ``(start_addr, length, min_lanes)``, longest first — is
+    built from the launch's *streams* on first read unless given.
+    """
+
+    def __init__(self, kernel: str, launch_index: int,
+                 grid: Tuple[int, int, int], block: Tuple[int, int, int],
+                 ctas: int, warps: int, instructions: int,
+                 schedule: LaunchSchedule,
+                 spans: Optional[List[Tuple[int, int, int]]] = None,
+                 streams: Optional[StreamColumns] = None):
+        self.kernel = kernel
+        self.launch_index = launch_index
+        self.grid = grid
+        self.block = block
+        self.ctas = ctas
+        self.warps = warps
+        self.instructions = instructions
+        self.schedule = schedule
+        self._spans = spans
+        self._streams = streams
+
+    @property
+    def spans(self) -> List[Tuple[int, int, int]]:
+        if self._spans is None:
+            spans = column_spans(self._streams)
+            spans.sort(key=lambda s: (-s[1], s[0], s[2]))
+            self._spans, self._streams = spans, None
+        return self._spans
 
     @property
     def cycles(self) -> int:
@@ -339,6 +452,11 @@ class TimingReport:
         return grouped
 
 
+#: buffered records at which :class:`TimingModel` rebuilds its batch
+#: of closed launches without waiting for ``schedule``/``finish``
+BATCH_RECORDS = 1 << 16
+
+
 class TimingModel:
     """Feed a trace (events or launch frames) in order; schedule
     afterwards.
@@ -347,8 +465,12 @@ class TimingModel:
     :class:`~repro.trace.io.FrameBuilder` and hands the closed launch to
     :meth:`feed_frame`, so a live capture tee'd through :meth:`feed` and
     an offline replay of the same trace produce bit-identical reports.
-    The cache hierarchy that grades memory latencies is the ``cachesim``
-    default (16 KiB/4-way L1 over 256 KiB/16-way L2).
+    Closed launches wait in a batch, rebuilt in one pass once it holds
+    :data:`BATCH_RECORDS` records and at :meth:`schedule`,
+    :meth:`finish` or a read of :attr:`launches`; each batch is then
+    scheduled in one call.  The cache hierarchy that grades memory
+    latencies is the ``cachesim`` default (16 KiB/4-way L1 over
+    256 KiB/16-way L2).
     """
 
     def __init__(self, l1_kib: int = 16, l1_ways: int = 4,
@@ -356,9 +478,20 @@ class TimingModel:
         self.l2 = Cache(l2_kib << 10, ways=l2_ways, name="L2")
         self.l1 = Cache(l1_kib << 10, ways=l1_ways, name="L1",
                         next_level=self.l2)
-        self.launches: List[LaunchStreams] = []
+        self._launches: List[LaunchStreams] = []
+        #: the columns of every rebuilt batch, in feed order
+        self._batches: List[StreamColumns] = []
+        #: closed launch frames waiting for the next rebuild
+        self._closed: List[FrameColumns] = []
+        self._closed_records = 0
         self._open: Optional[FrameBuilder] = None
         self._reports: Dict[str, TimingReport] = {}
+
+    @property
+    def launches(self) -> List[LaunchStreams]:
+        """Every closed launch, rebuilt, in feed order."""
+        self._rebuild()
+        return self._launches
 
     # ------------------------------------------------------- feeding
 
@@ -366,66 +499,70 @@ class TimingModel:
         """Collect one event of the open launch.  Records outside a
         launch (before the first, or after a kernel end) are dropped."""
         if isinstance(event, LaunchEvent):
-            self.finish()
+            self._close_open()
             self._open = FrameBuilder(event)
         elif self._open is not None:
             self._open.add(event)
             if isinstance(event, KernelEndEvent):
-                self.finish()
+                self._close_open()
 
     def feed_batch(self, events) -> None:
         for event in events:
             self.feed(event)
 
     def feed_frame(self, frame: FrameColumns) -> None:
-        """Rebuild one launch batch.  Records after its first kernel-end
-        record, and a batch with no launch, are outside any launch and
-        add nothing."""
-        self.finish()
+        """Add one launch batch to the rebuild batch.  Records after its
+        first kernel-end record, and a batch with no launch, are outside
+        any launch and add nothing."""
+        self._close_open()
         if frame.launch is None:
             return
-        opcodes = frame.opcodes()
-        tags = frame.record_tags
-        warp_instructions = 0
-        ends = np.flatnonzero(tags == TAG_KEND)
-        if ends.size:
-            tags = tags[:ends[0]]
-            warp_instructions = int(frame.kend_counts[0])
-        self._add(rebuild_launch(
-            frame.launch, tags, frame.instr_addr, opcodes,
-            frame.instr_lanes, frame.mem_nlines, frame.mem_lines, self.l1,
-            warp_instructions))
+        frame.opcodes()     # an unknown opcode fails here, naming its launch
+        self._closed.append(frame)
+        self._closed_records += frame.record_tags.size
+        self._reports.clear()
+        if self._closed_records >= BATCH_RECORDS:
+            self._rebuild()
 
     def finish(self) -> None:
-        """Close a trailing launch that never saw its end event."""
+        """Close a trailing launch that never saw its end event, and
+        rebuild the batch."""
+        self._close_open()
+        self._rebuild()
+
+    def _close_open(self) -> None:
         if self._open is not None:
             builder, self._open = self._open, None
             self.feed_frame(builder.frame())
 
-    def _add(self, launch: LaunchStreams) -> None:
-        self.launches.append(launch)
-        self._reports.clear()
+    def _rebuild(self) -> None:
+        if self._closed:
+            closed, self._closed = self._closed, []
+            self._closed_records = 0
+            batch, launches = rebuild_launches(closed, self.l1)
+            self._batches.append(batch)
+            self._launches.extend(launches)
 
     # ---------------------------------------------------- scheduling
 
     def schedule(self, policy: str = "gto") -> TimingReport:
+        self._rebuild()
         report = self._reports.get(policy)
         if report is not None:
             return report
         config = SchedulerConfig(policy=policy)
+        schedules = [schedule for batch in self._batches
+                     for schedule in schedule_columns(batch, config)]
         launches = []
-        for launch in self.launches:
+        for launch, schedule in zip(self._launches, schedules):
             streams = launch.streams
-            spans = column_spans(streams)
-            spans.sort(key=lambda s: (-s[1], s[0], s[2]))
             nctas = len(streams.warp_lengths)
             launches.append(LaunchTiming(
-                kernel=launch.kernel,
-                launch_index=launch.launch_index,
+                kernel=launch.kernel, launch_index=launch.launch_index,
                 grid=launch.grid, block=launch.block,
                 ctas=nctas, warps=nctas * launch.warps_per_cta,
-                instructions=launch.instr_count,
-                schedule=schedule_columns(streams, config), spans=spans))
+                instructions=launch.instr_count, schedule=schedule,
+                streams=streams))
         report = TimingReport(policy=policy, launches=launches)
         self._reports[policy] = report
         return report

@@ -214,3 +214,29 @@ class TestWorkerCrash:
             assert client.stats()["worker_crashes"] == 1
         finally:
             handle.stop()
+
+
+class TestArtifactDirectory:
+    """A server started without ``artifact_dir`` removes the directory it
+    made for itself when it stops; a configured one is left alone."""
+
+    def test_own_directory_removed_at_stop(self):
+        handle = start_in_thread(ServerConfig(shards=1, workers=1))
+        directory = handle.server.artifact_dir
+        try:
+            assert os.path.basename(directory).startswith("repro-server-")
+            with open(os.path.join(directory, "k0.rptrace"), "wb") as out:
+                out.write(b"left by a capture job")
+        finally:
+            handle.stop()
+        assert not handle.thread.is_alive()
+        assert not os.path.exists(directory)
+
+    def test_configured_directory_kept(self, tmp_path):
+        kept = tmp_path / "k0.rptrace"
+        kept.write_bytes(b"a user's artifact")
+        handle = start_in_thread(ServerConfig(
+            shards=1, workers=1, artifact_dir=str(tmp_path)))
+        handle.stop()
+        assert not handle.thread.is_alive()
+        assert kept.read_bytes() == b"a user's artifact"

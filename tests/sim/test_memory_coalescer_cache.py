@@ -282,6 +282,11 @@ class TestCoalesceEquivalence:
         assert result.line_addresses == (3 * LINE_BYTES, LINE_BYTES, 0)
 
 
+def _recency(cache):
+    """Each set's tags, least recently used first."""
+    return {index: list(ways) for index, ways in cache._sets.items()}
+
+
 class TestAccessLinesEquivalence:
     """Batched Cache.access_lines == the one-at-a-time access loop:
     same miss count, same hit/miss/eviction stats, same LRU state, and
@@ -299,7 +304,29 @@ class TestAccessLinesEquivalence:
         for a, b in ((batched, scalar),
                      (batched.next_level, scalar.next_level)):
             assert a.stats == b.stats
-            assert a._sets == b._sets
+            assert _recency(a) == _recency(b)
+
+    def test_flushes_match_invalidating_between_calls(self):
+        rng = np.random.default_rng(5)
+        batched = kepler_hierarchy()
+        split = kepler_hierarchy()
+        segments = [(rng.integers(0, 3000, rng.integers(0, 40))
+                     * LINE_BYTES).tolist() for _ in range(8)]
+        grades: list = []
+        misses = batched.access_lines(
+            [line for segment in segments for line in segment], grades,
+            flushes=np.cumsum([0] + [len(s) for s in segments[:-1]]
+                              ).tolist())
+        want: list = []
+        want_misses = 0
+        for segment in segments:
+            split.invalidate()
+            want_misses += split.access_lines(segment, want)
+        assert (misses, grades) == (want_misses, want)
+        for a, b in ((batched, split),
+                     (batched.next_level, split.next_level)):
+            assert a.stats == b.stats
+            assert _recency(a) == _recency(b)
 
     def test_empty_and_ndarray_inputs(self):
         cache = Cache(1024, ways=2)

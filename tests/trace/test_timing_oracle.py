@@ -3,9 +3,10 @@
 :mod:`tests.timing_oracle` keeps the object-at-a-time pipeline the
 columnar model replaced (a per-event warp-stream builder, per-line cache
 grading, a ready-heap scheduler over per-warp state objects).  Random
-launches — 1 to 32 warps per CTA, 1 to 4 CTAs, barrier passes, partial
-exits that fall through, divergence-stack unwinds, ``RET``, 0 to 32
-active lanes and memory records of 0 to 8 lines — are fed to both, and
+traces of 1 to 6 launches — 1 to 32 warps per CTA, 1 to 4 CTAs, mixed
+grid and block shapes, zero-CTA grids, barrier passes, partial exits
+that fall through, divergence-stack unwinds, ``RET``, 0 to 32 active
+lanes and memory records of 0 to 8 lines — are fed to both, and
 every rebuilt stream and every scheduled number must agree under both
 issue policies: through the event feed (live capture) and through the
 decoded frames of the written trace (replay; launches placed past
@@ -123,19 +124,29 @@ def _warp_run(rng: random.Random, code, budget: int, base: int):
             pc = len(code) - 1                   # run to the final EXIT
 
 
+def _shape(rng: random.Random, size: int) -> tuple:
+    """A 3-D launch dimension of *size* elements, laid out along x, y
+    or z, or split over two axes when *size* is even."""
+    if size % 2 == 0 and rng.random() < 0.25:
+        return (size // 2, 2, 1)
+    return rng.choice(((size, 1, 1), (1, size, 1), (1, 1, size)))
+
+
 def _launch_events(rng: random.Random, index: int, warps: int, ctas: int,
                    base: int = 0):
     """One launch's records under the executor's scheduling contract:
     CTAs in order; warps in index order, each to its next barrier or
     exit; a release when every live warp is parked."""
+    threads = (warps - 1) * 32 + rng.randint(1, 32)
     if rng.random() < 0.1:       # a zero-CTA grid: no records at all
-        return [LaunchEvent(kernel=f"k{index % 2}", grid=(0, 1, 1),
-                            block=(32 * warps, 1, 1), launch_index=index),
+        return [LaunchEvent(kernel=f"k{index % 2}",
+                            grid=rng.choice(((0, 1, 1), (1, 0, 1),
+                                             (2, 1, 0))),
+                            block=_shape(rng, threads), launch_index=index),
                 KernelEndEvent(warp_instructions=0)]
     code = _program(rng)
-    threads = (warps - 1) * 32 + rng.randint(1, 32)
-    events = [LaunchEvent(kernel=f"k{index % 2}", grid=(ctas, 1, 1),
-                          block=(threads, 1, 1), launch_index=index)]
+    events = [LaunchEvent(kernel=f"k{index % 2}", grid=_shape(rng, ctas),
+                          block=_shape(rng, threads), launch_index=index)]
     if rng.random() < 0.2:       # a memory record nothing owns
         events.append(MemEvent(ins_addr=0, flags=MEM_FLAG_LOAD, width=4,
                                active_lanes=1, line_addresses=(64,)))
@@ -159,13 +170,15 @@ def _launch_events(rng: random.Random, index: int, warps: int, ctas: int,
 
 @st.composite
 def traces(draw):
-    """1-2 launches; some sit past 2**63, where the vector decoder
-    hands the frame to the scalar walk, and some traces are cut off
-    before their last kernel-end record."""
+    """1-6 launches of mixed grid and block shapes, rebuilt and
+    scheduled as one batch, so every launch cut inside a batch is
+    checked; some launches have a zero-CTA grid, some traces sit past
+    2**63, where the vector decoder hands the frame to the scalar walk,
+    and some are cut off before their last kernel-end record."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     base = draw(st.sampled_from((0, 0, 0, 2 ** 63 + 2 ** 40)))
     events = []
-    for index in range(draw(st.integers(1, 2))):
+    for index in range(draw(st.integers(1, 6))):
         events += _launch_events(rng, index, warps=draw(st.integers(1, 32)),
                                  ctas=draw(st.integers(1, 4)), base=base)
     if draw(st.integers(0, 7)) == 0:
