@@ -88,7 +88,7 @@ class Opcode(enum.Enum):
     LDL = 56          # local (per-thread) load
     STL = 57          # local store
     LDC = 58          # constant-bank load
-    ATOM = 59         # global atomic (modifier: ADD/AND/OR/XOR/MIN/MAX/EXCH/CAS)
+    ATOM = 59         # global atomic (modifier: ADD/AND/OR/XOR/MIN/MAX/EXCH/INC/DEC)
     ATOMS = 60        # shared atomic
     RED = 61          # reduction (atomic without return)
     TLD = 62          # texture load (modelled as a cached read-only fetch)

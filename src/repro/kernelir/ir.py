@@ -96,7 +96,6 @@ class AtomOp(enum.Enum):
     MIN = "min"
     MAX = "max"
     EXCH = "exch"
-    CAS = "cas"
 
 
 @dataclass(frozen=True)

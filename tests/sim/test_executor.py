@@ -1,10 +1,13 @@
 """Functional tests of the SIMT executor: correctness of kernels with
 arithmetic, control flow, divergence, shared memory, atomics, barriers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.backend import ptxas
+from repro.isa import parse_kernel
 from repro.kernelir import KernelBuilder, Type
 from repro.kernelir.ir import AtomOp, Space
 from repro.kernelir.types import PTR
@@ -214,6 +217,25 @@ class TestAtomics:
         ptr = device.alloc(4)
         device.launch(kernel, Dim3(1), Dim3(96), [ptr])
         assert device.read_array(ptr, 1, np.uint32)[0] == 96
+
+    def test_unimplemented_atomic_op_faults(self, device):
+        # the IR offers no compare-and-swap (its atom has no compare
+        # operand), and an ATOM whose operation the executor lacks must
+        # fault as an illegal instruction instead of running as ADD
+        assert "CAS" not in AtomOp.__members__
+        ptr = device.alloc(4)
+        device.memcpy_htod(ptr, np.array([7], dtype=np.uint32))
+        kernel = replace(parse_kernel(f"""
+.kernel cas
+        MOV32I R2, 0x{ptr & 0xFFFFFFFF:x} ;
+        MOV32I R3, 0x{ptr >> 32:x} ;
+        MOV32I R0, 5 ;
+        ATOM.CAS.U32 R8, [R2], R0 ;
+        EXIT ;
+"""), num_regs=16)
+        with pytest.raises(DeviceFault, match="illegal instruction"):
+            device.launch(kernel, Dim3(1), Dim3(32), [])
+        assert device.read_array(ptr, 1, np.uint32)[0] == 7
 
 
 class TestFaults:

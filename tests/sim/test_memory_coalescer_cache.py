@@ -247,13 +247,28 @@ class TestLaneIO:
                     assert (raw >> (32 * word)) & 0xFFFFFFFF \
                         == words[lane, word]
 
-    def test_lanes_in_bounds(self):
-        mem = Memory(256)
-        ok = np.array([0, 100, 252], dtype=np.int64)
-        assert mem.lanes_in_bounds(ok, 4)
-        assert not mem.lanes_in_bounds(np.array([253], dtype=np.int64), 4)
-        assert not mem.lanes_in_bounds(np.array([-1], dtype=np.int64), 4)
-        assert mem.lanes_in_bounds(np.array([], dtype=np.int64), 4)
+    def test_narrow_and_broadcast_lanes(self):
+        mem = Memory(4096)
+        offsets = np.arange(32, dtype=np.int64) * 3 + 64
+        values = np.arange(32, dtype=np.uint32) * 0x01010101 + 0x80
+        mem.write_lanes(offsets, 2, values.reshape(-1, 1))
+        for dtype, width, signed in ((np.int8, 1, True), ("<u2", 2, False)):
+            got = mem.read_lanes(offsets, width, dtype)[:, 0]
+            for lane, offset in enumerate(offsets):
+                raw = mem.read(int(offset), width)
+                if signed and raw >> (8 * width - 1):
+                    raw -= 1 << (8 * width)
+                assert got[lane] == raw
+        mem.write_lanes(offsets, 2, np.array([0xBEEF, 0], dtype=np.uint32))
+        assert all(mem.read(int(offset), 2) == 0xBEEF for offset in offsets)
+
+    def test_out_of_bounds_fault_text(self):
+        mem = Memory(256, name="global")
+        with pytest.raises(DeviceFault, match=r"^global: access of 4 bytes "
+                           r"at 0xfe outside \[0, 0x100\)$"):
+            mem.read(0xFE, 4)
+        assert str(mem.out_of_bounds(-8, 2)) == \
+            "global: access of 2 bytes at 0x-8 outside [0, 0x100)"
 
 
 class TestCoalesceEquivalence:
