@@ -584,7 +584,8 @@ def _format_query_hit(hit) -> str:
 
 def _cmd_trace_query(args) -> int:
     from repro.trace import TraceFormatError
-    from repro.trace.query import QueryError, QueryFilter, run_query
+    from repro.trace.query import QueryError, QueryFilter, count_query, \
+        run_query
 
     _open_trace_or_die(args.input)
     try:
@@ -595,13 +596,17 @@ def _cmd_trace_query(args) -> int:
         raise CliError(str(exc))
     truncated = False
     try:
-        hits, stats = run_query(args.input, filt)
-        for hit in hits:
-            if not args.count and stats.hits > args.limit:
-                truncated = True
-                break
-            if not args.count:
+        if args.count:
+            stats = count_query(args.input, filt)
+        else:
+            hits, stats = run_query(args.input, filt)
+            printed = 0
+            for hit in hits:
+                if printed >= args.limit:
+                    truncated = True
+                    break
                 print(_format_query_hit(hit))
+                printed += 1
     except TraceFormatError as exc:
         raise _trace_error(args.input, exc)
     how = ("(index sidecar)" if stats.used_index

@@ -568,7 +568,8 @@ class _Decoded:
     __slots__ = ("instr", "opcode", "dsts", "srcs", "mods", "guard", "tag",
                  "uncond", "pred_index", "negated", "sassi", "handler",
                  "target", "mem_width", "mem_ref", "cmp_fn", "narrow",
-                 "atom_op", "opclass_key", "sassi_key", "jcal_addr")
+                 "atom_op", "dst_rows", "opclass_key", "sassi_key",
+                 "jcal_addr")
 
     def __init__(self, instr: Instruction, target: Optional[int] = None):
         self.instr = instr
@@ -596,6 +597,8 @@ class _Decoded:
             (m for m in instr.mods if m in _ATOM_OPS), None)
         if self.handler is _op_atom and self.atom_op is None:
             self.handler = None     # an operation the executor lacks
+        self.dst_rows = _dst_rows(self) \
+            if self.handler in (_op_load, _op_atom) else ()
         self.jcal_addr = instr.srcs[0].value & 0xFFFFFFFF \
             if (instr.opcode is Opcode.JCAL and instr.srcs
                 and isinstance(instr.srcs[0], Imm)) else None
@@ -1318,25 +1321,49 @@ def _disjoint(offsets: np.ndarray, width: int) -> bool:
     return int((ordered[1:] - ordered[:-1]).min()) >= width
 
 
+def _dst_rows(dec: "_Decoded") -> range:
+    """The register rows a load or atomic writes, one per 32-bit word
+    it returns; none for ``RZ`` (or an atomic without a destination),
+    whose value is discarded."""
+    if not dec.dsts:
+        return range(0)
+    dst = dec.dsts[0]
+    if isinstance(dst, GPR) and dst.is_zero:
+        return range(0)
+    words = 1 if dec.handler is _op_atom or dec.narrow is not None \
+        else dec.mem_width // 4
+    return range(dst.index, dst.index + words)
+
+
+def _register_fault(warp, rows: range) -> DeviceFault:
+    """The fault :meth:`Executor._write` raises, for a destination
+    running past the warp's registers."""
+    return DeviceFault(
+        f"register R{max(rows[0], warp.num_regs)} out of range")
+
+
 def _op_load(ex, warp, cta, instr, g, counter):
+    rows = instr.dst_rows
+    if rows and rows[-1] >= warp.num_regs:
+        raise _register_fault(warp, rows)
     width = instr.mem_width
     addrs = ex.lane_addresses(warp, instr)
     if instr.opcode in (Opcode.LDG, Opcode.LD, Opcode.TLD):
         ex._account_global(addrs, g, width, counter)
-    dst = instr.dsts[0].index
     narrow = instr.narrow
     if narrow is not None:
         dtype = _NARROW[narrow]
         width = dtype.itemsize
     parts, fault = _lane_parts(ex, warp, cta, instr, g, addrs, width)
     regs = warp.regs
-    for mem, lanes, offsets, _ in parts:
+    for mem, lanes, offsets, _ in parts if rows else ():
         if narrow is None:
             words = mem.read_lanes(offsets, width)
-            for word in range(width // 4):
-                regs[dst + word][lanes] = words[:, word]
+            for word, row in enumerate(rows):
+                regs[row][lanes] = words[:, word]
         else:
-            regs[dst][lanes] = mem.read_lanes(offsets, width, dtype)[:, 0]
+            regs[rows[0]][lanes] = mem.read_lanes(offsets, width,
+                                                  dtype)[:, 0]
     if fault is not None:
         raise fault
     warp.pc += 1
@@ -1429,6 +1456,9 @@ def _atom_overlap(mem, offsets, val, update):
 
 
 def _op_atom(ex, warp, cta, instr, g, counter):
+    rows = instr.dst_rows
+    if rows and rows[-1] >= warp.num_regs:
+        raise _register_fault(warp, rows)
     addrs = ex.lane_addresses(warp, instr)
     if instr.opcode in (Opcode.ATOM, Opcode.RED):
         ex._account_global(addrs, g, 4, counter)
@@ -1449,8 +1479,8 @@ def _op_atom(ex, warp, cta, instr, g, counter):
             val = val.view(np.int32)
         serve = _atom_overlap if overlap else _atom_round
         old = serve(mem, offsets, val, update)
-        if instr.dsts:
-            regs[instr.dsts[0].index][lanes] = old
+        if rows:
+            regs[rows[0]][lanes] = old
     if fault is not None:
         raise fault
     warp.pc += 1

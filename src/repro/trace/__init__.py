@@ -55,7 +55,8 @@ from repro.trace.index import (
     sidecar_index,
     write_index,
 )
-from repro.trace.query import QueryFilter, QueryStats, run_query
+from repro.trace.query import QueryFilter, QueryStats, count_query, \
+    run_query
 from repro.trace.diff import TraceDiff, diff_traces
 from repro.trace.timing import (
     TeeWriter,
@@ -80,7 +81,7 @@ __all__ = [
     "IndexBuilder", "LaunchEntry", "TraceIndex", "build_index",
     "ensure_index", "index_path_for", "read_index", "sidecar_index",
     "write_index",
-    "QueryFilter", "QueryStats", "run_query",
+    "QueryFilter", "QueryStats", "count_query", "run_query",
     "TraceDiff", "diff_traces",
     "TeeWriter", "TimingAnalysis", "TimingModel", "TimingReport",
     "TimingSink", "live_timing", "render_iters", "render_summary",

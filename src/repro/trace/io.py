@@ -608,10 +608,13 @@ class FrameColumns:
     Columns are int64, except that a column holding a value past int64
     is an exact object column.  ``launch`` is ``None`` for the records
     a trace holds ahead of its first launch.  :meth:`record` turns one
-    row back into its event object.
+    row back into its event object.  *opcodes_known* marks a frame
+    whose opcode ids its decode batch has already checked
+    (:meth:`opcodes`).
     """
 
     __slots__ = ("launch", "events", "warp_instructions", "_line_offsets",
+                 "_opcodes_known",
                  "record_tags", "kend_counts",
                  "instr_addr", "instr_opcodes", "instr_lanes",
                  "instr_widths",
@@ -620,7 +623,7 @@ class FrameColumns:
                  "branch_addr", "branch_active", "branch_taken",
                  "branch_not_taken")
 
-    def __init__(self, launch, columns: tuple):
+    def __init__(self, launch, columns: tuple, opcodes_known: bool = False):
         (self.record_tags, self.kend_counts,
          self.instr_addr, self.instr_opcodes, self.instr_lanes,
          self.instr_widths,
@@ -633,6 +636,7 @@ class FrameColumns:
         self.warp_instructions = (int(self.kend_counts[-1])
                                   if self.kend_counts.size else 0)
         self._line_offsets: Optional[List[int]] = None
+        self._opcodes_known = opcodes_known
 
     def record(self, tag: int, k: int):
         """The *k*-th ``TAG_INSTR``, ``TAG_MEM`` or ``TAG_BRANCH``
@@ -661,15 +665,17 @@ class FrameColumns:
     def opcodes(self) -> np.ndarray:
         """``instr_opcodes``, once every id is known to name an
         :class:`~repro.isa.opcodes.Opcode` (trace opcodes are
-        untrusted; the decoder passes any id through)."""
+        untrusted; the decoder passes any id through).  A frame from a
+        decode batch whose opcodes all passed is not checked again."""
         ops = self.instr_opcodes
-        if ops.size and (ops.dtype == object or ops.min() < 0
-                         or ops.max() >= _KNOWN_OPCODE.size
-                         or not _KNOWN_OPCODE[ops].all()):
-            bad = next(op for op in ops.tolist()
-                       if not 0 <= op < _KNOWN_OPCODE.size
-                       or not _KNOWN_OPCODE[op])
-            raise record_error(self.launch, "INSTR", unknown_opcode(bad))
+        if not self._opcodes_known:
+            if not _all_opcodes_known(ops):
+                bad = next(op for op in ops.tolist()
+                           if not 0 <= op < _KNOWN_OPCODE.size
+                           or not _KNOWN_OPCODE[op])
+                raise record_error(self.launch, "INSTR",
+                                   unknown_opcode(bad))
+            self._opcodes_known = True
         return ops
 
 
@@ -691,6 +697,13 @@ _KNOWN_OPCODE = np.zeros(max(op.value for op in Opcode) + 1, dtype=bool)
 _KNOWN_OPCODE[[op.value for op in Opcode]] = True
 
 
+def _all_opcodes_known(ops: np.ndarray) -> bool:
+    """Does every id in *ops* name an Opcode?"""
+    return not ops.size or (ops.dtype != object and ops.min() >= 0
+                            and ops.max() < _KNOWN_OPCODE.size
+                            and bool(_KNOWN_OPCODE[ops].all()))
+
+
 def decode_frame_columns(slices: Sequence[bytes]) -> List[FrameColumns]:
     """Decode a batch of frame slices, one :class:`FrameColumns` each.
 
@@ -698,12 +711,15 @@ def decode_frame_columns(slices: Sequence[bytes]) -> List[FrameColumns]:
     necessarily adjacent in the trace.  Each launch header is decoded
     on its own; the bodies of the whole batch take one varint pass and
     one vector pass (:func:`_columns_vector`), so a run of small
-    frames costs about what one large frame does.  A batch the vector
-    pass declines is decoded frame by frame, and a frame it declines
-    (over-long varints, truncation, bad tags, values that might not
-    fit int64) event by event into a :class:`FrameBuilder`: corrupt
-    input raises the streaming decoder's :class:`TraceFormatError`,
-    and values past int64 come back exact.
+    frames costs about what one large frame does.  The batch's opcode
+    ids are checked once too: when all of them name an opcode, its
+    frames skip the check in :meth:`FrameColumns.opcodes`; else each
+    frame checks its own when read, naming its launch.  A batch the
+    vector pass declines is decoded frame by frame, and a frame it
+    declines (over-long varints, truncation, bad tags, values that
+    might not fit int64) event by event into a :class:`FrameBuilder`:
+    corrupt input raises the streaming decoder's
+    :class:`TraceFormatError`, and values past int64 come back exact.
     """
     return _decode_batch(list(slices))
 
@@ -725,8 +741,10 @@ def _decode_batch(slices: List[bytes]) -> List[FrameColumns]:
     columns = _columns_vector(tok, *cuts) if cuts is not None else None
     if columns is not None:
         if len(slices) == 1:
-            return [FrameColumns(launches[0], columns)]
-        return [FrameColumns(launch, frame)
+            known = _all_opcodes_known(columns[3])
+            return [FrameColumns(launches[0], columns, known)]
+        known = _all_opcodes_known(np.concatenate(columns[3]))
+        return [FrameColumns(launch, frame, known)
                 for launch, frame in zip(launches, zip(*columns))]
     if len(slices) > 1:
         return [frame for data in slices for frame in _decode_batch([data])]

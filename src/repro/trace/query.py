@@ -34,13 +34,16 @@ Both routes filter launch columns: the indexed route reads the frames
 of the launches the filter can match through
 :meth:`~repro.trace.io.TraceReader.frames`, the full scan groups the
 event stream with :func:`~repro.trace.io.event_frames`, and
-:func:`_frame_hits` masks the columns, building an event object only
-for a hit.
+:func:`_frame_hits` masks the columns into the frame's hit rows.  A
+hit stays a row (its frame, record tag and kind-local rank) until its
+``event`` is read; counting the hits (:func:`count_query`) reads only
+the rows' array sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -130,14 +133,64 @@ class QueryFilter:
                 and (hi is None or ordinal < hi))
 
 
-@dataclass(frozen=True)
 class QueryHit:
-    """One matching event with its launch/warp context."""
+    """One matching event with its launch/warp context.
 
-    launch: int                  # launch ordinal (-1: before any launch)
-    kernel: str                  # "" before any launch
-    warp: Optional[int]          # tagged only when filtering by warp
-    event: object
+    ``QueryHit(launch=, kernel=, warp=, event=)`` holds its event.  A
+    hit from :func:`run_query` holds its frame row instead and builds
+    the event (:meth:`FrameColumns.record`) the first time ``event`` is
+    read, then keeps it.  Hits are equal when ``(launch, kernel, warp,
+    event)`` are.
+    """
+
+    __slots__ = ("launch", "kernel", "warp", "_event", "_frame", "_tag",
+                 "_rank")
+
+    def __init__(self, launch: int, kernel: str, warp: Optional[int],
+                 event: object):
+        self.launch = launch     # launch ordinal (-1: before any launch)
+        self.kernel = kernel     # "" before any launch
+        self.warp = warp         # tagged only when filtering by warp
+        self._event = event
+        self._frame = None
+
+    @property
+    def event(self) -> object:
+        if self._frame is not None:
+            self._event = self._frame.record(self._tag, self._rank)
+            self._frame = None
+        return self._event
+
+    def _key(self) -> tuple:
+        return self.launch, self.kernel, self.warp, self.event
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QueryHit):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return ("QueryHit(launch={!r}, kernel={!r}, warp={!r}, "
+                "event={!r})".format(*self._key()))
+
+
+_new_hit = object.__new__
+
+
+def _row_hit(launch: int, kernel: str, warp: Optional[int],
+             frame: FrameColumns, tag: int, rank: int) -> QueryHit:
+    """A hit on the *rank*-th record of kind *tag* in *frame*."""
+    hit = _new_hit(QueryHit)
+    hit.launch = launch
+    hit.kernel = kernel
+    hit.warp = warp
+    hit._frame = frame
+    hit._tag = tag
+    hit._rank = rank
+    return hit
 
 
 @dataclass
@@ -181,15 +234,38 @@ def _opclass_values() -> np.ndarray:
     return _class_values
 
 
-def _frame_hits(frame: FrameColumns, ordinal: int, kernel: str,
-                filt: QueryFilter, stats: QueryStats
-                ) -> Iterator[QueryHit]:
-    """The hits among one frame's records, in record order.
+#: one past the largest tag a frame body holds
+_TAG_LIMIT = max(TAG_KEND, *_KIND_TAGS.values()) + 1
+
+
+@lru_cache(maxsize=None)
+def _kind_table(kinds: Tuple[str, ...]) -> np.ndarray:
+    """tag -> is it one of *kinds*?"""
+    table = np.zeros(_TAG_LIMIT, dtype=bool)
+    table[[_KIND_TAGS[kind] for kind in kinds]] = True
+    return table
+
+
+#: kind-local ranks: one cumsum keeps each kind's running count in its
+#: own _RANK_BITS-wide field of an int64, exact while a frame holds
+#: fewer than 2**_RANK_BITS records
+_RANK_BITS = 21
+_RANK_SHIFT = np.zeros(_TAG_LIMIT, dtype=np.int64)
+_RANK_UNIT = np.zeros(_TAG_LIMIT, dtype=np.int64)
+for _field, _tag in enumerate(_KIND_TAGS.values()):
+    _RANK_SHIFT[_tag] = _field * _RANK_BITS
+    _RANK_UNIT[_tag] = 1 << _field * _RANK_BITS
+_RANK_MASK = (1 << _RANK_BITS) - 1
+
+
+def _frame_hits(frame: FrameColumns, filt: QueryFilter,
+                stats: QueryStats) -> np.ndarray:
+    """The record positions of one frame's hits, in record order; adds
+    the frame's events and hits to *stats*.
 
     The kind, class, address and warp predicates run as array masks
-    over the frame's columns, and an event object is built only for a
-    hit (:meth:`FrameColumns.record`).  A memory or branch record takes
-    the class verdict of the nearest preceding instruction and, under a
+    over the frame's columns.  A memory or branch record takes the
+    class verdict of the nearest preceding instruction and, under a
     warp filter, its warp — unless a kernel-end record lies between
     them.  A record with no such instruction fails any class filter and
     any warp filter, as does every record of a launch-less frame.
@@ -198,9 +274,7 @@ def _frame_hits(frame: FrameColumns, ordinal: int, kernel: str,
     opcodes = frame.opcodes()            # rejects an unknown opcode id
     tags = frame.record_tags
     is_instr = tags == TAG_INSTR
-    sel = np.zeros(tags.size, dtype=bool)
-    for kind in filt.kinds:
-        sel |= tags == _KIND_TAGS[kind]
+    sel = _kind_table(tuple(filt.kinds))[tags]
     if filt.classes is not None:
         # verdict 0 stands for "no instruction yet"; record i takes the
         # verdict of the cumsum(is_instr)[i]-th instruction
@@ -230,7 +304,7 @@ def _frame_hits(frame: FrameColumns, ordinal: int, kernel: str,
         sel &= addr_match
     if filt.warp is not None:
         if frame.launch is None:
-            return
+            return np.empty(0, dtype=np.int64)
         # record i takes the verdict of the latest instruction or kernel
         # end at or before it, stored at i + 1; a kernel end's verdict
         # and slot 0 ("neither yet") are False
@@ -239,17 +313,27 @@ def _frame_hits(frame: FrameColumns, ordinal: int, kernel: str,
         latest = np.maximum.accumulate(np.where(
             is_instr | (tags == TAG_KEND), np.arange(1, tags.size + 1), 0))
         sel &= verdicts[latest]
-    hit_at = np.flatnonzero(sel)
-    if not hit_at.size:
-        return
-    rank = np.empty(tags.size, dtype=np.int64)   # kind-local index
+    at = np.flatnonzero(sel)
+    stats.hits += at.size
+    return at
+
+
+def _hit_rows(tags: np.ndarray, at: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """The record tags and kind-local ranks of the records at *at*
+    (the *k*-th record of its kind has rank *k*), from one cumsum over
+    *tags*; a frame too long for the rank fields counts kind by kind."""
+    hit_tags = tags[at]
+    if not tags.size >> _RANK_BITS:
+        counts = np.cumsum(_RANK_UNIT[tags])[at]
+        return hit_tags, ((counts >> _RANK_SHIFT[hit_tags])
+                          & _RANK_MASK) - 1
+    ranks = np.empty(at.size, dtype=np.int64)
     for tag in _KIND_TAGS.values():
-        at = np.flatnonzero(tags == tag)
-        rank[at] = np.arange(at.size)
-    for tag, k in zip(tags[hit_at].tolist(), rank[hit_at].tolist()):
-        stats.hits += 1
-        yield QueryHit(launch=ordinal, kernel=kernel, warp=filt.warp,
-                       event=frame.record(tag, k))
+        of_kind = hit_tags == tag
+        ranks[of_kind] = np.searchsorted(np.flatnonzero(tags == tag),
+                                         at[of_kind])
+    return hit_tags, ranks
 
 
 def _entry_can_match(entry: "index_mod.LaunchEntry",
@@ -269,22 +353,14 @@ def _entry_can_match(entry: "index_mod.LaunchEntry",
     return True
 
 
-def run_query(trace_path: str, filt: QueryFilter
-              ) -> Tuple[Iterator[QueryHit], QueryStats]:
-    """Run *filt* over *trace_path*.
-
-    Returns ``(hits, stats)`` — a lazy hit iterator plus a stats object
-    that fills in as the iterator is consumed (final once exhausted).
-    Uses the ``.rpti`` sidecar to skip launches when one is on disk and
-    bound to this trace, else falls back to a full scan
-    (``stats.used_index`` says which — a missing sidecar is reported as
-    a full scan, never silently rebuilt by a hidden one).  Either way
-    each visited launch is one :class:`FrameColumns` batch filtered by
-    :func:`_frame_hits`.  A consumer that stops early sees the hits and
-    events of what was read; on the indexed route the launch counts come
-    from the index alone, so they are final from the start.
-    """
-    stats = QueryStats()
+def _query_frames(trace_path: str, filt: QueryFilter, stats: QueryStats
+                  ) -> Iterator[Tuple[FrameColumns, int, str]]:
+    """``(frame, ordinal, kernel)`` for each launch frame *filt* may
+    match.  Uses the ``.rpti`` sidecar to skip launches when one is on
+    disk and bound to this trace, and fills in the launch counts of
+    *stats* from the index at once; else falls back to a full scan,
+    which counts launches, and the events of the frames it passes
+    over, as it reads."""
     index = index_mod.sidecar_index(trace_path)
     if index is not None and index.shardable:
         stats.used_index = True
@@ -295,31 +371,66 @@ def run_query(trace_path: str, filt: QueryFilter
                   and _entry_can_match(entry, filt)]
         stats.launches_visited = len(chosen)
         stats.launches_skipped = len(index.entries) - len(chosen)
+        frames = TraceReader(trace_path).frames(e for _, e in chosen)
+        return ((frame, ordinal, entry.kernel)
+                for (ordinal, entry), frame in zip(chosen, frames))
+    return _scanned_frames(trace_path, filt, stats)
 
-        def indexed_hits() -> Iterator[QueryHit]:
-            frames = TraceReader(trace_path).frames(e for _, e in chosen)
-            for (ordinal, entry), frame in zip(chosen, frames):
-                yield from _frame_hits(frame, ordinal, entry.kernel,
-                                       filt, stats)
 
-        return indexed_hits(), stats
+def _scanned_frames(trace_path: str, filt: QueryFilter, stats: QueryStats
+                    ) -> Iterator[Tuple[FrameColumns, int, str]]:
+    ordinal = -1
+    for frame in event_frames(TraceReader(trace_path).events()):
+        if frame.launch is not None:
+            ordinal += 1
+            stats.launches_total += 1
+        if not frame.record_tags.size:
+            stats.events_scanned += frame.events
+        elif not filt.launch_in_range(ordinal):
+            stats.launches_skipped += ordinal >= 0
+            stats.events_scanned += frame.events
+        else:
+            stats.launches_visited += ordinal >= 0
+            kernel = frame.launch.kernel if frame.launch is not None else ""
+            yield frame, ordinal, kernel
 
-    def scanned_hits() -> Iterator[QueryHit]:
-        ordinal = -1
-        for frame in event_frames(TraceReader(trace_path).events()):
-            if frame.launch is not None:
-                ordinal += 1
-                stats.launches_total += 1
-            if not frame.record_tags.size:
-                stats.events_scanned += frame.events
-            elif not filt.launch_in_range(ordinal):
-                stats.launches_skipped += ordinal >= 0
-                stats.events_scanned += frame.events
-            else:
-                stats.launches_visited += ordinal >= 0
-                kernel = (frame.launch.kernel if frame.launch is not None
-                          else "")
-                yield from _frame_hits(frame, ordinal, kernel, filt,
-                                       stats)
 
-    return scanned_hits(), stats
+def run_query(trace_path: str, filt: QueryFilter
+              ) -> Tuple[Iterator[QueryHit], QueryStats]:
+    """Run *filt* over *trace_path*.
+
+    Returns ``(hits, stats)`` — a lazy hit iterator plus a stats object
+    that fills in as the iterator is consumed (final once exhausted).
+    ``stats.used_index`` says whether the ``.rpti`` sidecar served the
+    query (a missing sidecar is reported as a full scan, never silently
+    rebuilt by a hidden one).  Either way each visited launch is one
+    :class:`FrameColumns` batch filtered by :func:`_frame_hits`, whose
+    events and hits ``stats`` counts as the iterator reaches the frame;
+    each hit builds its event only when ``event`` is read.  A consumer
+    that stops early sees the events and hits of the frames reached; on
+    the indexed route the launch counts come from the index alone, so
+    they are final from the start.
+    """
+    stats = QueryStats()
+    frames = _query_frames(trace_path, filt, stats)
+
+    def hits() -> Iterator[QueryHit]:
+        warp = filt.warp
+        for frame, ordinal, kernel in frames:
+            at = _frame_hits(frame, filt, stats)
+            if at.size:
+                tags, ranks = _hit_rows(frame.record_tags, at)
+                for tag, rank in zip(tags.tolist(), ranks.tolist()):
+                    yield _row_hit(ordinal, kernel, warp, frame, tag, rank)
+
+    return hits(), stats
+
+
+def count_query(trace_path: str, filt: QueryFilter) -> QueryStats:
+    """*filt* over *trace_path*, counted: the final stats of
+    :func:`run_query`, taken from each frame's hit rows without a hit
+    object."""
+    stats = QueryStats()
+    for frame, _, _ in _query_frames(trace_path, filt, stats):
+        _frame_hits(frame, filt, stats)
+    return stats

@@ -70,13 +70,27 @@ def _resolve_space(ex, warp, cta, instr, addr: int, lane: int):
     raise DeviceFault(f"unmapped generic address 0x{addr:x}")
 
 
+def _writes_dst(warp, instr, words: int) -> bool:
+    """Whether a load or atomic keeps the *words* it returns: ``RZ``
+    (or no destination) discards them, and a destination running past
+    the warp's registers faults before any access."""
+    if not instr.dsts or instr.dsts[0].is_zero:
+        return False
+    first = instr.dsts[0].index
+    for index in range(first, first + words):
+        if index >= warp.num_regs:
+            raise DeviceFault(f"register R{index} out of range")
+    return True
+
+
 def _op_load(ex, warp, cta, instr, g, counter):
     width = instr.mem_width
+    dst = instr.dsts[0]
+    narrow = instr.narrow
+    keep = _writes_dst(warp, instr, 1 if narrow else width // 4)
     addrs = ex.lane_addresses(warp, instr)
     if instr.opcode in (Opcode.LDG, Opcode.LD, Opcode.TLD):
         ex._account_global(addrs, g, width, counter)
-    dst = instr.dsts[0]
-    narrow = instr.narrow
     for lane in np.nonzero(g)[0]:
         lane = int(lane)
         mem, offset = _resolve_space(ex, warp, cta, instr,
@@ -86,10 +100,11 @@ def _op_load(ex, warp, cta, instr, g, counter):
             raw = mem.read(offset, nbytes)
             if signed and raw & (1 << (8 * nbytes - 1)):
                 raw -= 1 << (8 * nbytes)
-            warp.regs[dst.index, lane] = np.uint32(raw & 0xFFFFFFFF)
+            if keep:
+                warp.regs[dst.index, lane] = np.uint32(raw & 0xFFFFFFFF)
         else:
             raw = mem.read(offset, width)
-            for word in range(width // 4):
+            for word in range(width // 4 if keep else 0):
                 warp.regs[dst.index + word, lane] = np.uint32(
                     (raw >> (32 * word)) & 0xFFFFFFFF)
     warp.pc += 1
@@ -123,6 +138,7 @@ def _op_store(ex, warp, cta, instr, g, counter):
 
 
 def _op_atom(ex, warp, cta, instr, g, counter):
+    keep = _writes_dst(warp, instr, 1)
     addrs = ex.lane_addresses(warp, instr)
     if instr.opcode in (Opcode.ATOM, Opcode.RED):
         ex._account_global(addrs, g, 4, counter)
@@ -145,7 +161,7 @@ def _op_atom(ex, warp, cta, instr, g, counter):
         else:
             new = _ATOM_FNS[op](old, val)
         mem.write(offset, 4, new & 0xFFFFFFFF)
-        if instr.dsts:
+        if keep:
             warp.regs[instr.dsts[0].index, lane] = np.uint32(old & 0xFFFFFFFF)
     warp.pc += 1
 

@@ -15,9 +15,10 @@ and the exact :class:`DeviceFault` text.
 The draws aim at what the per-lane loops used to be kept for: every
 atomic operation with lanes sharing words, unaligned and partially
 overlapping atomics, overlapping 4, 8 and 16 B stores, narrow loads and
-stores, immediate and ``RZ`` stores, generic warps spanning the local,
-shared and global windows, unmapped and out-of-bounds lanes in the
-middle of a warp, and addresses at or above 2**63.
+stores, immediate and ``RZ`` stores, loads and atomics into ``RZ`` or
+past the last register, generic warps spanning the local, shared and
+global windows, unmapped and out-of-bounds lanes in the middle of a
+warp, and addresses at or above 2**63.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ _loads = st.sampled_from([Opcode.LDG, Opcode.LDS, Opcode.LDL, Opcode.LDC,
     lambda opcode: st.tuples(
         st.just(opcode), _memory_ref(opcode),
         st.sampled_from(_WIDTHS + _NARROW),
-        st.sampled_from([DST, BASE])))
+        st.sampled_from([DST, BASE, NUM_REGS - 1, RZ.index])))
 
 _stores = st.sampled_from([Opcode.STG, Opcode.STS, Opcode.STL,
                            Opcode.ST]).flatmap(
@@ -126,7 +127,8 @@ _atomics = st.sampled_from([Opcode.ATOM, Opcode.ATOMS, Opcode.RED]).flatmap(
         st.just(opcode), _memory_ref(opcode),
         st.sampled_from(_ATOM_OPS), st.sampled_from(["U32", "S32"]),
         st.one_of(st.just(GPR(VALUE)),
-                  st.integers(0, (1 << 32) - 1).map(Imm))))
+                  st.integers(0, (1 << 32) - 1).map(Imm)),
+        st.sampled_from([DST, RZ.index, NUM_REGS])))
 
 
 def _run(instr, addrs, bits, seed, per_lane):
@@ -201,8 +203,8 @@ def test_stores_match_per_lane_oracle(case, bits, seed):
 @_SETTINGS
 @given(case=_atomics, bits=_masks, seed=_seeds)
 def test_atomics_match_per_lane_oracle(case, bits, seed):
-    opcode, (ref, addrs), op, sign, value = case
-    dsts = () if opcode is Opcode.RED else (GPR(DST),)
+    opcode, (ref, addrs), op, sign, value, dst = case
+    dsts = () if opcode is Opcode.RED else (GPR(dst),)
     instr = Instruction(opcode, dsts, (ref, value), mods=(op, sign))
     _assert_same(instr, addrs, bits, seed)
 
@@ -294,3 +296,50 @@ def test_generic_warp_spanning_every_window():
                               (MemRef(MemSpace.GENERIC, GPR(BASE)),
                                GPR(DATA)), mods=("64",))):
         assert _assert_same(instr, addrs, _ALL, seed=11) is None
+
+
+def _returning(kind, dst, mods=()):
+    """A global load or atomic add returning into *dst*."""
+    ref = MemRef(MemSpace.GLOBAL, GPR(BASE))
+    if kind == "load":
+        return Instruction(Opcode.LDG, (dst,), (ref,), mods=mods)
+    return Instruction(Opcode.ATOM, (dst,), (ref, GPR(VALUE)),
+                       mods=("ADD", "U32"))
+
+
+@pytest.mark.parametrize("kind", ["load", "atomic"])
+@pytest.mark.parametrize("faulting", [False, True])
+def test_rz_destination_discards_the_value(kind, faulting):
+    # the access still runs: an atomic still updates memory, and a lane
+    # past the heap still faults; no register changes
+    addrs = [_WORD + 4 * lane for lane in range(WARP_SIZE)]
+    if faulting:
+        addrs[9] = GLOBAL_BASE + HEAP - 2
+    instr = _returning(kind, RZ)
+    fault = _assert_same(instr, addrs, _ALL, seed=13)
+    before = _run(instr, addrs, 0, 13, per_lane=False)   # no lane runs
+    after = _run(instr, addrs, _ALL, 13, per_lane=False)
+    assert np.array_equal(after["regs"], before["regs"])
+    assert np.array_equal(after["global"], before["global"]) == \
+        (kind == "load")
+    assert fault == (f"global: access of 4 bytes at 0x{HEAP - 2:x} "
+                     f"outside [0, 0x{HEAP:x})" if faulting else None)
+
+
+@pytest.mark.parametrize("kind, dst, mods, named", [
+    ("load", NUM_REGS, (), NUM_REGS),
+    ("load", NUM_REGS - 2, ("128",), NUM_REGS),
+    ("atomic", NUM_REGS + 3, (), NUM_REGS + 3),
+])
+def test_destination_past_the_registers_faults(kind, dst, mods, named):
+    # the same fault an ALU write past the registers raises, before
+    # any lane touches memory
+    instr = _returning(kind, GPR(dst), mods)
+    addrs = [_WORD + 4 * lane for lane in range(WARP_SIZE)]
+    fault = _assert_same(instr, addrs, _ALL, seed=17)
+    assert fault == f"register R{named} out of range"
+    untouched = _run(instr, addrs, 0, 17, per_lane=False)["global"]
+    assert np.array_equal(_run(instr, addrs, _ALL, 17,
+                               per_lane=False)["global"], untouched)
+    mov = Instruction(Opcode.MOV, (GPR(named),), (Imm(1),))
+    assert _run(mov, addrs, _ALL, 17, per_lane=False)["fault"] == fault

@@ -34,7 +34,7 @@ from tests.trace.test_columnar_decoder import (
 
 pytestmark = pytest.mark.noskip
 
-SLOTS = FrameColumns.__slots__[4:]
+SLOTS = FrameColumns.__slots__[5:]
 
 
 def overlong_varint(value: int, length: int) -> bytes:
@@ -201,3 +201,43 @@ def test_batch_takes_one_vector_pass(monkeypatch):
         [[big + n] for n in range(3)]
     assert [frame.mem_lines.tolist() for frame in batch] == \
         [[big, big + 128]] * 3
+
+
+@pytest.mark.parametrize("frames", [1, 3])
+def test_batch_checks_opcodes_once(frames, monkeypatch):
+    # a batch whose opcode ids all name an opcode is checked once, and
+    # its frames skip the check; a batch holding an unknown id leaves
+    # every frame to check its own, and only the bad one raises,
+    # naming its launch
+    from repro.trace import io as trace_io
+
+    checks = []
+    real = trace_io._all_opcodes_known
+
+    def counted(ops):
+        checks.append(ops.size)
+        return real(ops)
+
+    monkeypatch.setattr(trace_io, "_all_opcodes_known", counted)
+    launches = [LaunchEvent(kernel="k", grid=(1, 1, 1), block=(32, 1, 1),
+                            launch_index=n) for n in range(frames)]
+    end = KernelEndEvent(warp_instructions=1)
+    good = [frame_slice(launch, [INSTR, end]) for launch in launches]
+    batch = decode_frame_columns(good)
+    assert checks == [frames]
+    for frame in batch:
+        assert frame.opcodes().tolist() == [INSTR.opcode]
+    assert checks == [frames]
+
+    bad = frame_slice(launches[-1], [InstrEvent(
+        ins_addr=0x40, opcode=999, lanes=32, width=4), end])
+    checks.clear()
+    batch = decode_frame_columns(good[:-1] + [bad])
+    assert checks == [frames]
+    for frame in batch[:-1]:
+        frame.opcodes()
+    with pytest.raises(TraceFormatError) as exc:
+        batch[-1].opcodes()
+    assert str(exc.value) == (f"launch {frames - 1} (k): INSTR record "
+                              "has opcode id 999, which names no opcode")
+    assert checks == [frames] + [1] * frames

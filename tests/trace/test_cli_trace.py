@@ -276,7 +276,7 @@ class TestTraceQuery:
     def test_indexed_warp_filter_streams_the_frame(self, captured_trace,
                                                    monkeypatch):
         # the warp filter masks the decoded frame's columns, and an
-        # event object is built per hit as the consumer asks for it
+        # event object is built per hit as the consumer reads it
         from repro.trace import query
         from repro.trace.io import FrameColumns
 
@@ -292,9 +292,12 @@ class TestTraceQuery:
                                       query.QueryFilter(warp=0))
         first = next(hits)
         assert stats.used_index and first.warp == 0
-        assert len(built) == 1
+        assert built == []
+        assert first.event is first.event and len(built) == 1
         rest = list(hits)
         assert rest and all(hit.warp == 0 for hit in rest)
+        assert len(built) == 1
+        assert all(hit.event is not None for hit in rest)
         assert len(built) == 1 + len(rest) == stats.hits
 
     def test_warp_filter_excludes_unanchored_records(self, tmp_path):

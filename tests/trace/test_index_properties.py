@@ -123,7 +123,7 @@ def _assert_frames_match_scan(path, index, data):
         assert frame.launch == want.launch
         assert frame.events == want.events == index.entries[n].events
         assert frame.warp_instructions == want.warp_instructions
-        for slot in FrameColumns.__slots__[4:]:
+        for slot in FrameColumns.__slots__[5:]:
             got, expected = getattr(frame, slot), getattr(want, slot)
             assert got.dtype == expected.dtype, slot
             assert got.tolist() == expected.tolist(), slot
