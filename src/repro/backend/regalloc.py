@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Set, Tuple, Union
 
 from repro.backend.lowering import LoweredKernel
 from repro.backend.virtual import VirtGPR, VirtPred
-from repro.isa.analysis import successors
+from repro.isa.analysis import solve_liveness
 from repro.isa.instruction import Instruction, MemRef, PredGuard
 from repro.isa.program import SassKernel
 from repro.isa.registers import GPR, NUM_PREDS, Pred
@@ -84,28 +84,6 @@ class _Interval:
     start: int
     end: int
     paired: bool = False
-
-
-def _liveness(kernel: SassKernel, uses_fn, defs_fn) -> List[Set[int]]:
-    """Per-instruction live-in sets of virtual indices."""
-    instructions = kernel.instructions
-    count = len(instructions)
-    succs = [successors(kernel, i) for i in range(count)]
-    live_in: List[Set[int]] = [set() for _ in range(count)]
-    changed = True
-    while changed:
-        changed = False
-        for index in range(count - 1, -1, -1):
-            instr = instructions[index]
-            out: Set[int] = set()
-            for succ in succs[index]:
-                out |= live_in[succ]
-            defs = set(defs_fn(instr)) if instr.guard.is_unconditional else set()
-            new = set(uses_fn(instr)) | (out - defs)
-            if new != live_in[index]:
-                live_in[index] = new
-                changed = True
-    return live_in
 
 
 def _build_intervals(instructions: Sequence[Instruction],
@@ -198,7 +176,7 @@ def allocate(lowered: LoweredKernel) -> Tuple[List[Union[str, Instruction]], int
 
 
 def _allocate_gprs(kernel: SassKernel, paired_roots) -> Dict[int, int]:
-    live_in = _liveness(kernel, virt_uses, virt_defs)
+    live_in, _ = solve_liveness(kernel, virt_uses, virt_defs)
 
     def unit_of(index: int) -> int:
         root = index & ~1
@@ -229,7 +207,7 @@ def _allocate_gprs(kernel: SassKernel, paired_roots) -> Dict[int, int]:
 
 
 def _allocate_preds(kernel: SassKernel) -> Dict[int, int]:
-    live_in = _liveness(kernel, vpred_uses, vpred_defs)
+    live_in, _ = solve_liveness(kernel, vpred_uses, vpred_defs)
     intervals = _build_intervals(kernel.instructions, live_in, vpred_defs,
                                  vpred_uses, lambda i: i, set())
     free = [i for i in range(NUM_PREDS - 1)]

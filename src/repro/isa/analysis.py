@@ -16,7 +16,7 @@ not kill (guard-false lanes keep the old value along the same path).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.isa.instruction import Instruction, LabelRef
 from repro.isa.opcodes import Opcode
@@ -93,57 +93,69 @@ class LivenessResult:
         return tuple(GPR(i) for i in sorted(self.gpr_out[index]))
 
 
-def _uses_defs(instr: Instruction) -> Tuple[Set[int], Set[int], Set[int], Set[int]]:
-    gpr_uses = {r.index for r in instr.gpr_uses()}
-    pred_uses = {p.index for p in instr.pred_uses()}
-    if instr.opcode == Opcode.P2R:
-        pred_uses.update(range(NUM_PREDS - 1))  # reads the predicate file
-    gpr_defs: Set[int] = set()
-    pred_defs: Set[int] = set()
-    # Predicated definitions do not kill: guard-false lanes keep the value.
-    if instr.guard.is_unconditional:
-        gpr_defs = {r.index for r in instr.gpr_defs()}
-        pred_defs = {p.index for p in instr.pred_defs()}
-        # R2P writes predicates under an immediate mask; conservatively
-        # treat it as defining nothing (no kill) but it produces all preds.
-    return gpr_uses, gpr_defs, pred_uses, pred_defs
+#: Predicate ``Pi`` is number ``PRED_BASE + i`` in :func:`compute_liveness`'s
+#: one register-number space (GPRs keep their indices, ``RZ`` < 256).
+PRED_BASE = 256
 
 
-def compute_liveness(kernel: SassKernel) -> LivenessResult:
-    """Backward may-analysis over the kernel's instruction-level CFG."""
-    count = len(kernel.instructions)
+def _uses(instr: Instruction) -> Set[int]:
+    regs = {r.index for r in instr.gpr_uses()}
+    regs.update(PRED_BASE + p.index for p in instr.pred_uses())
+    if instr.opcode == Opcode.P2R:  # reads the predicate file
+        regs.update(range(PRED_BASE, PRED_BASE + NUM_PREDS - 1))
+    return regs
+
+
+def _defs(instr: Instruction) -> Set[int]:
+    # R2P writes predicates under an immediate mask; conservatively
+    # treat it as defining nothing (no kill) but it produces all preds.
+    regs = {r.index for r in instr.gpr_defs()}
+    regs.update(PRED_BASE + p.index for p in instr.pred_defs())
+    return regs
+
+
+def solve_liveness(kernel: SassKernel,
+                   uses_fn: Callable[[Instruction], Iterable[int]],
+                   defs_fn: Callable[[Instruction], Iterable[int]]
+                   ) -> Tuple[List[Set[int]], List[Set[int]]]:
+    """The backward may-analysis over the kernel's instruction-level CFG
+    (:func:`successors`): per-instruction ``(live_in, live_out)`` sets
+    of the register numbers *uses_fn* and *defs_fn* name.  Predicated
+    definitions do not kill: guard-false lanes keep the value."""
+    instructions = kernel.instructions
+    count = len(instructions)
     succs = [successors(kernel, i) for i in range(count)]
-    use_def = [_uses_defs(instr) for instr in kernel.instructions]
-
-    gpr_in: List[Set[int]] = [set() for _ in range(count)]
-    pred_in: List[Set[int]] = [set() for _ in range(count)]
+    uses = [set(uses_fn(instr)) for instr in instructions]
+    kills = [set(defs_fn(instr)) if instr.guard.is_unconditional else set()
+             for instr in instructions]
+    live_in: List[Set[int]] = [set() for _ in range(count)]
+    live_out: List[Set[int]] = [set() for _ in range(count)]
     changed = True
     while changed:
         changed = False
         for index in range(count - 1, -1, -1):
-            gpr_uses, gpr_defs, pred_uses, pred_defs = use_def[index]
-            gout: Set[int] = set()
-            pout: Set[int] = set()
+            out: Set[int] = set()
             for succ in succs[index]:
-                gout |= gpr_in[succ]
-                pout |= pred_in[succ]
-            gin = gpr_uses | (gout - gpr_defs)
-            pin = pred_uses | (pout - pred_defs)
-            if gin != gpr_in[index] or pin != pred_in[index]:
-                gpr_in[index] = gin
-                pred_in[index] = pin
+                out |= live_in[succ]
+            live_out[index] = out
+            new = uses[index] | (out - kills[index])
+            if new != live_in[index]:
+                live_in[index] = new
                 changed = True
+    return live_in, live_out
 
-    gpr_out: List[FrozenSet[int]] = []
-    for index in range(count):
-        gout: Set[int] = set()
-        for succ in succs[index]:
-            gout |= gpr_in[succ]
-        gpr_out.append(frozenset(gout))
+
+def compute_liveness(kernel: SassKernel) -> LivenessResult:
+    """GPR and predicate liveness, solved together in one register-number
+    space (see :data:`PRED_BASE`)."""
+    live_in, live_out = solve_liveness(kernel, _uses, _defs)
     return LivenessResult(
-        gpr_in=[frozenset(s) for s in gpr_in],
-        gpr_out=gpr_out,
-        pred_in=[frozenset(s) for s in pred_in],
+        gpr_in=[frozenset(r for r in regs if r < PRED_BASE)
+                for regs in live_in],
+        gpr_out=[frozenset(r for r in regs if r < PRED_BASE)
+                 for regs in live_out],
+        pred_in=[frozenset(r - PRED_BASE for r in regs if r >= PRED_BASE)
+                 for regs in live_in],
     )
 
 

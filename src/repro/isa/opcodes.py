@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import enum
 
+import numpy as np
+
 
 class OpClass(enum.Flag):
     """Semantic classes an opcode may belong to (an opcode can be in many)."""
@@ -180,6 +182,17 @@ OPCODE_CLASSES: dict[Opcode, OpClass] = {
     Opcode.VOTE: OpClass.WARP,
     Opcode.SHFL: OpClass.WARP,
 }
+
+
+#: Opcode id -> its ``OPCODE_CLASSES`` flag bits, for vectorized class
+#: tests over arrays of ids; 0 marks an id that names no opcode (every
+#: opcode has a class).
+OPCODE_CLASS_BITS = np.zeros(max(op.value for op in Opcode) + 1,
+                             dtype=np.int64)
+for _op, _classes in OPCODE_CLASSES.items():
+    OPCODE_CLASS_BITS[_op.value] = _classes.value
+OPCODE_CLASS_BITS.flags.writeable = False
+assert OPCODE_CLASS_BITS[[op.value for op in Opcode]].all()
 
 
 def classes_of(opcode: Opcode) -> OpClass:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -351,17 +351,20 @@ def _emit_register_metadata(seq: List[Instruction], instr: Instruction,
 #
 # The injected sequences above are rigid by construction: straight-line
 # spills, immediate field initializers, one address computation, one
-# JCAL, and the mirrored restores.  ``compile_site_plan`` pattern-matches
-# a decoded instruction run back into that shape at decode time: the
-# frame image's static bytes, the byte columns every STL touches and
-# every LDL reads, the op lists, and the per-site stats/telemetry cost
-# splits (spill / fill / save_restore / param_marshal — identical to
-# per-record ``sassi_key`` classification, which tests enforce).  On
-# its first execution the plan lowers the op lists into a
-# ``_SiteProgram``, a fixed dataflow program: one register gather, one
-# scatter of the frame image in whole words, one register write at the
-# call and — when the frame comes back as it went out — one after it,
-# so a visit no longer walks the sequence op by op.
+# JCAL, and the mirrored restores.  ``compile_site_plan`` matches a
+# decoded instruction run back into that shape at decode time and, in
+# the same walk, lowers it to the plan's fixed dataflow program: each
+# register's state before the call (a constant, its original value or a
+# derived node) is tracked as the records are matched, every STL's
+# source is keyed by its frame offset, and every LDL, R2P and carry
+# restore after the JCAL is resolved both as written and against the
+# stored words (the clean-frame proof).  The per-site stats/telemetry
+# cost splits (spill / fill / save_restore / param_marshal — identical
+# to per-record ``sassi_key`` classification, which tests enforce) are
+# counted once.  A visit is then one register gather, one scatter of
+# the frame image in whole words, one register write at the call and —
+# when the frame comes back as it went out — one after it, never a walk
+# of the sequence op by op.
 #
 # Anything that does not match — predicated original sites beyond the
 # Figure 2 guard-flag pair, exotic register indices, out-of-frame stack
@@ -391,7 +394,8 @@ def _local_ref(operand) -> Optional[MemRef]:
 
 
 class SiteSequencePlan:
-    """One instrumentation site's call sequence, compiled to array ops.
+    """One instrumentation site's call sequence, lowered to a fixed
+    dataflow program.
 
     ``execute`` replays the whole sequence for the active lanes and
     invokes the handler binding exactly as ``JCAL`` would.  It returns
@@ -399,41 +403,74 @@ class SiteSequencePlan:
     the per-record path would have made (guard-flag pairs at predicated
     sites), or ``None`` when a run-time precondition fails and the
     caller must fall back to per-instruction execution *before any
-    state changed*.
+    state changed*.  A visit costs a fixed two dozen or so array
+    operations however many spills, fields and fills the sequence has.
 
-    The matched op lists (``ops``/``post_ops``) are lowered once, on the
-    plan's first execution, into a :class:`_SiteProgram`; a visit then
-    costs a fixed two dozen or so array operations however many spills,
-    fields and fills the sequence has.
+    :func:`compile_site_plan` builds the program while it matches the
+    records.  A register holds a constant, its original value, or a
+    derived value (``("c", int)``, ``("r", reg)``, ``("v", index)``);
+    derived values are *nodes*, evaluated per visit in order, whose
+    operands index the visit's value list (entry 0 is the lowered R1).
+
+    A visit assembles one *value matrix*, a row per value and a column
+    per active lane, laid out as:
+
+    * ``[0, n_words)`` — the frame image's words: stored registers
+      (filled by one register-file gather, ``take_rows``), derived
+      words, then constant words (so an immediate overwritten before
+      the call costs nothing at run time);
+    * ``const_rows`` — the constant words, plus the constants the
+      registers hold at the call and :data:`POISON`, in one block;
+    * the original R1 (gathered with the spilled registers), then the
+      derived values only the registers at the call hold.
+
+    The frame image goes out in one scatter of whole words
+    (``store_words``, frame word offsets; ``store_cols`` maps each image
+    byte instead, for a frame whose base is not word-aligned), and the
+    registers at the call come from one take of the matrix
+    (``env_rows``/``env_src``).
+
+    Each restore is resolved twice as it is matched.  As written
+    (``fill_*``, ``r2p``, ``carry_restore``): only each register's last
+    fill is written back, and besides those only the slots the predicate
+    and carry restores read are gathered.  And for a *clean* frame —
+    every stored word still what was stored, which a visit checks with
+    one comparison — when each fill reads a stored word, every ``R2P``
+    reads back its own ``P2R`` word under a covering mask (an identity:
+    the injected code writes no predicate, and a handler changes the
+    caller's state only through its frame and the caller-saved
+    registers) and the carry restore reads back the carry read before
+    the call (an identity unless an ``IADD.CC`` ran): then ``clean`` is
+    set, the net effect of the restores and the caller-saved poison is
+    one register write from the value matrix (``net``), and
+    ``carry_back`` names the value the carry returns to when an
+    ``IADD.CC`` dirtied it.
     """
 
     __slots__ = ("start", "records", "frame", "jcal_addr", "jcal_index",
-                 "ops", "post_ops", "template", "store_cols", "fill_cols",
                  "max_touch", "max_reg", "length", "n_pairs",
                  "thread_weight", "opcode_counts", "issue_cycles",
-                 "telemetry_counts", "site_id", "_program", "_seeds")
+                 "telemetry_counts", "site_id", "nodes", "n_words",
+                 "take_rows", "node_rows", "const_rows", "const_col",
+                 "store_cols", "store_words", "words", "statics",
+                 "env_rows", "env_src", "carry", "fill_cols", "fill_words",
+                 "fill_rows", "fill_count", "r2p", "carry_restore", "clean",
+                 "carry_back", "_net_fills", "_r1_row", "_poison_row",
+                 "_nets", "_seeds")
 
-    def __init__(self, start, records, frame, jcal_addr, jcal_index, ops,
-                 post_ops, template, store_cols, fill_cols, max_reg,
-                 n_pairs, site_id=None):
+    def __init__(self, start, records, frame, jcal_addr, jcal_index, *,
+                 nodes, stored, env, carry, fills, r2p, carry_read, clean,
+                 carry_back, max_touch, max_reg, n_pairs, site_id):
         self.start = start
         #: the injector's stable site id (the original instruction index,
-        #: recovered from the ``bp.id`` constant baked into the frame
-        #: template); None when the sequence carried no recognizable id.
+        #: recovered from the ``bp.id`` constant stored into the frame);
+        #: None when the sequence carried no recognizable id.
         self.site_id = site_id
         self.records = records
         self.frame = frame
         self.jcal_addr = jcal_addr
         self.jcal_index = jcal_index
-        self.ops = ops
-        self.post_ops = post_ops
-        self.template = template
-        self.store_cols = store_cols
-        self.fill_cols = fill_cols
-        touch = [int(store_cols.max()) + 1] if store_cols.size else [0]
-        if fill_cols.size:
-            touch.append(int(fill_cols.max()) + 1)
-        self.max_touch = max(touch)
+        self.max_touch = max_touch
         self.max_reg = max_reg
         self.length = len(records)
         self.n_pairs = n_pairs
@@ -448,14 +485,88 @@ class SiteSequencePlan:
         self.opcode_counts = counts
         self.issue_cycles = block_issue_cycles(dec.opcode for dec in records)
         self.telemetry_counts = block_dispatch_counts(records)
-        self._program: Optional[_SiteProgram] = None
         self._seeds: dict = {}
+        self._nets: dict = {}
 
-    def program(self) -> "_SiteProgram":
-        """The lowered dataflow program (built on first use)."""
-        if self._program is None:
-            self._program = _SiteProgram(self)
-        return self._program
+        # --- the call: frame words gathered / derived / constant -----
+        self.nodes = nodes
+        words = sorted(stored.items(),
+                       key=lambda word: _WORD_ORDER[word[1][0]])
+        offsets = [offset for offset, _ in words]
+        refs = [ref for _, ref in words]
+        self.n_words = len(words)
+        self.statics = {offset: ref[1] for offset, ref in words
+                        if ref[0] == "c"}
+        self.store_cols = _byte_cols(offsets)
+        self.store_words = np.asarray(offsets, dtype=np.int64)[:, None] >> 2
+
+        # the value matrix's rows (see the class docstring)
+        first_const = self.n_words - len(self.statics)
+        const_refs = refs[first_const:]
+        for ref in [ref for _, ref in sorted(env.items()) if ref[0] == "c"] \
+                + [("c", POISON)]:
+            if ref not in const_refs:
+                const_refs.append(ref)
+        self.const_rows = slice(first_const,
+                                first_const + len(const_refs))
+        self.const_col = np.asarray([ref[1] for ref in const_refs],
+                                    dtype=np.uint32)[:, None]
+        refs[first_const:] = const_refs
+        self._r1_row = len(refs)
+        refs.append(("r", 1))
+        self._poison_row = refs.index(("c", POISON))
+        for ref in env.values():
+            if ref not in refs:
+                refs.append(ref)
+        self.take_rows = np.asarray(
+            [ref[1] if ref[0] == "r" else 0 for ref in refs],
+            dtype=np.int64)
+        self.node_rows = tuple((row, ref[1]) for row, ref in enumerate(refs)
+                               if ref[0] == "v")
+        env_regs = sorted(env)
+        self.env_rows = _rows(env_regs)
+        self.env_src = np.asarray([refs.index(env[reg]) for reg in env_regs],
+                                  dtype=np.int64)
+        self.carry = carry
+
+        # --- the restores as written: each register's last fill, then
+        # the other slots the predicate and carry restores read -------
+        final = sorted(fills.items())
+        columns = [offset for _, offset in final]
+        reads = [offset for _, offset, _ in r2p]
+        if carry_read is not None:
+            reads.append(carry_read[0])
+        for offset in reads:
+            if offset is not None and offset not in columns:
+                columns.append(offset)
+        self.fill_cols = _byte_cols(columns)
+        self.fill_words = np.asarray(columns, dtype=np.int64)[:, None] >> 2
+        self.words = all(offset % 4 == 0 for offset in offsets + columns)
+        self.fill_rows = _rows(reg for reg, _ in final)
+        self.fill_count = len(final)
+
+        def source(offset, reg):
+            return (columns.index(offset), None) if offset is not None \
+                else (None, reg)
+
+        restores = []
+        for mask, offset, reg in r2p:
+            rows = [index for index in range(7) if mask >> index & 1]
+            if rows:
+                restores.append((np.asarray(rows, dtype=np.int64)[:, None],
+                                 (np.uint32(1) << np.asarray(
+                                     rows, dtype=np.uint32))[:, None],
+                                 *source(offset, reg)))
+        self.r2p = tuple(restores)
+        self.carry_restore = source(*carry_read) if carry_read else None
+
+        # --- the clean-frame write: each fill's stored row -----------
+        self.clean = clean
+        self.carry_back = carry_back if clean and carry is not None \
+            else None
+        row_of = {offset: row for row, offset in enumerate(offsets)}
+        self._net_fills = {reg: row_of[offset]
+                           for reg, offset in final} if clean else {}
 
     def static_fields(self, base: int) -> dict:
         """The frame's compile-time constant words seen from a parameter
@@ -469,10 +580,29 @@ class SiteSequencePlan:
         seed = self._seeds.get(base)
         if seed is None:
             seed = {(offset - base, 4): value
-                    for offset, value in self.program().statics.items()
+                    for offset, value in self.statics.items()
                     if offset >= base}
             self._seeds[base] = seed
         return seed
+
+    def net(self, num_regs: int, poisons: bool):
+        """``(rows, value rows)`` of a clean visit's one register write:
+        each register's last fill, R1, and with *poisons* every other
+        caller-saved register the warp has."""
+        key = (num_regs, poisons)
+        hit = self._nets.get(key)
+        if hit is None:
+            final = dict(self._net_fills)
+            final[1] = self._r1_row
+            if poisons:
+                for reg in CALLER_SAVED:
+                    if reg < num_regs:
+                        final.setdefault(reg, self._poison_row)
+            regs = sorted(final)
+            hit = self._nets[key] = (
+                _rows(regs),
+                np.asarray([final[reg] for reg in regs], dtype=np.int64))
+        return hit
 
     # ----------------------------------------------------------- replay
 
@@ -486,30 +616,29 @@ class SiteSequencePlan:
         frame = self.frame
         block = cta.local_block()
         width = block.shape[1]
-        prog = self.program()
         if r1.tobytes() == r1[:1].tobytes() * n:
             # one stack pointer for the whole warp (every real visit)
             shift = int(r1[0]) - frame
             if shift < 0 or shift + self.max_touch > width:
                 return None
-            words = prog.words and not shift & 3
+            words = self.words and not shift & 3
         else:
             if int(r1.min()) < frame \
                     or int(r1.max()) - frame + self.max_touch > width:
                 return None
             shift = r1.astype(np.int64) - frame
-            words = prog.words and not (shift & 3).any()
+            words = self.words and not (shift & 3).any()
         # each lane's frame as indices into the flat local block: whole
         # words when the frame is word-aligned, bytes otherwise
         tids = warp.lane_thread_ids[g_idx]
         if words:
             flat = cta.local_words()
             base = tids * (width >> 2) + (shift >> 2)
-            index = prog.store_words + base
+            index = self.store_words + base
         else:
             flat = block.reshape(-1)
             base = tids * width + shift
-            index = base[:, None] + prog.store_cols
+            index = base[:, None] + self.store_cols
         lanes = _ALL if n == WARP_SIZE else g_idx
 
         # derived values in program order; vals[0] is the lowered R1
@@ -517,7 +646,7 @@ class SiteSequencePlan:
         append = vals.append
         partial = 0
         preds = warp.preds
-        for op in prog.nodes:
+        for op in self.nodes:
             kind = op[0]
             if kind == _LOAD:
                 append(regs[op[1]][g_idx])
@@ -552,45 +681,44 @@ class SiteSequencePlan:
 
         # the value matrix: one register gather fills the spilled rows
         # (and R1's); derived rows and one constant block complete it
-        values = regs.take(prog.take_rows, 0)
+        values = regs.take(self.take_rows, 0)
         if lanes is not _ALL:
             values = values.take(g_idx, 1)
-        for row, value in prog.node_rows:
+        for row, value in self.node_rows:
             values[row] = vals[value]
-        values[prog.const_rows] = prog.const_col
+        values[self.const_rows] = self.const_col
         # the frame image goes out in one scatter
-        image = values[:prog.n_words]
+        image = values[:self.n_words]
         if not words:
             image = np.ascontiguousarray(image.T).view(np.uint8)
         flat[index] = image
 
         # architectural state at the call: each register's last
         # pre-call value (R1 lowered, argument pointers live)
-        _put(regs, prog.env_rows, lanes, values.take(prog.env_src, 0))
-        if prog.carry is not None:
-            warp.carry[g_idx] = vals[prog.carry]
+        _put(regs, self.env_rows, lanes, values.take(self.env_src, 0))
+        if self.carry is not None:
+            warp.carry[g_idx] = vals[self.carry]
 
         ex.stats.handler_calls += 1
         warp.pc = self.jcal_index
         poisons = binding.visit(ex, warp, cta, g, g_idx, self)
 
-        if prog.clean and flat[index].tobytes() == image.tobytes():
+        if self.clean and flat[index].tobytes() == image.tobytes():
             # the frame still holds what was stored: every fill reloads
             # a known value row, the predicate restores are identities
             # and the carry comes back from its read; one register write
             # lands the fills, the caller-saved poison and R1
-            rows, src = prog.net(warp.num_regs, poisons)
+            rows, src = self.net(warp.num_regs, poisons)
             _put(regs, rows, lanes, values.take(src, 0))
-            if prog.carry_back is not None:
-                warp.carry[g_idx] = vals[prog.carry_back]
+            if self.carry_back is not None:
+                warp.carry[g_idx] = vals[self.carry_back]
         else:
-            self._restore(prog, warp, flat, base, words, g_idx, lanes,
-                          poisons)
+            self._restore(warp, flat, base, words, g_idx, lanes, poisons)
             regs[1][g_idx] = r1
         warp.pc = self.start + self.length
         return partial
 
-    def _restore(self, prog, warp, flat, base, words, g_idx, lanes,
+    def _restore(self, warp, flat, base, words, g_idx, lanes,
                  poisons) -> None:
         """The restores as written, after a handler that rewrote its
         frame (``SetRegValue``): poison, then one gather of every slot
@@ -599,24 +727,34 @@ class SiteSequencePlan:
         if poisons:
             poison_caller_saved(warp, lanes)
         filled = None
-        if prog.fill_cols.size:
+        if self.fill_cols.size:
             if words:
-                filled = flat[prog.fill_words + base]
+                filled = flat[self.fill_words + base]
             else:
-                filled = flat[base[:, None] + prog.fill_cols].view("<u4").T
-        for rows, bits, column, reg in prog.r2p:
+                filled = flat[base[:, None] + self.fill_cols].view("<u4").T
+        for rows, bits, column, reg in self.r2p:
             value = filled[column] if reg is None else regs[reg][g_idx]
             warp.preds[rows, g_idx] = (value & bits) != 0
-        if prog.carry_restore is not None:
-            column, reg = prog.carry_restore
+        if self.carry_restore is not None:
+            column, reg = self.carry_restore
             value = filled[column] if reg is None else regs[reg][g_idx]
             warp.carry[g_idx] = value != 0
-        if prog.fill_count:
-            _put(regs, prog.fill_rows, lanes, filled[:prog.fill_count])
+        if self.fill_count:
+            _put(regs, self.fill_rows, lanes, filled[:self.fill_count])
 
 
 #: lane selector of a full-warp visit: whole rows instead of a gather
 _ALL = slice(None)
+
+#: frame words in the value matrix: gathered registers, derived values,
+#: then constants
+_WORD_ORDER = {"r": 0, "v": 1, "c": 2}
+
+
+def _byte_cols(offsets: List[int]) -> np.ndarray:
+    """The byte columns of the words at frame *offsets*, in order."""
+    return (np.asarray(offsets, dtype=np.int64)[:, None]
+            + np.arange(4)).reshape(-1)
 
 
 def _rows(regs: Sequence[int]):
@@ -651,7 +789,7 @@ def poison_caller_saved(warp, lanes) -> None:
     _put(warp.regs, _poison_rows(warp.num_regs), lanes, np.uint32(POISON))
 
 
-# node kinds of a lowered site program
+# node kinds of a site program
 _LOAD, _CARRY, _CONST, _ADD, _ADDCC, _ADDX, _GUARD, _P2R, _ORC, _ORI = (
     "load", "carry", "const", "add", "addcc", "addx", "guard", "p2r",
     "orc", "ori")
@@ -663,361 +801,70 @@ _P2R_ALL = 0x7F
 _U32 = 0xFFFFFFFF
 
 
-class _SiteProgram:
-    """A :class:`SiteSequencePlan` lowered to one fixed dataflow program.
-
-    Lowering runs the matched op lists symbolically.  A register holds
-    a constant, its original value, or a derived value (``("c", int)``,
-    ``("r", reg)``, ``("v", index)``); derived values are *nodes*,
-    evaluated per visit in order, whose operands index the visit's
-    value list (entry 0 is the lowered R1).
-
-    A visit assembles one *value matrix*, a row per value and a column
-    per active lane, laid out as:
-
-    * ``[0, n_words)`` — the frame image's words: stored registers
-      (filled by one register-file gather, ``take_rows``), derived
-      words, then constant words (so an immediate overwritten before
-      the call costs nothing at run time);
-    * ``const_rows`` — the constant words, plus the constants the
-      registers hold at the call and :data:`POISON`, in one block;
-    * the original R1 (gathered with the spilled registers), then the
-      derived values only the registers at the call hold.
-
-    The frame image goes out in one scatter of whole words
-    (``store_words``, frame word offsets; ``store_cols`` maps each image
-    byte instead, for a frame whose base is not word-aligned), and the
-    registers at the call come from one take of the matrix
-    (``env_rows``/``env_src``).
-
-    The restores are lowered twice.  As written (``fill_*``, ``r2p``,
-    ``carry_restore``): only each register's last fill is written back,
-    and besides those only the slots the predicate and carry restores
-    read are gathered.  And for a *clean* frame — every stored word
-    still what was stored, which a visit checks with one comparison —
-    when lowering proves that each fill reads a stored word, that every
-    ``R2P`` reads back its own ``P2R`` word under a covering mask (an
-    identity: the injected code writes no predicate, and a handler
-    changes the caller's state only through its frame and the
-    caller-saved registers) and that the carry restore reads back the
-    carry read before the call (an identity unless an ``IADD.CC``
-    ran): then ``clean`` is set, the net
-    effect of the restores and the caller-saved poison is one register
-    write from the value matrix (``net``), and ``carry_back`` names the
-    value the carry returns to when an ``IADD.CC`` dirtied it.
-    """
-
-    __slots__ = ("nodes", "n_words", "take_rows", "node_rows",
-                 "const_rows", "const_col", "store_cols", "store_words",
-                 "words", "statics", "env_rows", "env_src", "carry",
-                 "fill_cols", "fill_words", "fill_rows", "fill_count",
-                 "r2p", "carry_restore", "clean", "carry_back",
-                 "_net_fills", "_r1_row", "_poison_row", "_nets",
-                 "_size", "_memo", "_node_at")
-
-    def __init__(self, plan: SiteSequencePlan):
-        self.nodes: list = []
-        self._size = 1          # vals[0] is the lowered R1
-        self._memo: dict = {}
-        self._node_at: dict = {}
-        self._nets: dict = {}
-        stored = self._lower_call(plan)
-        self._lower_restores(plan)
-        self._lower_clean(plan, stored)
-
-    def _emit(self, op: tuple, outputs: int = 1, pure: bool = True) -> int:
-        """Append node *op*; return the value index of its first output.
-        Pure nodes are shared between identical computations."""
-        if pure and op in self._memo:
-            return self._memo[op]
-        index = self._size
-        self.nodes.append(op)
-        self._node_at[index] = op
-        self._size += outputs
-        if pure:
-            self._memo[op] = index
-        return index
-
-    def _value(self, ref) -> int:
-        """The value index holding *ref*, emitting a load if needed."""
-        kind = ref[0]
-        if kind == "v":
-            return ref[1]
-        if kind == "r":
-            return self._emit((_LOAD, ref[1]))
-        if kind == "carry":
-            return self._emit((_CARRY,))
-        value = ref[1]
-        return self._emit((_CONST, np.bool_(value) if isinstance(value, bool)
-                           else np.uint32(value)))
-
-    def _lower_call(self, plan: SiteSequencePlan) -> dict:
-        """Lower the pre-call ops; returns ``{frame offset: (row,
-        ref)}`` for every stored word."""
-        env: dict = {1: ("v", 0)}
-        carry = ("carry",)         # the architectural carry, unread yet
-        carry_dirty = False
-        sources: dict = {}         # payload byte position -> value ref
-
-        def read(reg):
-            return env.get(reg, ("r", reg))
-
-        for op in plan.ops:
-            kind = op[0]
-            if kind == "st":
-                sources[op[1]] = read(op[2])
-            elif kind == "st64":
-                sources[op[1]] = read(op[2])
-                sources[op[1] + 4] = read(op[2] + 1)
-            elif kind == "imm":
-                env[op[1]] = ("c", op[2])
-            elif kind == "add":
-                _, dst, src, imm = op
-                a = read(src)
-                env[dst] = ("c", (a[1] + imm) & _U32) if a[0] == "c" \
-                    else ("v", self._emit((_ADD, self._value(a),
-                                           np.uint32(imm))))
-            elif kind == "ori":
-                _, dst, src, imm = op
-                a = read(src)
-                env[dst] = ("c", a[1] | imm) if a[0] == "c" \
-                    else ("v", self._emit((_ORI, self._value(a),
-                                           np.uint32(imm))))
-            elif kind == "orc":
-                _, dst, src, cref = op
-                env[dst] = ("v", self._emit((_ORC, self._value(read(src)),
-                                             cref)))
-            elif kind == "addcc":
-                _, dst, src, imm = op
-                a = read(src) if src is not None else ("c", 0)
-                if a[0] == "c":
-                    result = (a[1] + imm) & _U32
-                    value, carry = ("c", result), ("c", result < a[1])
-                else:
-                    index = self._emit((_ADDCC, self._value(a),
-                                        np.uint32(imm)), outputs=2)
-                    value, carry = ("v", index), ("v", index + 1)
-                carry_dirty = True
-                if dst is not None:
-                    env[dst] = value
-            elif kind == "addx":
-                _, dst, src = op
-                a = read(src) if src is not None else ("c", 0)
-                if a[0] == "c" and carry[0] == "c":
-                    env[dst] = ("c", (a[1] + int(carry[1])) & _U32)
-                else:
-                    # a zero addend (the carry spill) adds nothing
-                    env[dst] = ("v", self._emit(
-                        (_ADDX, None if a == ("c", 0) else self._value(a),
-                         self._value(carry))))
-            elif kind == "guard":
-                _, dst, pred, negated, v_pass, v_fail = op
-                # never shared: every pair counts its own partial dispatch
-                env[dst] = ("v", self._emit(
-                    (_GUARD, pred, negated, np.uint32(v_pass),
-                     np.uint32(v_fail)), pure=False))
-            else:  # "p2r"
-                env[op[1]] = ("v", self._emit((_P2R, np.uint32(op[2]))))
-
-        # frame words, regrouped gathered / derived / constant
-        template = plan.template
-        gathered, derived, consts = [], [], []
-        for pos in range(0, template.size, 4):
-            ref = sources.get(pos)
-            if ref is None:
-                ref = ("c", int(template[pos:pos + 4].view("<u4")[0]))
-            if ref[0] == "r":
-                gathered.append((pos, ref))
-            elif ref[0] == "c":
-                consts.append((pos, ref))
-            else:
-                derived.append((pos, ref))
-        words = gathered + derived + consts
-        self.n_words = len(words)
-        offsets = [int(plan.store_cols[pos]) for pos, _ in words]
-        self.statics = {offset: ref[1] for offset, (_, ref)
-                        in zip(offsets, words) if ref[0] == "c"}
-        self.store_cols = np.concatenate(
-            [plan.store_cols[pos:pos + 4] for pos, _ in words]) \
-            if words else np.zeros(0, dtype=np.int64)
-        self.store_words = np.asarray(
-            offsets, dtype=np.int64)[:, None] >> 2
-        self.words = all(offset % 4 == 0 for offset in offsets)
-
-        # the value matrix's rows (see the class docstring)
-        refs = [ref for _, ref in words]
-        const_refs = [ref for _, ref in consts]
-        extra = [ref for _, ref in sorted(env.items()) if ref[0] == "c"]
-        for ref in extra + [("c", POISON)]:
-            if ref not in const_refs:
-                const_refs.append(ref)
-        start = len(gathered) + len(derived)
-        self.const_rows = slice(start, start + len(const_refs))
-        self.const_col = np.asarray([ref[1] for ref in const_refs],
-                                    dtype=np.uint32)[:, None]
-        refs[start:] = const_refs
-        self._r1_row = len(refs)
-        refs.append(("r", 1))
-        self._poison_row = refs.index(("c", POISON))
-        for ref in env.values():
-            if ref not in refs:
-                refs.append(ref)
-        self.take_rows = np.asarray(
-            [ref[1] if ref[0] == "r" else 0 for ref in refs],
-            dtype=np.int64)
-        self.node_rows = tuple((row, ref[1]) for row, ref in enumerate(refs)
-                               if ref[0] == "v")
-        env_regs = sorted(env)
-        self.env_rows = _rows(env_regs)
-        self.env_src = np.asarray([refs.index(env[reg]) for reg in env_regs],
-                                  dtype=np.int64)
-        self.carry = self._value(carry) if carry_dirty else None
-        return {offset: (row, ref)
-                for row, (offset, ref) in enumerate(zip(offsets, refs))}
-
-    def _lower_restores(self, plan: SiteSequencePlan) -> None:
-        slot_of: dict = {}          # register -> its latest fill slot
-        reads = []                  # (mask, slot or None, register)
-        carry_read = None
-        for op in plan.post_ops:
-            kind = op[0]
-            if kind == "fill":
-                slot_of[op[1]] = op[2]
-            elif kind == "r2p":
-                reads.append((op[2], slot_of.get(op[1]), op[1]))
-            else:  # "ccres": only the last carry restore is visible
-                carry_read = (slot_of.get(op[1]), op[1])
-
-        final = sorted(slot_of.items())
-        slots = [slot for _, slot in final]
-        extra = [slot for _, slot, _ in reads]
-        if carry_read is not None:
-            extra.append(carry_read[0])
-        for slot in extra:
-            if slot is not None and slot not in slots:
-                slots.append(slot)
-        column = {}
-        for index, slot in enumerate(slots):
-            column.setdefault(slot, index)
-        offsets = [int(plan.fill_cols[4 * slot]) for slot in slots]
-        self.fill_cols = np.concatenate(
-            [plan.fill_cols[4 * slot:4 * slot + 4] for slot in slots]) \
-            if slots else np.zeros(0, dtype=np.int64)
-        self.fill_words = np.asarray(offsets, dtype=np.int64)[:, None] >> 2
-        self.words = self.words and all(offset % 4 == 0
-                                        for offset in offsets)
-        self.fill_rows = _rows(reg for reg, _ in final)
-        self.fill_count = len(final)
-
-        def source(slot, reg):
-            return (column[slot], None) if slot is not None \
-                else (None, reg)
-
-        r2p = []
-        for mask, slot, reg in reads:
-            rows = [index for index in range(7) if mask >> index & 1]
-            if rows:
-                r2p.append((np.asarray(rows, dtype=np.int64)[:, None],
-                            (np.uint32(1) << np.asarray(
-                                rows, dtype=np.uint32))[:, None],
-                            *source(slot, reg)))
-        self.r2p = tuple(r2p)
-        self.carry_restore = source(*carry_read) if carry_read else None
-
-    def _lower_clean(self, plan: SiteSequencePlan, stored: dict) -> None:
-        """Prove the restores reduce to one register write when the
-        frame is clean (see the class docstring)."""
-        self.clean = False
-        self.carry_back = None
-        self._net_fills = fills = {}   # register -> value-matrix row
-        node_at = self._node_at
-        held: dict = {}                # register -> ref its fill reloads
-        carry_back = None
-        for op in plan.post_ops:
-            kind = op[0]
-            if kind == "fill":
-                hit = stored.get(int(plan.fill_cols[4 * op[2]]))
-                if hit is None:
-                    return
-                fills[op[1]], held[op[1]] = hit
-                continue
-            ref = held.get(op[1])
-            node = node_at.get(ref[1]) if ref and ref[0] == "v" else None
-            if node is None:
-                return
-            if kind == "r2p":
-                if node[0] != _P2R or op[2] & 0x7F & ~int(node[1]):
-                    return
-            else:  # "ccres" of the ``IADD.X`` spill of the carry read
-                if node[0] != _ADDX or node[1] is not None \
-                        or node_at.get(node[2]) != (_CARRY,):
-                    return
-                carry_back = node[2]
-        self.clean = True
-        if self.carry is not None:
-            self.carry_back = carry_back
-
-    def net(self, num_regs: int, poisons: bool):
-        """``(rows, value rows)`` of a clean visit's one register write:
-        each register's last fill, R1, and with *poisons* every other
-        caller-saved register the warp has."""
-        key = (num_regs, poisons)
-        hit = self._nets.get(key)
-        if hit is None:
-            final = dict(self._net_fills)
-            final[1] = self._r1_row
-            if poisons:
-                for reg in CALLER_SAVED:
-                    if reg < num_regs:
-                        final.setdefault(reg, self._poison_row)
-            regs = sorted(final)
-            hit = self._nets[key] = (
-                _rows(regs),
-                np.asarray([final[reg] for reg in regs], dtype=np.int64))
-        return hit
-
-
 def compile_site_plan(records, start: int, handler_base: int):
-    """Compile the injected run beginning at ``records[start]`` into a
-    :class:`SiteSequencePlan`, or return None when the run does not
-    match the shapes :func:`build_call_sequence` emits (the caller then
-    leaves those records on the per-instruction path)."""
+    """Match the injected run beginning at ``records[start]`` and lower
+    it to a :class:`SiteSequencePlan` in the same walk, or return None
+    when the run does not match the shapes :func:`build_call_sequence`
+    emits (the caller then leaves those records on the per-instruction
+    path)."""
     limit = len(records)
-    first = records[start]
-    frame = _frame_alloc(first)
+    frame = _frame_alloc(records[start])
     if frame is None:
         return None
 
-    ops: list = []
-    post_ops: list = []
-    template = bytearray()
-    store_cols: List[int] = []
-    covered: Set[int] = set()
-    fill_cols: List[int] = []
-    consts: dict = {}
+    nodes: list = []
+    node_at: dict = {}          # value index -> its node
+    memo: dict = {}             # pure node -> its value index
+    size = 1                    # vals[0] is the lowered R1
+    env: dict = {1: ("v", 0)}   # register -> its state before the call
+    carry = None                # value index of the last IADD.CC's carry
+    stored: dict = {}           # frame offset -> the word stored there
+    fills: dict = {}            # register -> frame offset of its last fill
+    held: dict = {}             # register -> stored word its fill reloads
+    r2p: list = []              # (mask, fill offset or None, register)
+    carry_read = None           # (fill offset or None, register)
+    clean = True
+    carry_back = None
+    max_touch = 0
     max_reg = 1
     n_pairs = 0
-    jcal_addr = None
-    jcal_index = None
-    site_id = None
-    index = start + 1
+    jcal_addr = jcal_index = site_id = None
 
-    def track(reg):
+    def emit(node: tuple, outputs: int = 1, pure: bool = True) -> int:
+        """Append *node*; return the value index of its first output.
+        Pure nodes are shared between identical computations."""
+        nonlocal size
+        if pure and node in memo:
+            return memo[node]
+        index = size
+        nodes.append(node)
+        node_at[index] = node
+        size += outputs
+        if pure:
+            memo[node] = index
+        return index
+
+    def value(state) -> int:
+        """The value index holding register *state*."""
+        if state[0] == "v":
+            return state[1]
+        if state[0] == "r":
+            return emit((_LOAD, state[1]))
+        return emit((_CONST, np.uint32(state[1])))
+
+    def read(reg):
+        return env.get(reg, ("r", reg))
+
+    def node_of(state):
+        return node_at.get(state[1]) if state and state[0] == "v" else None
+
+    def track(*regs):
         nonlocal max_reg
-        if reg is not None and reg > max_reg:
-            max_reg = reg
+        for reg in regs:
+            if reg is not None and reg > max_reg:
+                max_reg = reg
 
-    def add_store(offset, width):
-        nonlocal template, store_cols
-        span = range(offset, offset + width)
-        if covered.intersection(span) or offset + width > frame:
-            return None
-        covered.update(span)
-        pos = len(store_cols)
-        store_cols.extend(span)
-        template.extend(b"\x00" * width)
-        return pos
-
+    index = start + 1
     while index < limit:
         dec = records[index]
         if dec.tag != "sassi":
@@ -1031,88 +878,110 @@ def compile_site_plan(records, start: int, handler_base: int):
                     return None
                 dst, pred_index, negated, v_pass, v_fail = pair
                 track(dst)
-                consts.pop(dst, None)
-                ops.append(("guard", dst, pred_index, negated,
-                            v_pass, v_fail))
+                # never shared: every pair counts its own partial dispatch
+                env[dst] = ("v", emit((_GUARD, pred_index, negated,
+                                       np.uint32(v_pass),
+                                       np.uint32(v_fail)), pure=False))
                 n_pairs += 1
                 index += 2
                 continue
             if opcode is Opcode.JCAL:
                 target = dec.srcs[0] if dec.srcs else None
-                if not isinstance(target, Imm):
+                if not isinstance(target, Imm) \
+                        or target.value & _U32 < handler_base:
                     return None
-                address = target.value & 0xFFFFFFFF
-                if address < handler_base:
-                    return None
-                jcal_addr = address
+                jcal_addr = target.value & _U32
                 jcal_index = index
-                index += 1
-                continue
-            if opcode is Opcode.STL:
+            elif opcode is Opcode.STL:
                 ref = _local_ref(dec.srcs[0]) if dec.srcs else None
                 data = _gpr_index(dec.srcs[1]) if len(dec.srcs) > 1 else None
                 wide = "64" in dec.mods
                 if ref is None or data is None \
                         or (dec.mods and dec.mods != ("64",)):
                     return None
+                offset, width = ref.offset, 8 if wide else 4
+                if offset + width > frame or any(
+                        at in stored
+                        for at in range(offset - 3, offset + width)):
+                    return None
                 track(data + 1 if wide else data)
-                width = 8 if wide else 4
-                pos = add_store(ref.offset, width)
-                if pos is None:
-                    return None
-                if not wide and data in consts:
-                    template[pos:pos + 4] = \
-                        int(consts[data]).to_bytes(4, "little")
-                    if ref.offset == P.BP_ID:
-                        site_id = consts[data]
-                elif wide and data in consts and data + 1 in consts:
-                    template[pos:pos + 4] = \
-                        int(consts[data]).to_bytes(4, "little")
-                    template[pos + 4:pos + 8] = \
-                        int(consts[data + 1]).to_bytes(4, "little")
-                elif wide:
-                    ops.append(("st64", pos, data))
-                else:
-                    ops.append(("st", pos, data))
+                stored[offset] = word = read(data)
+                if wide:
+                    stored[offset + 4] = read(data + 1)
+                elif offset == P.BP_ID and word[0] == "c":
+                    site_id = word[1]
+                max_touch = max(max_touch, offset + width)
             elif opcode in (Opcode.IADD, Opcode.IADD32I):
-                op = _match_iadd(dec, consts, track)
-                if op is None:
+                dst_op = dec.dsts[0] if dec.dsts else None
+                a = dec.srcs[0] if dec.srcs else None
+                b = dec.srcs[1] if len(dec.srcs) > 1 else None
+                dst, src = _gpr_index(dst_op), _gpr_index(a)
+                if src is None and not _is_rz(a):
                     return None
-                if op[0] != "nop":
-                    ops.append(op)
+                state = read(src) if src is not None else ("c", 0)
+                mods = dec.mods
+                if mods in (("X",), ("CC",)) and src is not None \
+                        and state[0] == "c":
+                    return None
+                if mods == ("X",):
+                    # IADD.X d, a, RZ — consume the carry produced just
+                    # above (or the architectural carry for the
+                    # save-side RZ,RZ read); a zero addend adds nothing
+                    if not _is_rz(b) or dst is None:
+                        return None
+                    env[dst] = ("v", emit((
+                        _ADDX, None if src is None else value(state),
+                        emit((_CARRY,)) if carry is None else carry)))
+                elif mods == ("CC",):
+                    if not isinstance(b, Imm) \
+                            or (dst is None and not _is_rz(dst_op)):
+                        return None
+                    result = emit((_ADDCC, value(state),
+                                   np.uint32(b.value & _U32)), outputs=2)
+                    carry = result + 1
+                    if dst is not None:
+                        env[dst] = ("v", result)
+                elif mods or dst is None or dst == 1 \
+                        or not isinstance(b, Imm):
+                    return None
+                elif state[0] == "c":
+                    env[dst] = ("c", (state[1] + b.value) & _U32)
+                else:
+                    env[dst] = ("v", emit((_ADD, value(state),
+                                           np.uint32(b.value & _U32))))
+                track(dst, src)
             elif opcode is Opcode.MOV32I:
                 dst = _gpr_index(dec.dsts[0]) if dec.dsts else None
-                value = dec.srcs[0] if dec.srcs else None
-                if dst is None or not isinstance(value, Imm) or dec.mods:
+                imm = dec.srcs[0] if dec.srcs else None
+                if dst is None or not isinstance(imm, Imm) or dec.mods:
                     return None
                 track(dst)
-                consts[dst] = value.value & 0xFFFFFFFF
-                ops.append(("imm", dst, consts[dst]))
+                env[dst] = ("c", imm.value & _U32)
             elif opcode is Opcode.P2R:
                 dst = _gpr_index(dec.dsts[0]) if dec.dsts else None
                 maskop = dec.srcs[-1] if dec.srcs else None
                 if dst is None or not isinstance(maskop, Imm) or dec.mods:
                     return None
                 track(dst)
-                consts.pop(dst, None)
-                ops.append(("p2r", dst, maskop.value & 0xFFFFFFFF))
+                env[dst] = ("v", emit((_P2R, np.uint32(maskop.value
+                                                       & _U32))))
             elif opcode in (Opcode.LOP, Opcode.LOP32I):
                 if dec.mods != ("OR",) or len(dec.srcs) != 2 or not dec.dsts:
                     return None
                 dst = _gpr_index(dec.dsts[0])
                 src = _gpr_index(dec.srcs[0])
                 other = dec.srcs[1]
-                if dst is None or src is None or src in consts:
+                if dst is None or src is None or read(src)[0] == "c":
                     return None
-                track(dst)
-                track(src)
-                consts.pop(dst, None)
                 if isinstance(other, ConstRef):
-                    ops.append(("orc", dst, src, other))
+                    node = (_ORC, value(read(src)), other)
                 elif isinstance(other, Imm):
-                    ops.append(("ori", dst, src, other.value & 0xFFFFFFFF))
+                    node = (_ORI, value(read(src)),
+                            np.uint32(other.value & _U32))
                 else:
                     return None
+                track(dst, src)
+                env[dst] = ("v", emit(node))
             else:
                 return None
         else:
@@ -1126,16 +995,22 @@ def compile_site_plan(records, start: int, handler_base: int):
                         or ref.offset + 4 > frame:
                     return None
                 track(dst)
-                slot = len(fill_cols) // 4
-                fill_cols.extend(range(ref.offset, ref.offset + 4))
-                post_ops.append(("fill", dst, slot))
+                fills[dst] = ref.offset
+                held[dst] = stored.get(ref.offset)
+                clean = clean and held[dst] is not None
+                max_touch = max(max_touch, ref.offset + 4)
             elif opcode is Opcode.R2P:
                 src = _gpr_index(dec.srcs[0]) if dec.srcs else None
                 maskop = dec.srcs[1] if len(dec.srcs) > 1 else None
                 if src is None or not isinstance(maskop, Imm) or dec.mods:
                     return None
                 track(src)
-                post_ops.append(("r2p", src, maskop.value & 0xFFFFFFFF))
+                mask = maskop.value & _U32
+                r2p.append((mask, fills.get(src), src))
+                # clean: the R2P reads back its own P2R word
+                node = node_of(held.get(src))
+                clean = clean and node is not None and node[0] == _P2R \
+                    and not mask & 0x7F & ~int(node[1])
             elif opcode in (Opcode.IADD, Opcode.IADD32I):
                 dst = dec.dsts[0] if dec.dsts else None
                 a = dec.srcs[0] if dec.srcs else None
@@ -1143,23 +1018,28 @@ def compile_site_plan(records, start: int, handler_base: int):
                 if dec.mods == ("CC",) and _is_rz(dst) \
                         and _gpr_index(a) is not None \
                         and isinstance(b, Imm) and b.value == -1:
+                    # the carry restore; only the last one is visible
                     track(a.index)
-                    post_ops.append(("ccres", a.index))
-                elif not dec.mods and isinstance(dst, GPR) \
-                        and not dst.is_zero and dst.index == 1 \
+                    carry_read = (fills.get(a.index), a.index)
+                    # clean: it reads back the IADD.X spill of the carry
+                    node = node_of(held.get(a.index))
+                    if node is None or node[0] != _ADDX \
+                            or node[1] is not None \
+                            or node_at.get(node[2]) != (_CARRY,):
+                        clean = False
+                    else:
+                        carry_back = node[2]
+                elif not dec.mods and _gpr_index(dst) == 1 \
                         and _gpr_index(a) == 1 and isinstance(b, Imm) \
                         and b.value == frame:
                     # stack release: the sequence is complete
-                    plan_records = records[start:index + 1]
-                    if any(not rec.sassi for rec in plan_records):
-                        return None
                     return SiteSequencePlan(
-                        start, plan_records, frame, jcal_addr,
-                        jcal_index, ops, post_ops,
-                        np.frombuffer(bytes(template), dtype=np.uint8),
-                        np.asarray(store_cols, dtype=np.int64),
-                        np.asarray(fill_cols, dtype=np.int64),
-                        max_reg, n_pairs, site_id)
+                        start, records[start:index + 1], frame, jcal_addr,
+                        jcal_index, nodes=nodes, stored=stored, env=env,
+                        carry=carry, fills=fills, r2p=r2p,
+                        carry_read=carry_read, clean=clean,
+                        carry_back=carry_back, max_touch=max_touch,
+                        max_reg=max_reg, n_pairs=n_pairs, site_id=site_id)
                 else:
                     return None
             else:
@@ -1176,8 +1056,8 @@ def _frame_alloc(dec) -> Optional[int]:
     dst = dec.dsts[0] if dec.dsts else None
     a = dec.srcs[0] if dec.srcs else None
     b = dec.srcs[1] if len(dec.srcs) > 1 else None
-    if isinstance(dst, GPR) and not dst.is_zero and dst.index == 1 \
-            and _gpr_index(a) == 1 and isinstance(b, Imm) and b.value < 0:
+    if _gpr_index(dst) == 1 and _gpr_index(a) == 1 \
+            and isinstance(b, Imm) and b.value < 0:
         return -b.value
     return None
 
@@ -1203,62 +1083,3 @@ def _match_guard_pair(records, index: int, limit: int):
     return (dst, first.pred_index, first.negated,
             first.srcs[1].value & 0xFFFFFFFF,
             second.srcs[1].value & 0xFFFFFFFF)
-
-
-def _match_iadd(dec, consts: dict, track):
-    """Compile one pre-call IADD form (see :func:`build_call_sequence`).
-
-    Returns an op tuple, ``("nop",)`` for a fully folded constant, or
-    None when the form is not one the injector emits.
-    """
-    dst_op = dec.dsts[0] if dec.dsts else None
-    a = dec.srcs[0] if dec.srcs else None
-    b = dec.srcs[1] if len(dec.srcs) > 1 else None
-    dst = _gpr_index(dst_op)
-    mods = dec.mods
-    if mods == ("X",):
-        # IADD.X d, a, RZ — consume the carry produced just above (or
-        # the architectural carry for the save-side RZ,RZ read)
-        if not _is_rz(b) or dst is None:
-            return None
-        src = _gpr_index(a)
-        if src is None and not _is_rz(a):
-            return None
-        if src is not None and src in consts:
-            return None
-        track(dst)
-        track(src)
-        consts.pop(dst, None)
-        return ("addx", dst, src)
-    if mods == ("CC",):
-        if not isinstance(b, Imm):
-            return None
-        src = _gpr_index(a)
-        if src is None and not _is_rz(a):
-            return None
-        if src is not None and src in consts:
-            return None
-        if dst is None and not _is_rz(dst_op):
-            return None
-        track(dst)
-        track(src)
-        if dst is not None:
-            consts.pop(dst, None)
-        return ("addcc", dst, src, b.value & 0xFFFFFFFF)
-    if mods:
-        return None
-    if dst is None or dst == 1 or not isinstance(b, Imm):
-        return None
-    track(dst)
-    if _is_rz(a):
-        consts[dst] = b.value & 0xFFFFFFFF
-        return ("imm", dst, consts[dst])
-    src = _gpr_index(a)
-    if src is None:
-        return None
-    track(src)
-    if src in consts:
-        consts[dst] = (consts[src] + b.value) & 0xFFFFFFFF
-        return ("imm", dst, consts[dst])
-    consts.pop(dst, None)
-    return ("add", dst, src, b.value & 0xFFFFFFFF)

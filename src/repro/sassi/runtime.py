@@ -7,7 +7,7 @@ ever touching the SASS (so the compile cache stays warm):
 * :class:`ActiveSiteMask` — an immutable enable/disable set over stable
   site ids (the injector's original-instruction index, recovered from
   the ``bp.id`` constant each :class:`~repro.sassi.abi.SiteSequencePlan`
-  bakes into its frame template).  Patching the mask on a controller is
+  stores into its frame).  Patching the mask on a controller is
   a pure-Python pointer swap; the plans and the cached kernels are
   untouched.
 * :class:`SamplingPolicy` and friends — every-Nth deterministic

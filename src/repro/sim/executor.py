@@ -1465,16 +1465,16 @@ def _op_atom(ex, warp, cta, instr, g, counter):
     op = instr.atom_op
     update = _ATOM_OPS[op]
     signed = op in ("MIN", "MAX") and "S32" in instr.mods
-    value_src = _ATOM_UNITS.get(op, instr.srcs[-1])
+    # a register row, or one value (an immediate, or RZ read as 0)
+    value = ex._read(warp, _ATOM_UNITS.get(op, instr.srcs[-1]))
     regs = warp.regs
     parts, fault = _lane_parts(ex, warp, cta, instr, g, addrs, 4,
                                exclusive=True)
     for mem, lanes, offsets, overlap in parts:
-        if isinstance(value_src, GPR):
-            val = regs[value_src.index][lanes]
+        if isinstance(value, np.ndarray):
+            val = value[lanes]
         else:
-            val = np.full(len(offsets), value_src.value & 0xFFFFFFFF,
-                          dtype=np.uint32)
+            val = np.full(len(offsets), value, dtype=np.uint32)
         if signed:
             val = val.view(np.int32)
         serve = _atom_overlap if overlap else _atom_round

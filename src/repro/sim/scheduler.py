@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.isa.opcodes import OpClass, OPCODE_CLASSES, Opcode
+from repro.isa.opcodes import OpClass, OPCODE_CLASS_BITS, Opcode
 
 #: issue-port cycles per coalesced memory transaction beyond the first
 #: (charged by the flat :class:`CycleCounter` and the scheduler alike)
@@ -350,13 +350,12 @@ def _opcode_columns() -> Tuple[np.ndarray, ...]:
         stall = np.zeros(n, dtype=np.int64)
         latency = np.zeros(n, dtype=np.int64)
         barrier = np.zeros(n, dtype=bool)
-        ismem = np.zeros(n, dtype=bool)
         for op, entry in LATENCY_TABLE.items():
             issue[op.value] = entry.issue
             stall[op.value] = entry.stall
             latency[op.value] = entry.latency
             barrier[op.value] = entry.barrier
-            ismem[op.value] = bool(OPCODE_CLASSES[op] & OpClass.MEMORY)
+        ismem = (OPCODE_CLASS_BITS & OpClass.MEMORY.value) != 0
         _op_columns = (issue, stall, latency, barrier, ismem)
     return _op_columns
 

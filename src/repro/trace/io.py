@@ -46,7 +46,7 @@ from typing import (IO, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import OPCODE_CLASS_BITS
 from repro.sim.scheduler import int_column
 from repro.telemetry.collector import TELEMETRY
 from repro.trace import index as index_mod
@@ -671,8 +671,8 @@ class FrameColumns:
         if not self._opcodes_known:
             if not _all_opcodes_known(ops):
                 bad = next(op for op in ops.tolist()
-                           if not 0 <= op < _KNOWN_OPCODE.size
-                           or not _KNOWN_OPCODE[op])
+                           if not 0 <= op < OPCODE_CLASS_BITS.size
+                           or not OPCODE_CLASS_BITS[op])
                 raise record_error(self.launch, "INSTR",
                                    unknown_opcode(bad))
             self._opcodes_known = True
@@ -692,16 +692,11 @@ def unknown_opcode(opcode: int) -> str:
     return f"has opcode id {opcode}, which names no opcode"
 
 
-#: opcode id -> does it name an Opcode?
-_KNOWN_OPCODE = np.zeros(max(op.value for op in Opcode) + 1, dtype=bool)
-_KNOWN_OPCODE[[op.value for op in Opcode]] = True
-
-
 def _all_opcodes_known(ops: np.ndarray) -> bool:
     """Does every id in *ops* name an Opcode?"""
     return not ops.size or (ops.dtype != object and ops.min() >= 0
-                            and ops.max() < _KNOWN_OPCODE.size
-                            and bool(_KNOWN_OPCODE[ops].all()))
+                            and ops.max() < OPCODE_CLASS_BITS.size
+                            and bool(OPCODE_CLASS_BITS[ops].all()))
 
 
 def decode_frame_columns(slices: Sequence[bytes]) -> List[FrameColumns]:

@@ -48,7 +48,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.isa.opcodes import Opcode, OpClass, OPCODE_CLASSES
+from repro.isa.opcodes import OpClass, OPCODE_CLASS_BITS
 from repro.trace import index as index_mod
 from repro.trace.format import TAG_BRANCH, TAG_INSTR, TAG_KEND, TAG_MEM
 from repro.trace.io import FrameColumns, TraceReader, event_frames
@@ -219,21 +219,6 @@ def _warp_ordinals(frame: FrameColumns) -> np.ndarray:
     return ordinals
 
 
-#: opcode id -> OPCODE_CLASSES flag value, for vectorized class tests
-_class_values: Optional[np.ndarray] = None
-
-
-def _opclass_values() -> np.ndarray:
-    global _class_values
-    if _class_values is None:
-        table = np.zeros(max(op.value for op in Opcode) + 1,
-                         dtype=np.int64)
-        for op in Opcode:
-            table[op.value] = OPCODE_CLASSES[op].value
-        _class_values = table
-    return _class_values
-
-
 #: one past the largest tag a frame body holds
 _TAG_LIMIT = max(TAG_KEND, *_KIND_TAGS.values()) + 1
 
@@ -279,7 +264,7 @@ def _frame_hits(frame: FrameColumns, filt: QueryFilter,
         # verdict 0 stands for "no instruction yet"; record i takes the
         # verdict of the cumsum(is_instr)[i]-th instruction
         verdicts = np.zeros(opcodes.size + 1, dtype=bool)
-        verdicts[1:] = (_opclass_values()[opcodes]
+        verdicts[1:] = (OPCODE_CLASS_BITS[opcodes]
                         & filt.classes.value) != 0
         sel &= verdicts[np.cumsum(is_instr)]
     if filt.addr is not None:

@@ -30,11 +30,11 @@ launch.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Sequence, Type
 
 import numpy as np
 
-from repro.isa.opcodes import Opcode, OpClass, OPCODE_CLASSES
+from repro.isa.opcodes import OpClass, OPCODE_CLASS_BITS
 from repro.sim.cache import Cache
 from repro.sim.warp import WARP_SIZE
 from repro.telemetry.collector import TELEMETRY, span as telemetry_span
@@ -266,19 +266,20 @@ class OpcodeHistogramAnalysis(TraceAnalysis):
         lanes = frame.instr_lanes
         # one mask gather + one masked reduction per category; the
         # lane sums are exact (far below any integer precision edge)
-        masks = _class_mask_table()[opcodes]
+        masks = OPCODE_CLASS_BITS[opcodes]
         totals = self._totals
-        memory = (masks & _MASK_MEMORY) != 0
+        memory = (masks & OpClass.MEMORY.value) != 0
         totals["memory"] += int(lanes[memory].sum())
         totals["extended_memory"] += int(
             lanes[memory & (frame.instr_widths > 4)].sum())
         totals["control_xfer"] += int(
-            lanes[(masks & _MASK_CONTROL) != 0].sum())
-        totals["sync"] += int(lanes[(masks & _MASK_SYNC) != 0].sum())
+            lanes[(masks & OpClass.CONTROL.value) != 0].sum())
+        totals["sync"] += int(
+            lanes[(masks & OpClass.SYNC.value) != 0].sum())
         totals["numeric"] += int(
-            lanes[(masks & _MASK_NUMERIC) != 0].sum())
+            lanes[(masks & OpClass.NUMERIC.value) != 0].sum())
         totals["texture"] += int(
-            lanes[(masks & _MASK_TEXTURE) != 0].sum())
+            lanes[(masks & OpClass.TEXTURE.value) != 0].sum())
         totals["total_executed"] += int(lanes.sum())
 
     def totals(self) -> Dict[str, int]:
@@ -292,40 +293,6 @@ class OpcodeHistogramAnalysis(TraceAnalysis):
         body = ", ".join(f"{name}={totals[name]:,}"
                          for name in self.categories)
         return f"opcodes: {body}"
-
-
-_MASK_MEMORY = 1 << 0
-_MASK_CONTROL = 1 << 1
-_MASK_SYNC = 1 << 2
-_MASK_NUMERIC = 1 << 3
-_MASK_TEXTURE = 1 << 4
-
-_mask_table: Optional[np.ndarray] = None
-
-
-def _class_mask_table() -> np.ndarray:
-    """Opcode id -> category bitmask, replacing per-event enum
-    construction and Flag intersections with one array gather."""
-    global _mask_table
-    if _mask_table is None:
-        table = np.zeros(max(op.value for op in Opcode) + 1,
-                         dtype=np.int64)
-        for op in Opcode:
-            classes = OPCODE_CLASSES[op]
-            mask = 0
-            if classes & OpClass.MEMORY:
-                mask |= _MASK_MEMORY
-            if classes & OpClass.CONTROL:
-                mask |= _MASK_CONTROL
-            if classes & OpClass.SYNC:
-                mask |= _MASK_SYNC
-            if classes & OpClass.NUMERIC:
-                mask |= _MASK_NUMERIC
-            if classes & OpClass.TEXTURE:
-                mask |= _MASK_TEXTURE
-            table[op.value] = mask
-        _mask_table = table
-    return _mask_table
 
 
 #: registry for the CLI's ``--analysis`` flag

@@ -150,9 +150,11 @@ def _op_atom(ex, warp, cta, instr, g, counter):
         mem, offset = _resolve_space(ex, warp, cta, instr,
                                      int(addrs[lane]), lane)
         old = mem.read(offset, 4)
-        val = int(warp.regs[value_src.index, lane]) \
-            if isinstance(value_src, GPR) \
-            else int(value_src.value) & 0xFFFFFFFF
+        if isinstance(value_src, GPR):
+            val = 0 if value_src.is_zero \
+                else int(warp.regs[value_src.index, lane])
+        else:
+            val = int(value_src.value) & 0xFFFFFFFF
         if op in ("MIN", "MAX"):
             def to_signed(x):
                 return x - (1 << 32) if signed and x & (1 << 31) else x

@@ -38,6 +38,7 @@ from repro.handlers import (BranchProfiler, MemoryDivergenceProfiler,
                             MemoryTracer, OpcodeHistogram, ValueProfiler)
 from repro.handlers.error_injection import (INJECT_FLAGS,
                                             _InjectionHandler)
+from repro.isa.opcodes import Opcode
 from repro.sassi import SassiRuntime, spec_from_flags
 from repro.sassi import params as P
 from repro.sassi.abi import SiteSequencePlan
@@ -295,7 +296,7 @@ def test_word_aligned_frames_match_per_instruction_walk(
                     dtype=bool)
     rng = np.random.default_rng(seed)
     for plan_a, plan_b in zip(plans_a, plans_b):
-        assert plan_a.program().words, "a frame with unaligned slots"
+        assert plan_a.words, "a frame with unaligned slots"
         warp = _warp_state(rng, side_a[1], plan_a, mask)
         _align_frames(rng, warp, plan_a, uniform)
         local = rng.integers(0, 256, (WARP_SIZE, LOCAL_PHYS_BYTES),
@@ -313,14 +314,15 @@ def test_suite_covers_double_fills_and_frame_rewrites():
     for workload in WORKLOADS:
         for handler in HANDLERS:
             for plan in _twin(workload, handler)[0][2]:
-                filled = [op[1] for op in plan.post_ops if op[0] == "fill"]
+                fills = [dec for dec
+                         in plan.records[plan.jcal_index - plan.start + 1:]
+                         if dec.opcode is Opcode.LDL]
+                filled = [dec.dsts[0].index for dec in fills]
                 double += len(filled) != len(set(filled))
                 if handler == "frame_rewriter":
                     # a fill from beyond the before-params is a
                     # register-value write-back
-                    rewrites += any(
-                        op[0] == "fill"
-                        and plan.fill_cols[4 * op[2]] >= P.BP_SIZE
-                        for op in plan.post_ops)
+                    rewrites += any(dec.srcs[0].offset >= P.BP_SIZE
+                                    for dec in fills)
     assert double > 0
     assert rewrites > 0

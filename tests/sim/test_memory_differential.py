@@ -126,7 +126,7 @@ _atomics = st.sampled_from([Opcode.ATOM, Opcode.ATOMS, Opcode.RED]).flatmap(
     lambda opcode: st.tuples(
         st.just(opcode), _memory_ref(opcode),
         st.sampled_from(_ATOM_OPS), st.sampled_from(["U32", "S32"]),
-        st.one_of(st.just(GPR(VALUE)),
+        st.one_of(st.just(GPR(VALUE)), st.just(RZ),
                   st.integers(0, (1 << 32) - 1).map(Imm)),
         st.sampled_from([DST, RZ.index, NUM_REGS])))
 
@@ -324,6 +324,25 @@ def test_rz_destination_discards_the_value(kind, faulting):
         (kind == "load")
     assert fault == (f"global: access of 4 bytes at 0x{HEAP - 2:x} "
                      f"outside [0, 0x{HEAP:x})" if faulting else None)
+
+
+@pytest.mark.parametrize("op", ["ADD", "EXCH", "MAX"])
+def test_rz_value_operand_reads_zero(op):
+    # ``ATOM.<op>.U32 R16, [R2], RZ``: the lanes combine their words
+    # with 0, as stores already read an RZ source
+    addrs = [_WORD + 4 * (lane % 5) for lane in range(WARP_SIZE)]
+    instr = Instruction(Opcode.ATOM, (GPR(DST),),
+                        (MemRef(MemSpace.GLOBAL, GPR(BASE)), RZ),
+                        mods=(op, "U32"))
+    assert _assert_same(instr, addrs, _ALL, seed=19) is None
+    before = _run(instr, addrs, 0, 19, per_lane=False)
+    after = _run(instr, addrs, _ALL, 19, per_lane=False)
+    offset = _WORD - GLOBAL_BASE
+    old = before["global"][offset:offset + 20].copy()
+    new = after["global"][offset:offset + 20]
+    assert np.array_equal(new, np.zeros(20, np.uint8) if op == "EXCH"
+                          else old)
+    assert np.array_equal(after["regs"][DST, :5].view(np.uint8), old)
 
 
 @pytest.mark.parametrize("kind, dst, mods, named", [
