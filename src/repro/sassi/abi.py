@@ -45,7 +45,6 @@ from repro.isa.program import STACK_BASE_OFFSET
 from repro.isa.registers import GPR, RZ
 from repro.sassi import params as P
 from repro.sassi.spec import InstrumentationSpec, What, Where
-from repro.sim.scheduler import block_issue_cycles
 from repro.sim.memory import SHARED_BASE
 from repro.sim.warp import WARP_SIZE
 from repro.telemetry.classify import block_dispatch_counts
@@ -449,9 +448,9 @@ class SiteSequencePlan:
 
     __slots__ = ("start", "records", "frame", "jcal_addr", "jcal_index",
                  "max_touch", "max_reg", "length", "n_pairs",
-                 "thread_weight", "opcode_counts", "issue_cycles",
-                 "telemetry_counts", "site_id", "nodes", "n_words",
-                 "take_rows", "node_rows", "const_rows", "const_col",
+                 "thread_weight", "opcode_counts", "telemetry_counts",
+                 "site_id", "nodes", "n_words", "take_rows", "node_rows",
+                 "const_rows", "const_col",
                  "store_cols", "store_words", "words", "statics",
                  "env_rows", "env_src", "carry", "fill_cols", "fill_words",
                  "fill_rows", "fill_count", "r2p", "carry_restore", "clean",
@@ -483,7 +482,6 @@ class SiteSequencePlan:
         for dec in records:
             counts[dec.opcode] = counts.get(dec.opcode, 0) + 1
         self.opcode_counts = counts
-        self.issue_cycles = block_issue_cycles(dec.opcode for dec in records)
         self.telemetry_counts = block_dispatch_counts(records)
         self._seeds: dict = {}
         self._nets: dict = {}
@@ -606,7 +604,7 @@ class SiteSequencePlan:
 
     # ----------------------------------------------------------- replay
 
-    def execute(self, ex, warp, cta, g, g_idx, counter) -> Optional[int]:
+    def execute(self, ex, warp, cta, g, g_idx) -> Optional[int]:
         n = g_idx.size
         binding = ex.device.handler_bindings.get(self.jcal_addr)
         if n == 0 or binding is None or self.max_reg >= warp.num_regs:

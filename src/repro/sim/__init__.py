@@ -3,8 +3,9 @@
 A functional SIMT machine in the Kepler mould: 32-lane warps with a
 divergence token stack (``SSY``/``SYNC``/``PBK``/``BRK``), CTA-wide
 barriers, shared/local/global/constant/texture memory spaces, per-warp
-32-byte-line coalescing, optional L1/L2 cache models, and a simple
-issue/transaction cycle cost model.
+32-byte-line coalescing, optional L1/L2 cache models, and a flat
+issue/transaction cycle count folded from each completed launch's own
+statistics (:func:`repro.sim.scheduler.flat_cycles`).
 
 Public surface:
 

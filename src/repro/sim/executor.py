@@ -16,8 +16,9 @@ gather/scatter.  A generic access spanning windows is split by space;
 store and atomic lanes on the same bytes apply in lane order (an
 atomic's lanes on one word fold by one scan, and the last lane storing
 a byte wins); and a faulting lane raises after the lanes before it
-apply.  The flat cycle count is the scheduler's
-:class:`~repro.sim.scheduler.CycleCounter`.
+apply.  The flat cycle count is folded from the launch's own statistics
+when it completes (:func:`~repro.sim.scheduler.flat_cycles`); an
+aborted launch leaves it at 0.
 
 The executor is also where SASSI handler calls land: a ``JCAL`` whose
 target lies in the handler address range (``SassProgram.HANDLER_BASE``)
@@ -55,7 +56,7 @@ from repro.sim.memory import (
     SHARED_BYTES,
     Memory,
 )
-from repro.sim.scheduler import CycleCounter, block_issue_cycles
+from repro.sim.scheduler import flat_cycles
 from repro.sim.warp import WARP_SIZE, Warp, mask_to_u32
 from repro.telemetry.classify import (
     OPCLASS_KEY,
@@ -84,6 +85,11 @@ class KernelStats:
     global_transactions: int = 0
     handler_calls: int = 0
     barriers: int = 0
+    #: flat issue-port cost, set once when the launch completes (0 for
+    #: an aborted launch) by :func:`~repro.sim.scheduler.flat_cycles`:
+    #: ``sum(LATENCY_TABLE[op].issue * opcode_counts[op])
+    #: + TRANSACTION_CYCLES * (global_transactions
+    #: - global_mem_instructions)``
     cycles: int = 0
     max_stack_depth: int = 0
 
@@ -193,7 +199,6 @@ class Executor:
         self._adaptive = ctrl = getattr(self.device, "adaptive", None)
         if ctrl is not None:
             ctrl.begin_launch(kernel)
-        counter = CycleCounter()
         num_threads = block.x * block.y * block.z
         if num_threads == 0 or num_threads > 1024:
             raise DeviceFault(f"bad block size: {num_threads}")
@@ -203,11 +208,11 @@ class Executor:
                 for cy in range(grid.y):
                     for cx in range(grid.x):
                         self._run_cta((cx, cy, cz), grid, block,
-                                      num_threads, shared_bytes, counter)
+                                      num_threads, shared_bytes)
         finally:
             # an aborted launch's stats are read too (fault campaigns)
             self._fold_visits()
-        self.stats.cycles = counter.cycles
+        self.stats.cycles = flat_cycles(self.stats)
         return self.stats
 
     def _fold_visits(self) -> None:
@@ -236,8 +241,7 @@ class Executor:
         stats.sassi_warp_instructions += sassi
         stats.sassi_thread_instructions += lanes * (sassi - pairs)
 
-    def _run_cta(self, ctaid, grid, block, num_threads, shared_bytes,
-                 counter) -> None:
+    def _run_cta(self, ctaid, grid, block, num_threads, shared_bytes) -> None:
         kernel = self._kernel
         cta = CTAContext(ctaid, shared_bytes, num_threads=num_threads)
         self._cta = cta
@@ -256,7 +260,7 @@ class Executor:
             for warp in pending:
                 if warp.done or warp.at_barrier:
                     continue
-                self._run_warp(warp, cta, counter)
+                self._run_warp(warp, cta)
                 progressed = True
             pending = [w for w in pending if not w.done]
             if pending and all(w.at_barrier for w in pending):
@@ -282,7 +286,7 @@ class Executor:
 
     # ------------------------------------------------------------ warps
 
-    def _run_warp(self, warp: Warp, cta: CTAContext, counter) -> None:
+    def _run_warp(self, warp: Warp, cta: CTAContext) -> None:
         kernel = self._kernel
         decoded = self._decoded
         if decoded is None or decoded.kernel is not kernel:
@@ -306,19 +310,19 @@ class Executor:
             block = blocks[pc]
             if block is not None:
                 if block.__class__ is _Superblock:
-                    execute_block(block, warp, cta, counter)
+                    execute_block(block, warp, cta)
                 else:
-                    execute_site(block, warp, cta, counter)
+                    execute_site(block, warp, cta)
                 continue
             self._watchdog += 1
             if self._watchdog > max_warp_instructions:
                 raise HangDetected(
                     f"{kernel.name}: watchdog after {self._watchdog} "
                     "warp instructions")
-            execute(records[pc], warp, cta, counter)
+            execute(records[pc], warp, cta)
 
     def _execute_block(self, block: "_Superblock", warp: Warp,
-                       cta: CTAContext, counter: CycleCounter) -> None:
+                       cta: CTAContext) -> None:
         """Execute one fused superblock.
 
         Every record is unconditional straight-line code, so the guard
@@ -341,7 +345,7 @@ class Executor:
         lanes = int(np.count_nonzero(g))
         try:
             for handler, dec in block.dispatch:
-                handler(self, warp, cta, dec, g, counter)
+                handler(self, warp, cta, dec, g)
         except BaseException:
             # straight-line handlers advance pc only once they succeed
             self._account_prefix(
@@ -354,12 +358,10 @@ class Executor:
             stats.sassi_thread_instructions += lanes * block.n_sassi
         visits = self._visits
         visits[block] = visits.get(block, 0) + 1
-        counter.cycles += block.issue_cycles
         if TELEMETRY.enabled:
             TELEMETRY.record_block(block.telemetry_counts)
 
-    def _execute_site(self, plan, warp: Warp, cta: CTAContext,
-                      counter: CycleCounter) -> None:
+    def _execute_site(self, plan, warp: Warp, cta: CTAContext) -> None:
         """Execute one instrumentation site as a batched plan.
 
         The per-instruction interpretation of the injected sequence is
@@ -389,16 +391,15 @@ class Executor:
                 t0 = time.perf_counter() if timing else 0.0
                 self._sample_rate = weight
                 try:
-                    self._site_body(plan, warp, cta, counter)
+                    self._site_body(plan, warp, cta)
                 finally:
                     self._sample_rate = 1
                     if timing:
                         ctrl.observe_fire(time.perf_counter() - t0)
                 return
-        self._site_body(plan, warp, cta, counter)
+        self._site_body(plan, warp, cta)
 
-    def _site_body(self, plan, warp: Warp, cta: CTAContext,
-                   counter: CycleCounter) -> None:
+    def _site_body(self, plan, warp: Warp, cta: CTAContext) -> None:
         length = plan.length
         self._watchdog += length
         if self._watchdog > self.config.max_warp_instructions:
@@ -411,7 +412,7 @@ class Executor:
         g = warp.active
         g_idx = np.nonzero(g)[0]
         try:
-            partial = plan.execute(self, warp, cta, g, g_idx, counter)
+            partial = plan.execute(self, warp, cta, g, g_idx)
         except BaseException:
             if warp.pc == plan.jcal_index:
                 # the handler raised: everything up to its JCAL ran
@@ -426,7 +427,7 @@ class Executor:
             start = plan.start
             execute = self._execute
             while warp.pc < end and not warp.done and not warp.at_barrier:
-                execute(records[warp.pc - start], warp, cta, counter)
+                execute(records[warp.pc - start], warp, cta)
             return
         lanes = g_idx.size
         stats.warp_instructions += length
@@ -435,15 +436,13 @@ class Executor:
         stats.sassi_thread_instructions += lanes * plan.thread_weight
         visits = self._visits
         visits[plan] = visits.get(plan, 0) + 1
-        counter.cycles += plan.issue_cycles
         telem = TELEMETRY
         if telem.enabled:
             telem.record_block(plan.telemetry_counts)
             if partial:
                 telem.incr("divergence.partial_dispatch", partial)
 
-    def step(self, warp: Warp, cta: CTAContext, instr: Instruction,
-             counter: CycleCounter) -> None:
+    def step(self, warp: Warp, cta: CTAContext, instr: Instruction) -> None:
         """Execute one instruction for one warp.
 
         Accepts a raw :class:`Instruction` (decoded on the fly) or a
@@ -454,10 +453,9 @@ class Executor:
             target = targets[warp.pc] \
                 if 0 <= warp.pc < len(targets) else None
             instr = _Decoded(instr, target)
-        self._execute(instr, warp, cta, counter)
+        self._execute(instr, warp, cta)
 
-    def _execute(self, dec: "_Decoded", warp: Warp, cta: CTAContext,
-                 counter: CycleCounter) -> None:
+    def _execute(self, dec: "_Decoded", warp: Warp, cta: CTAContext) -> None:
         stats = self.stats
         stats.warp_instructions += 1
         if dec.uncond:
@@ -470,7 +468,6 @@ class Executor:
         if dec.sassi:
             stats.sassi_warp_instructions += 1
             stats.sassi_thread_instructions += lanes
-        counter.issue(dec.opcode)
         if warp.stack_depth > stats.max_stack_depth:
             stats.max_stack_depth = warp.stack_depth
         if TELEMETRY.enabled:
@@ -480,7 +477,7 @@ class Executor:
         handler = dec.handler
         if handler is None:
             raise DeviceFault(f"illegal instruction: {dec.instr!r}")
-        handler(self, warp, cta, dec, g, counter)
+        handler(self, warp, cta, dec, g)
 
     # --------------------------------------------------------- operands
 
@@ -536,14 +533,13 @@ class Executor:
                 WARP_SIZE, dtype=np.uint64)
         return (lo | (hi << np.uint64(32))) + offset
 
-    def _account_global(self, addrs, g, width, counter) -> None:
+    def _account_global(self, addrs, g, width) -> None:
         active = addrs[g]
         if active.size == 0:
             return
         result = coalesce(active, width)
         self.stats.global_mem_instructions += 1
         self.stats.global_transactions += result.unique_lines
-        counter.memory_transactions(result.unique_lines)
 
 
 # ---------------------------------------------------------------------
@@ -632,13 +628,15 @@ class _Superblock:
 
     Everything the per-instruction dispatch loop accrues incrementally
     is pre-aggregated here: the opcode histogram, the SASSI-injected
-    instruction count, the total issue-cycle cost, and the telemetry
-    dispatch-counter deltas.  ``dispatch`` pairs each record with its
-    handler so the fused loop does two tuple loads per instruction.
+    instruction count, and the telemetry dispatch-counter deltas.  The
+    block carries no cycle cost: the launch's flat cycle count is folded
+    from its opcode histogram once, at completion.  ``dispatch`` pairs
+    each record with its handler so the fused loop does two tuple loads
+    per instruction.
     """
 
     __slots__ = ("start", "length", "records", "dispatch", "opcode_counts",
-                 "n_sassi", "issue_cycles", "telemetry_counts")
+                 "n_sassi", "telemetry_counts")
 
     def __init__(self, start: int, records: List["_Decoded"]):
         self.start = start
@@ -650,8 +648,6 @@ class _Superblock:
             counts[dec.opcode] += 1
         self.opcode_counts = dict(counts)
         self.n_sassi = sum(1 for dec in records if dec.sassi)
-        self.issue_cycles = block_issue_cycles(
-            dec.opcode for dec in records)
         self.telemetry_counts = block_dispatch_counts(records)
 
 
@@ -782,7 +778,7 @@ def _from_f32(row):
     return np.asarray(row, dtype=np.float32).view(np.uint32)
 
 
-def _op_mov(ex, warp, cta, instr, g, counter):
+def _op_mov(ex, warp, cta, instr, g):
     ex._write(warp, instr.dsts[0], _broadcast(ex._read(warp, instr.srcs[0])), g)
 
 
@@ -792,7 +788,7 @@ def _broadcast(value):
     return np.full(WARP_SIZE, value, dtype=np.uint32)
 
 
-def _op_sel(ex, warp, cta, instr, g, counter):
+def _op_sel(ex, warp, cta, instr, g):
     a = _broadcast(ex._read(warp, instr.srcs[0]))
     b = _broadcast(ex._read(warp, instr.srcs[1]))
     pred = instr.srcs[2]
@@ -800,7 +796,7 @@ def _op_sel(ex, warp, cta, instr, g, counter):
     ex._write(warp, instr.dsts[0], np.where(row, a, b), g)
 
 
-def _op_s2r(ex, warp, cta, instr, g, counter):
+def _op_s2r(ex, warp, cta, instr, g):
     name = instr.srcs[0].name
     lanes = np.arange(WARP_SIZE, dtype=np.uint32)
     table = {
@@ -827,7 +823,7 @@ def _mask_to_int(mask: np.ndarray) -> int:
     return mask_to_u32(mask)
 
 
-def _op_p2r(ex, warp, cta, instr, g, counter):
+def _op_p2r(ex, warp, cta, instr, g):
     packed = np.zeros(WARP_SIZE, dtype=np.uint32)
     for index in range(7):
         packed |= warp.preds[index].astype(np.uint32) << np.uint32(index)
@@ -838,7 +834,7 @@ def _op_p2r(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_r2p(ex, warp, cta, instr, g, counter):
+def _op_r2p(ex, warp, cta, instr, g):
     value = _broadcast(ex._read(warp, instr.srcs[0]))
     mask = instr.srcs[1].value if len(instr.srcs) > 1 \
         and isinstance(instr.srcs[1], Imm) else 0x7F
@@ -853,7 +849,7 @@ def _op_r2p(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_psetp(ex, warp, cta, instr, g, counter):
+def _op_psetp(ex, warp, cta, instr, g):
     a = warp.preds[instr.srcs[0].index]
     b = warp.preds[instr.srcs[1].index] if len(instr.srcs) > 1 \
         else warp.preds[7]
@@ -882,7 +878,7 @@ def _binary_int(ex, warp, instr):
     return _broadcast(a), _as_u32(b)
 
 
-def _op_iadd(ex, warp, cta, instr, g, counter):
+def _op_iadd(ex, warp, cta, instr, g):
     mods = instr.mods
     if "NEGB" not in mods and "X" not in mods and "CC" not in mods:
         # hot path: uint32 wraparound add == 64-bit add masked to 32 bits
@@ -909,7 +905,7 @@ def _op_iadd(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_imul(ex, warp, cta, instr, g, counter):
+def _op_imul(ex, warp, cta, instr, g):
     a, b = _binary_int(ex, warp, instr)
     # a 32x32 product always fits uint64, so one widening multiply
     # suffices; the uint64->uint32 cast is the & 0xFFFFFFFF truncation.
@@ -925,7 +921,7 @@ def _op_imul(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_imad(ex, warp, cta, instr, g, counter):
+def _op_imad(ex, warp, cta, instr, g):
     a = _broadcast(ex._read(warp, instr.srcs[0]))
     b = _as_u32(ex._read(warp, instr.srcs[1]))
     c = _u64(_as_u32(ex._read(warp, instr.srcs[2])))
@@ -934,7 +930,7 @@ def _op_imad(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_iscadd(ex, warp, cta, instr, g, counter):
+def _op_iscadd(ex, warp, cta, instr, g):
     a = _broadcast(ex._read(warp, instr.srcs[0]))
     b = _as_u32(ex._read(warp, instr.srcs[1]))
     shift = instr.srcs[2].value if len(instr.srcs) > 2 else 0
@@ -950,7 +946,7 @@ _CMP_FNS = {
 }
 
 
-def _op_isetp(ex, warp, cta, instr, g, counter):
+def _op_isetp(ex, warp, cta, instr, g):
     a = _broadcast(ex._read(warp, instr.srcs[0]))
     b = _as_u32(ex._read(warp, instr.srcs[1]))
     signed = "S32" in instr.mods
@@ -970,7 +966,7 @@ def _op_isetp(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_imnmx(ex, warp, cta, instr, g, counter):
+def _op_imnmx(ex, warp, cta, instr, g):
     a = _broadcast(ex._read(warp, instr.srcs[0]))
     b = _broadcast(_as_u32(ex._read(warp, instr.srcs[1])))
     signed = "S32" in instr.mods
@@ -982,7 +978,7 @@ def _op_imnmx(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_lop(ex, warp, cta, instr, g, counter):
+def _op_lop(ex, warp, cta, instr, g):
     a = _broadcast(ex._read(warp, instr.srcs[0]))
     b = _broadcast(_as_u32(ex._read(warp, instr.srcs[1])))
     if "OR" in instr.mods:
@@ -999,7 +995,7 @@ def _op_lop(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_shl(ex, warp, cta, instr, g, counter):
+def _op_shl(ex, warp, cta, instr, g):
     a = _broadcast(ex._read(warp, instr.srcs[0]))
     b = _broadcast(_as_u32(ex._read(warp, instr.srcs[1]))) & np.uint32(0xFF)
     amount = np.minimum(b, np.uint32(32)).astype(np.uint32)
@@ -1009,7 +1005,7 @@ def _op_shl(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_shr(ex, warp, cta, instr, g, counter):
+def _op_shr(ex, warp, cta, instr, g):
     a = _broadcast(ex._read(warp, instr.srcs[0]))
     b = _broadcast(_as_u32(ex._read(warp, instr.srcs[1]))) & np.uint32(0xFF)
     amount = np.minimum(b, np.uint32(31 if "S32" in instr.mods else 32))
@@ -1022,14 +1018,14 @@ def _op_shr(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_popc(ex, warp, cta, instr, g, counter):
+def _op_popc(ex, warp, cta, instr, g):
     a = _broadcast(ex._read(warp, instr.srcs[0]))
     bits = np.unpackbits(a.view(np.uint8).reshape(WARP_SIZE, 4), axis=1)
     ex._write(warp, instr.dsts[0], bits.sum(axis=1).astype(np.uint32), g)
     warp.pc += 1
 
 
-def _op_flo(ex, warp, cta, instr, g, counter):
+def _op_flo(ex, warp, cta, instr, g):
     a = _broadcast(ex._read(warp, instr.srcs[0]))
     # bit_length via frexp: float64 holds any uint32 exactly, and frexp's
     # exponent is exact (no log2 rounding hazard at powers of two).
@@ -1040,7 +1036,7 @@ def _op_flo(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_bfe(ex, warp, cta, instr, g, counter):
+def _op_bfe(ex, warp, cta, instr, g):
     a = _broadcast(ex._read(warp, instr.srcs[0]))
     spec = _broadcast(_as_u32(ex._read(warp, instr.srcs[1])))
     pos = spec & np.uint32(0xFF)
@@ -1051,7 +1047,7 @@ def _op_bfe(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_bfi(ex, warp, cta, instr, g, counter):
+def _op_bfi(ex, warp, cta, instr, g):
     base = _broadcast(ex._read(warp, instr.srcs[0]))
     spec = _broadcast(_as_u32(ex._read(warp, instr.srcs[1])))
     insert = _broadcast(_as_u32(ex._read(warp, instr.srcs[2])))
@@ -1064,7 +1060,7 @@ def _op_bfi(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_iabs(ex, warp, cta, instr, g, counter):
+def _op_iabs(ex, warp, cta, instr, g):
     a = _s32(_broadcast(ex._read(warp, instr.srcs[0])))
     ex._write(warp, instr.dsts[0], np.abs(a).view(np.uint32), g)
     warp.pc += 1
@@ -1076,7 +1072,7 @@ def _fbinary(ex, warp, instr):
     return a, _f32(b_raw)
 
 
-def _op_fadd(ex, warp, cta, instr, g, counter):
+def _op_fadd(ex, warp, cta, instr, g):
     a, b = _fbinary(ex, warp, instr)
     if "NEGB" in instr.mods:
         b = -b
@@ -1084,14 +1080,14 @@ def _op_fadd(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_fmul(ex, warp, cta, instr, g, counter):
+def _op_fmul(ex, warp, cta, instr, g):
     a, b = _fbinary(ex, warp, instr)
     with np.errstate(all="ignore"):
         ex._write(warp, instr.dsts[0], _from_f32(a * b), g)
     warp.pc += 1
 
 
-def _op_ffma(ex, warp, cta, instr, g, counter):
+def _op_ffma(ex, warp, cta, instr, g):
     a = _f32(_broadcast(ex._read(warp, instr.srcs[0])))
     b = _f32(_broadcast(_as_u32(ex._read(warp, instr.srcs[1]))))
     c = _f32(_broadcast(_as_u32(ex._read(warp, instr.srcs[2]))))
@@ -1100,7 +1096,7 @@ def _op_ffma(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_fsetp(ex, warp, cta, instr, g, counter):
+def _op_fsetp(ex, warp, cta, instr, g):
     a = _f32(_broadcast(ex._read(warp, instr.srcs[0])))
     b = _f32(_broadcast(_as_u32(ex._read(warp, instr.srcs[1]))))
     with np.errstate(invalid="ignore"):
@@ -1113,7 +1109,7 @@ def _op_fsetp(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_fmnmx(ex, warp, cta, instr, g, counter):
+def _op_fmnmx(ex, warp, cta, instr, g):
     a, b = _fbinary(ex, warp, instr)
     with np.errstate(invalid="ignore"):
         result = np.fmin(a, b) if "MIN" in instr.mods else np.fmax(a, b)
@@ -1121,7 +1117,7 @@ def _op_fmnmx(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_mufu(ex, warp, cta, instr, g, counter):
+def _op_mufu(ex, warp, cta, instr, g):
     a = _f32(_broadcast(ex._read(warp, instr.srcs[0])))
     with np.errstate(all="ignore"):
         if "RCP" in instr.mods:
@@ -1144,7 +1140,7 @@ def _op_mufu(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_f2i(ex, warp, cta, instr, g, counter):
+def _op_f2i(ex, warp, cta, instr, g):
     a = _f32(_broadcast(ex._read(warp, instr.srcs[0])))
     with np.errstate(invalid="ignore"):
         clipped = np.nan_to_num(np.trunc(a), nan=0.0,
@@ -1158,7 +1154,7 @@ def _op_f2i(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_i2f(ex, warp, cta, instr, g, counter):
+def _op_i2f(ex, warp, cta, instr, g):
     a = _broadcast(ex._read(warp, instr.srcs[0]))
     if "S32" in instr.mods:
         result = _s32(a).astype(np.float32)
@@ -1168,13 +1164,13 @@ def _op_i2f(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_sel_advance(ex, warp, cta, instr, g, counter):
-    _op_sel(ex, warp, cta, instr, g, counter)
+def _op_sel_advance(ex, warp, cta, instr, g):
+    _op_sel(ex, warp, cta, instr, g)
     warp.pc += 1
 
 
-def _op_mov_advance(ex, warp, cta, instr, g, counter):
-    _op_mov(ex, warp, cta, instr, g, counter)
+def _op_mov_advance(ex, warp, cta, instr, g):
+    _op_mov(ex, warp, cta, instr, g)
     warp.pc += 1
 
 
@@ -1342,14 +1338,14 @@ def _register_fault(warp, rows: range) -> DeviceFault:
         f"register R{max(rows[0], warp.num_regs)} out of range")
 
 
-def _op_load(ex, warp, cta, instr, g, counter):
+def _op_load(ex, warp, cta, instr, g):
     rows = instr.dst_rows
     if rows and rows[-1] >= warp.num_regs:
         raise _register_fault(warp, rows)
     width = instr.mem_width
     addrs = ex.lane_addresses(warp, instr)
     if instr.opcode in (Opcode.LDG, Opcode.LD, Opcode.TLD):
-        ex._account_global(addrs, g, width, counter)
+        ex._account_global(addrs, g, width)
     narrow = instr.narrow
     if narrow is not None:
         dtype = _NARROW[narrow]
@@ -1369,11 +1365,11 @@ def _op_load(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_store(ex, warp, cta, instr, g, counter):
+def _op_store(ex, warp, cta, instr, g):
     width = instr.mem_width
     addrs = ex.lane_addresses(warp, instr)
     if instr.opcode in (Opcode.STG, Opcode.ST):
-        ex._account_global(addrs, g, width, counter)
+        ex._account_global(addrs, g, width)
     data = instr.srcs[-1]
     regs = None
     if isinstance(data, GPR) and not data.is_zero:
@@ -1455,13 +1451,13 @@ def _atom_overlap(mem, offsets, val, update):
     return old
 
 
-def _op_atom(ex, warp, cta, instr, g, counter):
+def _op_atom(ex, warp, cta, instr, g):
     rows = instr.dst_rows
     if rows and rows[-1] >= warp.num_regs:
         raise _register_fault(warp, rows)
     addrs = ex.lane_addresses(warp, instr)
     if instr.opcode in (Opcode.ATOM, Opcode.RED):
-        ex._account_global(addrs, g, 4, counter)
+        ex._account_global(addrs, g, 4)
     op = instr.atom_op
     update = _ATOM_OPS[op]
     signed = op in ("MIN", "MAX") and "S32" in instr.mods
@@ -1486,16 +1482,16 @@ def _op_atom(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_membar(ex, warp, cta, instr, g, counter):
+def _op_membar(ex, warp, cta, instr, g):
     warp.pc += 1
 
 
-def _op_bra(ex, warp, cta, instr, g, counter):
+def _op_bra(ex, warp, cta, instr, g):
     target = ex._targets[warp.pc]
     warp.branch(g, target)
 
 
-def _op_jcal(ex, warp, cta, instr, g, counter):
+def _op_jcal(ex, warp, cta, instr, g):
     address = getattr(instr, "jcal_addr", None)
     if address is None:
         target_op = instr.srcs[0] if instr.srcs else None
@@ -1511,51 +1507,51 @@ def _op_jcal(ex, warp, cta, instr, g, counter):
     raise DeviceFault(f"JCAL to unbound address 0x{address:x}")
 
 
-def _op_cal(ex, warp, cta, instr, g, counter):
+def _op_cal(ex, warp, cta, instr, g):
     target = ex._targets[warp.pc]
     warp.call_stack.append(warp.pc + 1)
     warp.pc = target
 
 
-def _op_ret(ex, warp, cta, instr, g, counter):
+def _op_ret(ex, warp, cta, instr, g):
     if warp.call_stack:
         warp.pc = warp.call_stack.pop()
     else:
         warp.exit_lanes(g)
 
 
-def _op_exit(ex, warp, cta, instr, g, counter):
+def _op_exit(ex, warp, cta, instr, g):
     warp.exit_lanes(g)
 
 
-def _op_ssy(ex, warp, cta, instr, g, counter):
+def _op_ssy(ex, warp, cta, instr, g):
     warp.push_sync(ex._targets[warp.pc])
     warp.pc += 1
 
 
-def _op_sync(ex, warp, cta, instr, g, counter):
+def _op_sync(ex, warp, cta, instr, g):
     warp.sync()
 
 
-def _op_pbk(ex, warp, cta, instr, g, counter):
+def _op_pbk(ex, warp, cta, instr, g):
     warp.push_brk(ex._targets[warp.pc])
     warp.pc += 1
 
 
-def _op_brk(ex, warp, cta, instr, g, counter):
+def _op_brk(ex, warp, cta, instr, g):
     warp.brk(g)
 
 
-def _op_bar(ex, warp, cta, instr, g, counter):
+def _op_bar(ex, warp, cta, instr, g):
     warp.at_barrier = True
     warp.pc += 1
 
 
-def _op_nop(ex, warp, cta, instr, g, counter):
+def _op_nop(ex, warp, cta, instr, g):
     warp.pc += 1
 
 
-def _op_vote(ex, warp, cta, instr, g, counter):
+def _op_vote(ex, warp, cta, instr, g):
     pred_src = instr.srcs[0]
     row = warp.preds[pred_src.index] & warp.active
     if "BALLOT" in instr.mods:
@@ -1568,7 +1564,7 @@ def _op_vote(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_shfl(ex, warp, cta, instr, g, counter):
+def _op_shfl(ex, warp, cta, instr, g):
     value = _broadcast(ex._read(warp, instr.srcs[0]))
     lane_spec = _broadcast(_as_u32(ex._read(warp, instr.srcs[1])))
     lanes = np.arange(WARP_SIZE, dtype=np.int64)

@@ -83,14 +83,14 @@ def _writes_dst(warp, instr, words: int) -> bool:
     return True
 
 
-def _op_load(ex, warp, cta, instr, g, counter):
+def _op_load(ex, warp, cta, instr, g):
     width = instr.mem_width
     dst = instr.dsts[0]
     narrow = instr.narrow
     keep = _writes_dst(warp, instr, 1 if narrow else width // 4)
     addrs = ex.lane_addresses(warp, instr)
     if instr.opcode in (Opcode.LDG, Opcode.LD, Opcode.TLD):
-        ex._account_global(addrs, g, width, counter)
+        ex._account_global(addrs, g, width)
     for lane in np.nonzero(g)[0]:
         lane = int(lane)
         mem, offset = _resolve_space(ex, warp, cta, instr,
@@ -110,11 +110,11 @@ def _op_load(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_store(ex, warp, cta, instr, g, counter):
+def _op_store(ex, warp, cta, instr, g):
     width = instr.mem_width
     addrs = ex.lane_addresses(warp, instr)
     if instr.opcode in (Opcode.STG, Opcode.ST):
-        ex._account_global(addrs, g, width, counter)
+        ex._account_global(addrs, g, width)
     data = instr.srcs[-1]
     narrow = instr.narrow
     for lane in np.nonzero(g)[0]:
@@ -137,11 +137,11 @@ def _op_store(ex, warp, cta, instr, g, counter):
     warp.pc += 1
 
 
-def _op_atom(ex, warp, cta, instr, g, counter):
+def _op_atom(ex, warp, cta, instr, g):
     keep = _writes_dst(warp, instr, 1)
     addrs = ex.lane_addresses(warp, instr)
     if instr.opcode in (Opcode.ATOM, Opcode.RED):
-        ex._account_global(addrs, g, 4, counter)
+        ex._account_global(addrs, g, 4)
     op = instr.atom_op
     signed = "S32" in instr.mods
     value_src = instr.srcs[-1]
@@ -195,13 +195,13 @@ def _oracle_decoded(kernel) -> _DecodedKernel:
 _execute = Executor._execute
 
 
-def _per_lane_execute(self, dec, warp, cta, counter):
+def _per_lane_execute(self, dec, warp, cta):
     """``Executor._execute`` with any production memory record swapped
     for a fresh per-lane one (records built by ``step`` or walked by a
     test)."""
     if dec.handler in _PER_LANE:
         dec = _per_lane(_Decoded(dec.instr, dec.target))
-    _execute(self, dec, warp, cta, counter)
+    _execute(self, dec, warp, cta)
 
 
 class OracleExecutor(Executor):
@@ -211,7 +211,7 @@ class OracleExecutor(Executor):
     def _instruction(self, pc: int):
         return self._oracle.records[pc]
 
-    def _run_warp(self, warp, cta, counter):
+    def _run_warp(self, warp, cta):
         kernel = self._kernel
         self._oracle = _oracle_decoded(kernel)
         self._targets = self._oracle.targets
@@ -228,7 +228,7 @@ class OracleExecutor(Executor):
                 raise HangDetected(
                     f"{kernel.name}: watchdog after {self._watchdog} "
                     "warp instructions")
-            self.step(warp, cta, self._instruction(pc), counter)
+            self.step(warp, cta, self._instruction(pc))
 
 
 class StepExecutor(OracleExecutor):

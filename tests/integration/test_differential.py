@@ -58,8 +58,8 @@ class _SnapshotExecutor(Executor):
 
     snapshots: list = []
 
-    def _run_warp(self, warp, cta, counter):
-        super()._run_warp(warp, cta, counter)
+    def _run_warp(self, warp, cta):
+        super()._run_warp(warp, cta)
         if warp.done:
             type(self).snapshots.append(warp.regs.copy())
 

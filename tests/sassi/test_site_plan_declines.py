@@ -35,7 +35,7 @@ from repro.sassi.abi import SiteSequencePlan, compile_site_plan
 from repro.sim import Device
 from repro.sim.executor import (LOCAL_PHYS_BYTES, CTAContext, Executor,
                                 KernelStats, decode_kernel)
-from repro.sim.scheduler import CycleCounter
+from repro.sim.scheduler import flat_cycles
 from repro.sim.warp import WARP_SIZE, Warp
 from repro.telemetry.collector import TELEMETRY
 from repro.workloads import make
@@ -167,16 +167,15 @@ def _run(executor_cls, device, seen, kernel, warp, local):
     ex.stats = KernelStats(kernel=kernel.name)
     cta = CTAContext((0, 0, 0), 0, num_threads=WARP_SIZE)
     cta.local_block()[:] = local
-    counter = CycleCounter()
     TELEMETRY.enable(reset=True)
     try:
-        ex._run_warp(warp, cta, counter)
+        ex._run_warp(warp, cta)
         ex._fold_visits()
         counters = dict(TELEMETRY.counters)
     finally:
         TELEMETRY.disable()
         TELEMETRY.reset()
-    return (warp, cta.local_block().copy(), ex.stats, counter.cycles,
+    return (warp, cta.local_block().copy(), ex.stats, flat_cycles(ex.stats),
             counters, list(seen))
 
 

@@ -46,7 +46,7 @@ from repro.sassi.cupti import CounterBuffer, CuptiSubscription
 from repro.sim import Device
 from repro.sim.executor import (LOCAL_PHYS_BYTES, CTAContext, Executor,
                                 KernelStats, decode_kernel)
-from repro.sim.scheduler import CycleCounter
+from repro.sim.scheduler import flat_cycles
 from repro.sim.warp import WARP_SIZE, Warp
 from repro.telemetry.collector import TELEMETRY
 from repro.workloads import make
@@ -181,11 +181,10 @@ def _run(side, plan, state, compiled):
     warp = _copy_warp(warp)
     cta = CTAContext((0, 0, 0), 0, num_threads=WARP_SIZE)
     cta.local_block()[:] = local
-    counter = CycleCounter()
     TELEMETRY.enable(reset=True)
     try:
         if compiled:
-            ex._site_body(plan, warp, cta, counter)
+            ex._site_body(plan, warp, cta)
             assert ex._visits == {plan: 1}, \
                 "the compiled path bailed to per-instruction execution"
             ex._fold_visits()
@@ -194,14 +193,14 @@ def _run(side, plan, state, compiled):
             with oracle_executor():
                 while warp.pc < end:
                     ex._execute(plan.records[warp.pc - plan.start], warp,
-                                cta, counter)
+                                cta)
         counters = dict(TELEMETRY.counters)
     finally:
         TELEMETRY.disable()
         TELEMETRY.reset()
     # handlers only write what the device heap has handed out
     heap = device.global_mem.data[:device._bump].copy()
-    return (warp, cta.local_block().copy(), ex.stats, counter.cycles,
+    return (warp, cta.local_block().copy(), ex.stats, flat_cycles(ex.stats),
             counters, heap, list(seen))
 
 

@@ -30,7 +30,6 @@ class TestWarpOps:
         from repro.sim.executor import Executor
         from repro.sim.warp import Warp
         from repro.sim.executor import CTAContext
-        from repro.sim.scheduler import CycleCounter
 
         kernel = device.load_kernel(parse_kernel("""
 .kernel v
@@ -43,7 +42,7 @@ class TestWarpOps:
         executor._kernel = kernel
         warp = Warp(0, 8, 32, np.arange(32))
         executor._init_warp(warp, (0, 0, 0), Dim3(1), Dim3(32), 32)
-        executor._run_warp(warp, CTAContext((0, 0, 0), 0), CycleCounter())
+        executor._run_warp(warp, CTAContext((0, 0, 0), 0))
         assert warp.regs[2, 0] == 0b11111
 
     def test_shfl_idx_broadcast(self, device):
@@ -52,7 +51,6 @@ class TestWarpOps:
         # instead; this test covers the ISA op directly
         from repro.sim.executor import Executor, CTAContext
         from repro.sim.warp import Warp
-        from repro.sim.scheduler import CycleCounter
 
         kernel = device.load_kernel(parse_kernel("""
 .kernel s
@@ -65,7 +63,7 @@ class TestWarpOps:
         executor._kernel = kernel
         warp = Warp(0, 8, 32, np.arange(32))
         executor._init_warp(warp, (0, 0, 0), Dim3(1), Dim3(32), 32)
-        executor._run_warp(warp, CTAContext((0, 0, 0), 0), CycleCounter())
+        executor._run_warp(warp, CTAContext((0, 0, 0), 0))
         assert (warp.regs[2] == 0).all()   # everyone got lane 0's value
 
 
@@ -174,7 +172,6 @@ class TestCostModel:
 
 class TestFlo:
     def test_flo_edge_cases(self, device):
-        from repro.sim.scheduler import CycleCounter
         from repro.sim.executor import CTAContext, Executor
         from repro.sim.warp import Warp
 
@@ -191,7 +188,7 @@ class TestFlo:
         warp = Warp(0, 8, 32, np.arange(32))
         executor._init_warp(warp, (0, 0, 0), Dim3(1), Dim3(32), 32)
         warp.regs[3] = np.array(values, dtype=np.uint32)
-        executor._run_warp(warp, CTAContext((0, 0, 0), 0), CycleCounter())
+        executor._run_warp(warp, CTAContext((0, 0, 0), 0))
         expected = [0xFFFFFFFF if v == 0 else v.bit_length() - 1
                     for v in values]
         assert warp.regs[2].tolist() == expected

@@ -9,8 +9,8 @@ instruction at a time runs from one Hypothesis-drawn state on twin
 warps — once through ``Executor.step``, once under
 :func:`tests.executor_oracle.oracle_executor`, whose loops walk the
 active lanes one by one — and everything must match: global, shared
-and local memory, registers, ``pc``, :class:`KernelStats`, issue cycles
-and the exact :class:`DeviceFault` text.
+and local memory, registers, ``pc``, :class:`KernelStats`, the flat
+cycle count folded from them and the exact :class:`DeviceFault` text.
 
 The draws aim at what the per-lane loops used to be kept for: every
 atomic operation with lanes sharing words, unaligned and partially
@@ -38,7 +38,7 @@ from repro.sim import Device, DeviceFault
 from repro.sim.executor import LOCAL_PHYS_BYTES, CTAContext, Executor
 from repro.sim.memory import (GLOBAL_BASE, LOCAL_BASE, SHARED_BASE,
                               SHARED_BYTES)
-from repro.sim.scheduler import CycleCounter
+from repro.sim.scheduler import flat_cycles
 from repro.sim.warp import WARP_SIZE, Warp
 from tests.executor_oracle import oracle_executor
 
@@ -154,17 +154,16 @@ def _run(instr, addrs, bits, seed, per_lane):
                            dtype=bool)
     ex = Executor(device)
     ex._targets = [None]
-    counter = CycleCounter()
     fault = None
     with oracle_executor() if per_lane else contextlib.nullcontext():
         try:
-            ex.step(warp, cta, instr, counter)
+            ex.step(warp, cta, instr)
         except DeviceFault as exc:
             fault = str(exc)
     return {"fault": fault, "pc": warp.pc, "regs": warp.regs,
             "global": device.global_mem.data, "shared": cta.shared.data,
             "local": cta.local_block(), "stats": ex.stats,
-            "cycles": counter.cycles}
+            "cycles": flat_cycles(ex.stats)}
 
 
 def _assert_same(instr, addrs, bits, seed):

@@ -22,9 +22,8 @@ def run_snippet(body: str, setup):
     cta = CTAContext((0, 0, 0), 0)
     warp = Warp(0, 16, 32, np.arange(32))
     setup(warp)
-    from repro.sim.scheduler import CycleCounter
 
-    executor._run_warp(warp, cta, CycleCounter())
+    executor._run_warp(warp, cta)
     return warp
 
 
