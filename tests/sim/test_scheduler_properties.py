@@ -22,12 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.isa.opcodes import Opcode
-from repro.sim.scheduler import (
-    SchedulerConfig,
-    WarpInstr,
-    WarpStream,
-    schedule_launch,
-)
+from repro.sim.scheduler import SchedulerConfig
+from tests.timing_oracle import WarpInstr, WarpStream, schedule_launch
 
 pytestmark = pytest.mark.noskip
 

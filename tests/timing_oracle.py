@@ -3,10 +3,15 @@
 This is the object-at-a-time timing pipeline the columnar model in
 :mod:`repro.trace.timing` and :mod:`repro.sim.scheduler` replaced:
 
+* :class:`WarpStream` and :class:`WarpInstr` are the object form of a
+  warp's instruction stream; :func:`stream_columns` converts it to the
+  scheduler's :class:`~repro.sim.scheduler.StreamColumns`, and
+  :func:`schedule_launch` and :func:`divergence_spans` run the columnar
+  scheduler over object-built streams;
 * :class:`OracleLaunchBuilder` segments one launch's event stream into
-  per-CTA :class:`~repro.sim.scheduler.WarpStream` objects, one
-  :class:`~repro.sim.scheduler.WarpInstr` per instruction event, with a
-  one-event lookahead deciding every ``EXIT``/``RET`` handoff;
+  per-CTA :class:`WarpStream` objects, one :class:`WarpInstr` per
+  instruction event, with a one-event lookahead deciding every
+  ``EXIT``/``RET`` handoff;
 * :class:`OracleTimingModel` feeds events one at a time, grading each
   memory record's lines through ``Cache.access`` as it arrives;
 * :func:`oracle_schedule_launch` steps each CTA with a ready-heap of
@@ -20,7 +25,10 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.isa.opcodes import OPCODE_CLASSES, Opcode, OpClass
 from repro.isa.program import INSTRUCTION_BYTES
@@ -38,8 +46,10 @@ from repro.sim.scheduler import (
     Hotspot,
     LaunchSchedule,
     SchedulerConfig,
-    WarpInstr,
-    WarpStream,
+    StreamColumns,
+    column_spans,
+    int_column,
+    schedule_columns,
 )
 from repro.sim.warp import WARP_SIZE
 from repro.trace.format import (
@@ -48,6 +58,67 @@ from repro.trace.format import (
     LaunchEvent,
     MemEvent,
 )
+
+
+# ------------------------------------------------------ object streams
+
+@dataclass(slots=True)
+class WarpInstr:
+    """One dynamic warp instruction of a rebuilt stream.
+
+    ``transactions``/``l1_misses``/``l2_misses`` carry the coalescer
+    and cache outcome of a recorded memory access (zero when the
+    instruction made none); ``divergent`` marks instructions executed
+    with fewer active lanes than the warp's reconverged width.
+    """
+
+    addr: int
+    opcode: Opcode
+    lanes: int
+    transactions: int = 0
+    l1_misses: int = 0
+    l2_misses: int = 0
+    divergent: bool = False
+
+
+@dataclass
+class WarpStream:
+    """The in-order instruction stream of one warp within one CTA."""
+
+    warp: int
+    instrs: List[WarpInstr] = field(default_factory=list)
+
+
+def stream_columns(ctas: Sequence[Sequence[WarpStream]]) -> StreamColumns:
+    """Columns of one launch's object-built streams."""
+    instrs = [instr for streams in ctas for stream in streams
+              for instr in stream.instrs]
+    return StreamColumns(
+        addr=int_column([i.addr for i in instrs]),
+        opcode=int_column([i.opcode.value for i in instrs]),
+        lanes=int_column([i.lanes for i in instrs]),
+        transactions=int_column([i.transactions for i in instrs]),
+        l1_misses=int_column([i.l1_misses for i in instrs]),
+        l2_misses=int_column([i.l2_misses for i in instrs]),
+        divergent=np.array([bool(i.divergent) for i in instrs], dtype=bool),
+        warp_lengths=[[len(stream.instrs) for stream in streams]
+                      for streams in ctas],
+        launch_ctas=[len(ctas)])
+
+
+def schedule_launch(ctas: Sequence[Sequence[WarpStream]],
+                    config: Optional[SchedulerConfig] = None
+                    ) -> LaunchSchedule:
+    """:func:`~repro.sim.scheduler.schedule_columns` over one launch's
+    object-built streams."""
+    (schedule,) = schedule_columns(stream_columns(ctas), config)
+    return schedule
+
+
+def divergence_spans(stream: WarpStream) -> List[Tuple[int, int, int]]:
+    """:func:`~repro.sim.scheduler.column_spans` of one object-built
+    warp stream."""
+    return column_spans(stream_columns([[stream]]))
 
 
 # ------------------------------------------------------- segmentation

@@ -27,13 +27,7 @@ from hypothesis import strategies as st
 
 from repro.isa.opcodes import Opcode
 from repro.isa.program import INSTRUCTION_BYTES
-from repro.sim.scheduler import (
-    SchedulerConfig,
-    WarpInstr,
-    WarpStream,
-    divergence_spans,
-    schedule_launch,
-)
+from repro.sim.scheduler import SchedulerConfig
 from repro.trace.format import (
     MEM_FLAG_LOAD,
     BranchEvent,
@@ -55,9 +49,13 @@ from repro.trace.timing import (
 from tests.timing_oracle import (
     OracleLaunchBuilder,
     OracleTimingModel,
+    WarpInstr,
+    WarpStream,
+    divergence_spans,
     oracle_divergence_spans,
     oracle_schedule_launch,
     oracle_spans,
+    schedule_launch,
     warp_streams,
 )
 
