@@ -804,221 +804,262 @@ def _add_telemetry_flags(parser, jsonl: bool = False) -> None:
                             help="write a flat JSONL event stream")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="repro", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _args_compile(parser) -> None:
+    parser.add_argument("input")
+    parser.add_argument("--sassi", default=None,
+                        help='e.g. "-sassi-inst-before=memory '
+                             '-sassi-before-args=mem-info"')
+    parser.add_argument("-o", "--output", default=None)
+    parser.set_defaults(fn=_cmd_compile)
 
-    compile_parser = sub.add_parser(
-        "compile", help="compile PTX-like text to SASS")
-    compile_parser.add_argument("input")
-    compile_parser.add_argument("--sassi", default=None,
-                                help='e.g. "-sassi-inst-before=memory '
-                                     '-sassi-before-args=mem-info"')
-    compile_parser.add_argument("-o", "--output", default=None)
-    compile_parser.set_defaults(fn=_cmd_compile)
 
-    disasm_parser = sub.add_parser("disasm",
-                                   help="compile and print SASS")
-    disasm_parser.add_argument("input")
-    disasm_parser.set_defaults(fn=_cmd_disasm)
+def _args_disasm(parser) -> None:
+    parser.add_argument("input")
+    parser.set_defaults(fn=_cmd_disasm)
 
-    workloads_parser = sub.add_parser("workloads",
-                                      help="list or run workloads")
-    workloads_parser.add_argument("--run", nargs="*", default=None,
-                                  help="workload names to run+verify")
-    workloads_parser.set_defaults(fn=_cmd_workloads)
 
-    run_parser = sub.add_parser(
-        "run", help="run one workload with telemetry")
-    run_parser.add_argument("name", help="workload name (see `workloads`)")
-    run_parser.add_argument("--handler", choices=RUN_HANDLERS, default=None,
-                            help="attach a stock SASSI handler")
-    run_parser.add_argument("--sample", default=None, metavar="KIND:N",
-                            help="sample instrumentation sites: nth:N"
-                                 "[,PHASE], warp:N[,SEED], cta:N[,SEED]")
-    run_parser.add_argument("--toggle", default=None, metavar="IDS",
-                            help="comma-separated site ids to disable "
-                                 "at runtime (no recompilation)")
-    run_parser.add_argument("--budget-ms", type=float, default=None,
-                            help="throttle instrumentation to a "
-                                 "wall-clock budget (milliseconds)")
-    _add_telemetry_flags(run_parser, jsonl=True)
-    run_parser.set_defaults(fn=_cmd_run)
+def _args_workloads(parser) -> None:
+    parser.add_argument("--run", nargs="*", default=None,
+                        help="workload names to run+verify")
+    parser.set_defaults(fn=_cmd_workloads)
 
-    timeline_parser = sub.add_parser(
-        "timeline", help="summarize a Chrome trace file")
-    timeline_parser.add_argument("input")
-    timeline_parser.set_defaults(fn=_cmd_timeline)
 
-    capture_parser = sub.add_parser(
-        "capture", help="record a workload's binary event trace")
-    capture_parser.add_argument("name",
-                                help="workload name (see `workloads`)")
-    capture_parser.add_argument("-o", "--output", default=None,
-                                metavar="FILE",
-                                help="output .rptrace path "
-                                     "(default: <workload>.rptrace)")
-    capture_parser.add_argument("--all-spaces", action="store_true",
-                                help="record shared/local accesses too, "
-                                     "not just global memory")
-    capture_parser.set_defaults(fn=_cmd_capture)
+def _args_run(parser) -> None:
+    parser.add_argument("name", help="workload name (see `workloads`)")
+    parser.add_argument("--handler", choices=RUN_HANDLERS, default=None,
+                        help="attach a stock SASSI handler")
+    parser.add_argument("--sample", default=None, metavar="KIND:N",
+                        help="sample instrumentation sites: nth:N"
+                             "[,PHASE], warp:N[,SEED], cta:N[,SEED]")
+    parser.add_argument("--toggle", default=None, metavar="IDS",
+                        help="comma-separated site ids to disable "
+                             "at runtime (no recompilation)")
+    parser.add_argument("--budget-ms", type=float, default=None,
+                        help="throttle instrumentation to a "
+                             "wall-clock budget (milliseconds)")
+    _add_telemetry_flags(parser, jsonl=True)
+    parser.set_defaults(fn=_cmd_run)
 
-    replay_parser = sub.add_parser(
-        "replay", help="run offline analyses over a recorded trace")
-    replay_parser.add_argument("input", help=".rptrace file")
-    replay_parser.add_argument("--analysis", default=None,
-                               metavar="A,B,...",
-                               help="comma-separated analyses "
-                                    "(default: all registered)")
-    replay_parser.add_argument("--policy", choices=["gto", "lrr"],
-                               default="gto",
-                               help="warp issue policy of the timing "
-                                    "analysis (default gto)")
-    replay_parser.set_defaults(fn=_cmd_replay)
 
-    trace_parser = sub.add_parser(
-        "trace", help="analytics and queries over a recorded trace")
-    trace_sub = trace_parser.add_subparsers(dest="trace_command",
-                                            required=True)
-    summary_parser = trace_sub.add_parser(
-        "summary", help="per-kernel cycles, hotspots, bubbles, "
-                        "divergence spans")
-    summary_parser.add_argument("input", help=".rptrace file")
-    summary_parser.add_argument("--policy", choices=["gto", "lrr"],
-                                default="gto",
-                                help="warp issue policy (default gto)")
-    summary_parser.add_argument("--top", type=int, default=5,
-                                help="rows per hotspot/bubble/span list")
-    summary_parser.set_defaults(fn=_cmd_trace_summary)
-    iters_parser = trace_sub.add_parser(
-        "iters", help="per-launch cycles and iteration spread")
-    iters_parser.add_argument("input", help=".rptrace file")
-    iters_parser.add_argument("--policy", choices=["gto", "lrr"],
-                              default="gto",
-                              help="warp issue policy (default gto)")
-    iters_parser.set_defaults(fn=_cmd_trace_iters)
-    tinfo_parser = trace_sub.add_parser(
-        "info", help="manifest plus the per-launch index table")
-    tinfo_parser.add_argument("input", help=".rptrace file")
-    tinfo_parser.set_defaults(fn=_cmd_trace_info)
-    tindex_parser = trace_sub.add_parser(
-        "index", help="build or refresh the .rpti index sidecar")
-    tindex_parser.add_argument("input", help=".rptrace file")
-    tindex_parser.add_argument("--force", action="store_true",
-                               help="rebuild even if the sidecar is "
-                                    "current")
-    tindex_parser.set_defaults(fn=_cmd_trace_index)
-    query_parser = trace_sub.add_parser(
-        "query", help="extract events by launch/class/address/warp")
-    query_parser.add_argument("input", help=".rptrace file")
-    query_parser.add_argument("--launches", default=None, metavar="N:M",
-                              help="launch ordinal range (half-open; "
-                                   "N, N:, :M also accepted)")
-    query_parser.add_argument("--class", dest="cls", default=None,
-                              metavar="A,B,...",
-                              help="opcode classes (memory, control, "
-                                   "sync, numeric, texture, ...); "
-                                   "mem/branch events inherit their "
-                                   "instruction's class")
-    query_parser.add_argument("--addr", default=None, metavar="LO:HI",
-                              help="instruction/line address range "
-                                   "(hex ok, half-open)")
-    query_parser.add_argument("--warp", type=int, default=None,
-                              metavar="W",
-                              help="global warp ordinal within each "
-                                   "launch")
-    query_parser.add_argument("--kind", default=None,
-                              metavar="instr,mem,branch",
-                              help="event kinds to emit (default all)")
-    query_parser.add_argument("--limit", type=int, default=50,
-                              metavar="N",
-                              help="stop after N hits (default 50)")
-    query_parser.add_argument("--count", action="store_true",
-                              help="print only the total hit count")
-    query_parser.set_defaults(fn=_cmd_trace_query)
+def _args_timeline(parser) -> None:
+    parser.add_argument("input")
+    parser.set_defaults(fn=_cmd_timeline)
 
-    info_parser = sub.add_parser(
-        "trace-info", help="print a trace's manifest and launch table")
-    info_parser.add_argument("input", help=".rptrace file")
-    info_parser.set_defaults(fn=_cmd_trace_info)
 
-    diff_parser = sub.add_parser(
-        "trace-diff", help="find where two traces first diverge")
-    diff_parser.add_argument("a", help="baseline .rptrace")
-    diff_parser.add_argument("b", help="comparison .rptrace")
-    diff_parser.add_argument("--max-deltas", type=int, default=100_000,
-                             help="stop counting differences after N")
-    diff_parser.set_defaults(fn=_cmd_trace_diff)
+def _args_capture(parser) -> None:
+    parser.add_argument("name", help="workload name (see `workloads`)")
+    parser.add_argument("-o", "--output", default=None, metavar="FILE",
+                        help="output .rptrace path "
+                             "(default: <workload>.rptrace)")
+    parser.add_argument("--all-spaces", action="store_true",
+                        help="record shared/local accesses too, "
+                             "not just global memory")
+    parser.set_defaults(fn=_cmd_capture)
 
-    study_parser = sub.add_parser("study", help="regenerate a result")
-    study_parser.add_argument("which", choices=sorted(_STUDIES))
-    study_parser.add_argument("--jobs", type=int, default=1,
-                              help="worker processes for the campaign")
-    study_parser.add_argument("--no-cache", action="store_true",
-                              help="disable the compile cache")
-    _add_telemetry_flags(study_parser)
-    study_parser.set_defaults(fn=_cmd_study)
 
-    runall_parser = sub.add_parser(
-        "run-all", help="regenerate every table and figure")
-    runall_parser.add_argument("output", nargs="?",
-                               default="results/full_studies.txt")
-    runall_parser.add_argument("--injections", type=int, default=60)
-    runall_parser.add_argument("--jobs", type=int, default=1)
-    runall_parser.add_argument("--no-cache", action="store_true")
-    runall_parser.add_argument("--quick", action="store_true")
-    _add_telemetry_flags(runall_parser)
-    runall_parser.set_defaults(fn=_cmd_run_all)
+def _args_replay(parser) -> None:
+    parser.add_argument("input", help=".rptrace file")
+    parser.add_argument("--analysis", default=None, metavar="A,B,...",
+                        help="comma-separated analyses "
+                             "(default: all registered)")
+    parser.add_argument("--policy", choices=["gto", "lrr"], default="gto",
+                        help="warp issue policy of the timing "
+                             "analysis (default gto)")
+    parser.set_defaults(fn=_cmd_replay)
 
-    serve_parser = sub.add_parser(
-        "serve", help="run the profiling service")
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument("--port", type=int, default=0,
-                              help="0 picks a free port (announced on "
-                                   "stdout)")
-    serve_parser.add_argument("--shards", type=int, default=1)
-    serve_parser.add_argument("--workers", type=int, default=1,
-                              help="worker processes per shard")
-    serve_parser.add_argument("--queue-depth", type=int, default=8,
-                              help="queued jobs per shard before 429s")
-    serve_parser.add_argument("--artifact-dir", default=None,
-                              help="where capture jobs store traces")
-    serve_parser.set_defaults(fn=_cmd_serve)
 
-    submit_parser = sub.add_parser(
-        "submit", help="submit a job to a running profiling service")
-    submit_parser.add_argument(
+def _args_trace_summary(parser) -> None:
+    parser.add_argument("input", help=".rptrace file")
+    parser.add_argument("--policy", choices=["gto", "lrr"], default="gto",
+                        help="warp issue policy (default gto)")
+    parser.add_argument("--top", type=int, default=5,
+                        help="rows per hotspot/bubble/span list")
+    parser.set_defaults(fn=_cmd_trace_summary)
+
+
+def _args_trace_iters(parser) -> None:
+    parser.add_argument("input", help=".rptrace file")
+    parser.add_argument("--policy", choices=["gto", "lrr"], default="gto",
+                        help="warp issue policy (default gto)")
+    parser.set_defaults(fn=_cmd_trace_iters)
+
+
+def _args_trace_info(parser) -> None:
+    parser.add_argument("input", help=".rptrace file")
+    parser.set_defaults(fn=_cmd_trace_info)
+
+
+def _args_trace_index(parser) -> None:
+    parser.add_argument("input", help=".rptrace file")
+    parser.add_argument("--force", action="store_true",
+                        help="rebuild even if the sidecar is current")
+    parser.set_defaults(fn=_cmd_trace_index)
+
+
+def _args_trace_query(parser) -> None:
+    parser.add_argument("input", help=".rptrace file")
+    parser.add_argument("--launches", default=None, metavar="N:M",
+                        help="launch ordinal range (half-open; "
+                             "N, N:, :M also accepted)")
+    parser.add_argument("--class", dest="cls", default=None,
+                        metavar="A,B,...",
+                        help="opcode classes (memory, control, "
+                             "sync, numeric, texture, ...); "
+                             "mem/branch events inherit their "
+                             "instruction's class")
+    parser.add_argument("--addr", default=None, metavar="LO:HI",
+                        help="instruction/line address range "
+                             "(hex ok, half-open)")
+    parser.add_argument("--warp", type=int, default=None, metavar="W",
+                        help="global warp ordinal within each launch")
+    parser.add_argument("--kind", default=None,
+                        metavar="instr,mem,branch",
+                        help="event kinds to emit (default all)")
+    parser.add_argument("--limit", type=int, default=50, metavar="N",
+                        help="stop after N hits (default 50)")
+    parser.add_argument("--count", action="store_true",
+                        help="print only the total hit count")
+    parser.set_defaults(fn=_cmd_trace_query)
+
+
+def _args_trace_diff(parser) -> None:
+    parser.add_argument("a", help="baseline .rptrace")
+    parser.add_argument("b", help="comparison .rptrace")
+    parser.add_argument("--max-deltas", type=int, default=100_000,
+                        help="stop counting differences after N")
+    parser.set_defaults(fn=_cmd_trace_diff)
+
+
+def _args_study(parser) -> None:
+    parser.add_argument("which", choices=sorted(_STUDIES))
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for the campaign")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="disable the compile cache")
+    _add_telemetry_flags(parser)
+    parser.set_defaults(fn=_cmd_study)
+
+
+def _args_run_all(parser) -> None:
+    parser.add_argument("output", nargs="?",
+                        default="results/full_studies.txt")
+    parser.add_argument("--injections", type=int, default=60)
+    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--no-cache", action="store_true")
+    parser.add_argument("--quick", action="store_true")
+    _add_telemetry_flags(parser)
+    parser.set_defaults(fn=_cmd_run_all)
+
+
+def _args_serve(parser) -> None:
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=0,
+                        help="0 picks a free port (announced on stdout)")
+    parser.add_argument("--shards", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker processes per shard")
+    parser.add_argument("--queue-depth", type=int, default=8,
+                        help="queued jobs per shard before 429s")
+    parser.add_argument("--artifact-dir", default=None,
+                        help="where capture jobs store traces")
+    parser.set_defaults(fn=_cmd_serve)
+
+
+def _args_submit(parser) -> None:
+    parser.add_argument(
         "kind", choices=["campaign", "capture", "replay", "study",
                          "bench"])
-    submit_parser.add_argument("--host", default="127.0.0.1")
-    submit_parser.add_argument("--port", type=int, required=True)
-    submit_parser.add_argument("--tenant", default="default")
-    submit_parser.add_argument("--share-cache", action="store_true",
-                               help="opt into the shared compile-cache "
-                                    "namespace")
-    submit_parser.add_argument("--workload", default=None)
-    submit_parser.add_argument("--injections", type=int, default=8)
-    submit_parser.add_argument("--seed", type=int, default=2015)
-    submit_parser.add_argument("--no-cache", action="store_true")
-    submit_parser.add_argument("--all-spaces", action="store_true")
-    submit_parser.add_argument("--trace-file", default=None,
-                               help="replay: server-side trace path")
-    submit_parser.add_argument("--artifact", default=None,
-                               help="replay: a finished capture job id")
-    submit_parser.add_argument("--analysis", default=None,
-                               help="replay: comma-separated analyses")
-    submit_parser.add_argument("--policy", choices=["gto", "lrr"],
-                               default="gto")
-    submit_parser.add_argument("--which", default=None,
-                               help="study: which table/figure")
-    submit_parser.add_argument("--spin-ms", type=float, default=10.0)
-    submit_parser.add_argument("--tag", default="")
-    submit_parser.add_argument("--no-wait", action="store_true",
-                               help="print the job id and return")
-    submit_parser.add_argument("--json", action="store_true",
-                               help="print the full result record")
-    submit_parser.set_defaults(fn=_cmd_submit)
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, required=True)
+    parser.add_argument("--tenant", default="default")
+    parser.add_argument("--share-cache", action="store_true",
+                        help="opt into the shared compile-cache "
+                             "namespace")
+    parser.add_argument("--workload", default=None)
+    parser.add_argument("--injections", type=int, default=8)
+    parser.add_argument("--seed", type=int, default=2015)
+    parser.add_argument("--no-cache", action="store_true")
+    parser.add_argument("--all-spaces", action="store_true")
+    parser.add_argument("--trace-file", default=None,
+                        help="replay: server-side trace path")
+    parser.add_argument("--artifact", default=None,
+                        help="replay: a finished capture job id")
+    parser.add_argument("--analysis", default=None,
+                        help="replay: comma-separated analyses")
+    parser.add_argument("--policy", choices=["gto", "lrr"],
+                        default="gto")
+    parser.add_argument("--which", default=None,
+                        help="study: which table/figure")
+    parser.add_argument("--spin-ms", type=float, default=10.0)
+    parser.add_argument("--tag", default="")
+    parser.add_argument("--no-wait", action="store_true",
+                        help="print the job id and return")
+    parser.add_argument("--json", action="store_true",
+                        help="print the full result record")
+    parser.set_defaults(fn=_cmd_submit)
 
+
+#: ``trace`` subcommand -> (help, argument builder)
+_TRACE_COMMANDS = {
+    "summary": ("per-kernel cycles, hotspots, bubbles, divergence spans",
+                _args_trace_summary),
+    "iters": ("per-launch cycles and iteration spread", _args_trace_iters),
+    "info": ("manifest plus the per-launch index table", _args_trace_info),
+    "index": ("build or refresh the .rpti index sidecar",
+              _args_trace_index),
+    "query": ("extract events by launch/class/address/warp",
+              _args_trace_query),
+}
+
+#: subcommand -> (help, argument builder, or a table of its own
+#: subcommands), in ``repro --help`` order
+_COMMANDS = {
+    "compile": ("compile PTX-like text to SASS", _args_compile),
+    "disasm": ("compile and print SASS", _args_disasm),
+    "workloads": ("list or run workloads", _args_workloads),
+    "run": ("run one workload with telemetry", _args_run),
+    "timeline": ("summarize a Chrome trace file", _args_timeline),
+    "capture": ("record a workload's binary event trace", _args_capture),
+    "replay": ("run offline analyses over a recorded trace", _args_replay),
+    "trace": ("analytics and queries over a recorded trace",
+              _TRACE_COMMANDS),
+    "trace-info": ("print a trace's manifest and launch table",
+                   _args_trace_info),
+    "trace-diff": ("find where two traces first diverge", _args_trace_diff),
+    "study": ("regenerate a result", _args_study),
+    "run-all": ("regenerate every table and figure", _args_run_all),
+    "serve": ("run the profiling service", _args_serve),
+    "submit": ("submit a job to a running profiling service",
+               _args_submit),
+}
+
+
+def _add_commands(parser, commands, dest: str, argv) -> None:
+    """Give *parser* the subcommands of *commands*: only the one *argv*
+    names first, or every one when it names none (help, usage, an
+    unknown command), so a call builds only the parsers it runs.  The
+    usage lists every subcommand either way."""
+    if argv[:1] and argv[0] in commands:
+        names = argv[:1]
+        sub = parser.add_subparsers(
+            dest=dest, required=True, metavar="{%s}" % ",".join(commands))
+    else:
+        names = commands
+        sub = parser.add_subparsers(dest=dest, required=True)
+    for name in names:
+        help_text, build = commands[name]
+        child = sub.add_parser(name, help=help_text)
+        if isinstance(build, dict):
+            _add_commands(child, build, f"{name}_command", argv[1:])
+        else:
+            build(child)
+
+
+def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = argparse.ArgumentParser(prog="repro", description=__doc__)
+    _add_commands(parser, _COMMANDS, "command", argv)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

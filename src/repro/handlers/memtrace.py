@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.sassi import SassiRuntime, spec_from_flags
 from repro.sassi.handlers import SASSIContext
@@ -135,17 +135,21 @@ class MemoryTracer:
                 )
 
     def replay_through(self, cache) -> None:
-        """Feed the collected line addresses to a cache model, flushing
-        its contents at every kernel-launch frame — the same
-        launch-boundary semantics as the ``cachesim`` replay analysis,
-        so both grade a multi-launch trace identically."""
+        """Feed the collected line addresses to a cache model one
+        launch at a time (one :meth:`~repro.sim.cache.Cache.access_lines`
+        call each), flushing its contents at every kernel-launch frame —
+        the same launch-boundary semantics as the ``cachesim`` replay
+        analysis, so both grade a multi-launch trace identically."""
         self.flush()
+        lines: List[int] = []
         for event in TraceReader(self.path).events():
             if isinstance(event, MemEvent):
-                for line in event.line_addresses:
-                    cache.access(line)
+                lines.extend(event.line_addresses)
             elif isinstance(event, LaunchEvent):
+                cache.access_lines(lines)
+                lines = []
                 cache.invalidate()
+        cache.access_lines(lines)
 
     def close(self) -> None:
         """Finalize, and remove the backing file (and its index

@@ -69,24 +69,58 @@ class TraceAnalysis:
         return f"{self.name}: {self.result()}"
 
 
+#: kept records (timing) or line addresses (cachesim) at which an
+#: analysis grades its batch without waiting for a read
+BATCH_RECORDS = 1 << 16
+
+
 class CacheSimAnalysis(TraceAnalysis):
     """The memory-hierarchy simulator of ``examples/memtrace_cachesim``:
-    feed every coalesced line address through an L1/L2 model."""
+    every coalesced line address through an L1/L2 model.
+
+    Each launch's lines are kept and a whole batch is graded by one
+    :meth:`Cache.access_lines` call that flushes the caches at every
+    launch (each launch starts cold), at the first read of ``result()``,
+    ``report()``, :attr:`l1` or :attr:`l2`, or once the kept lines reach
+    :data:`BATCH_RECORDS`.
+    """
 
     name = "cachesim"
 
     def __init__(self, l1_kib: int = 16, l1_ways: int = 4,
                  l2_kib: int = 256, l2_ways: int = 16):
-        self.l2 = Cache(l2_kib << 10, ways=l2_ways, name="L2")
-        self.l1 = Cache(l1_kib << 10, ways=l1_ways, name="L1",
-                        next_level=self.l2)
+        self._l2 = Cache(l2_kib << 10, ways=l2_ways, name="L2")
+        self._l1 = Cache(l1_kib << 10, ways=l1_ways, name="L1",
+                         next_level=self._l2)
+        self._kept: List[np.ndarray] = []
+        self._kept_lines = 0
+
+    @property
+    def l1(self) -> Cache:
+        self._grade()
+        return self._l1
+
+    @property
+    def l2(self) -> Cache:
+        self._grade()
+        return self._l2
 
     def feed_columns(self, frame: FrameColumns) -> None:
-        # launch-boundary flush: every kernel starts cold, which models
-        # real per-launch L1 behaviour and keeps the analysis
-        # launch-local
-        self.l1.invalidate()
-        self.l1.access_lines(frame.mem_lines)
+        self._kept.append(frame.mem_lines)
+        self._kept_lines += frame.mem_lines.size
+        if self._kept_lines >= BATCH_RECORDS:
+            self._grade()
+
+    def _grade(self) -> None:
+        if not self._kept:
+            return
+        frames, self._kept, self._kept_lines = self._kept, [], 0
+        sizes = [lines.size for lines in frames]
+        if not sum(sizes):
+            self._l1.invalidate()
+            return
+        self._l1.access_lines(np.concatenate(frames),
+                              flushes=np.cumsum([0] + sizes[:-1]))
 
     def result(self) -> Dict:
         return {

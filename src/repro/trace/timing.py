@@ -87,7 +87,7 @@ from repro.trace.format import (
     LaunchEvent,
 )
 from repro.trace.io import FrameBuilder, FrameColumns
-from repro.trace.replay import ANALYSES, TraceAnalysis
+from repro.trace.replay import ANALYSES, BATCH_RECORDS, TraceAnalysis
 
 _BAR = Opcode.BAR.value
 
@@ -450,11 +450,6 @@ class TimingReport:
         for launch in self.launches:
             grouped.setdefault(launch.kernel, []).append(launch)
         return grouped
-
-
-#: buffered records at which :class:`TimingModel` rebuilds its batch
-#: of closed launches without waiting for ``schedule``/``finish``
-BATCH_RECORDS = 1 << 16
 
 
 class TimingModel:

@@ -36,6 +36,7 @@ from repro.trace.replay import (
     OpcodeHistogramAnalysis,
 )
 from repro.trace.timing import LaunchTiming, TimingAnalysis, TimingReport
+from tests.cache_oracle import access
 from tests.timing_oracle import (
     OracleTimingModel,
     oracle_schedule_launch,
@@ -68,7 +69,7 @@ class OracleCacheSim(_Hooks, CacheSimAnalysis):
 
     def on_mem(self, event: MemEvent) -> None:
         for line in event.line_addresses:
-            self.l1.access(line)
+            access(self.l1, line)
 
 
 class OracleDivergence(_Hooks, DivergenceAnalysis):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.cache import Cache, kepler_hierarchy
+from repro.sim import cache as cache_model
+from repro.sim.cache import Cache
 from repro.sim.coalescer import LINE_BYTES, coalesce
 from repro.sim.errors import DeviceFault
 from repro.sim.memory import (
@@ -18,6 +19,7 @@ from repro.sim.memory import (
     SHARED_BASE,
 )
 from repro.sim.warp import Warp, TokenKind
+from tests.cache_oracle import kepler_hierarchy
 
 
 class TestMemory:
@@ -108,35 +110,41 @@ class TestCoalescer:
 class TestCache:
     def test_repeat_access_hits(self):
         cache = Cache(1024, ways=2)
-        assert not cache.access(0)
-        assert cache.access(0)
+        assert cache.access_lines([0]) == 1
+        assert cache.access_lines([0]) == 0
         assert cache.stats.hits == 1
 
     def test_lru_eviction(self):
         cache = Cache(2 * 32, ways=2)  # one set, two ways
-        cache.access(0)
-        cache.access(32 * 1)   # same set? with 1 set, every line maps there
-        cache.access(32 * 2)   # evicts line 0
-        assert not cache.access(0)
+        cache.access_lines([0])
+        cache.access_lines([32 * 1])   # same set? with 1 set, every line maps there
+        cache.access_lines([32 * 2])   # evicts line 0
+        assert cache.access_lines([0]) == 1
         assert cache.stats.evictions >= 1
 
     def test_miss_forwards_to_next_level(self):
-        l1 = kepler_hierarchy()
-        l1.access(0)
+        l1 = cache_model.kepler_hierarchy()
+        l1.access_lines([0])
         assert l1.next_level.stats.accesses == 1
-        l1.access(0)
+        l1.access_lines([0])
         assert l1.next_level.stats.accesses == 1  # L1 hit absorbs
 
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
             Cache(100, ways=3)
+        for kwargs in ({"size_bytes": 0}, {"size_bytes": -1024},
+                       {"size_bytes": 1024, "ways": 0},
+                       {"size_bytes": 1024, "line_bytes": 0}):
+            param = [key for key, value in kwargs.items() if value <= 0][0]
+            with pytest.raises(ValueError, match=param):
+                Cache(**kwargs)
 
     def test_reset(self):
         cache = Cache(1024)
-        cache.access(0)
+        cache.access_lines([0])
         cache.reset()
         assert cache.stats.accesses == 0
-        assert not cache.access(0)
+        assert cache.access_lines([0]) == 1
 
 
 class TestWarpStack:

@@ -56,3 +56,38 @@ class TestStudy:
     def test_unknown_study_rejected(self):
         with pytest.raises(SystemExit):
             main(["study", "table99"])
+
+
+class TestLazyParsers:
+    """``main`` builds only the subcommand its argv names; help, usage
+    and command output stay those of the full parser tree."""
+
+    def test_help_lists_every_subcommand(self, capsys):
+        from repro.cli import _COMMANDS
+
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(_COMMANDS) + "}" in out
+        listed = [line.split()[0] for line in out.splitlines()
+                  if line.startswith("    ") and line.split()[0] in _COMMANDS]
+        assert listed == list(_COMMANDS)
+
+    def test_trace_query_count_matches_full_tree(self, tmp_path, capsys):
+        import argparse
+
+        from repro.cli import _COMMANDS, _add_commands
+        from repro.trace.capture import capture_workload
+
+        path = str(tmp_path / "vecadd.rptrace")
+        capture_workload("vectoradd", path)
+        argv = ["trace", "query", path, "--count"]
+        assert main(argv) == 0
+        lazy = capsys.readouterr()
+        full = argparse.ArgumentParser(prog="repro")
+        _add_commands(full, _COMMANDS, "command", [])
+        args = full.parse_args(argv)
+        assert args.fn(args) == 0
+        assert capsys.readouterr() == lazy
+        assert " hits " in lazy.out

@@ -13,7 +13,8 @@ This is the object-at-a-time timing pipeline the columnar model in
   instruction event, with a one-event lookahead deciding every
   ``EXIT``/``RET`` handoff;
 * :class:`OracleTimingModel` feeds events one at a time, grading each
-  memory record's lines through ``Cache.access`` as it arrives;
+  memory record's lines through the per-line LRU step of
+  :mod:`tests.cache_oracle` as it arrives;
 * :func:`oracle_schedule_launch` steps each CTA with a ready-heap of
   per-warp state objects and accounts every issue as it happens.
 
@@ -58,6 +59,7 @@ from repro.trace.format import (
     LaunchEvent,
     MemEvent,
 )
+from tests.cache_oracle import access
 
 
 # ------------------------------------------------------ object streams
@@ -247,7 +249,7 @@ class OracleTimingModel:
                 before_l1 = self.l1.stats.misses
                 before_l2 = self.l2.stats.misses
                 for line in event.line_addresses:
-                    self.l1.access(line)
+                    access(self.l1, line)
                 pending.transactions += len(event.line_addresses)
                 pending.l1_misses += self.l1.stats.misses - before_l1
                 pending.l2_misses += self.l2.stats.misses - before_l2
