@@ -47,7 +47,6 @@ from repro.sassi import params as P
 from repro.sassi.spec import InstrumentationSpec, What, Where
 from repro.sim.memory import SHARED_BASE
 from repro.sim.warp import WARP_SIZE
-from repro.telemetry.classify import block_dispatch_counts
 
 #: Caller-saved registers a ≤16-register handler may clobber (R1 is the
 #: stack pointer and is callee-preserved by construction).
@@ -357,13 +356,13 @@ def _emit_register_metadata(seq: List[Instruction], instr: Instruction,
 # derived node) is tracked as the records are matched, every STL's
 # source is keyed by its frame offset, and every LDL, R2P and carry
 # restore after the JCAL is resolved both as written and against the
-# stored words (the clean-frame proof).  The per-site stats/telemetry
-# cost splits (spill / fill / save_restore / param_marshal — identical
-# to per-record ``sassi_key`` classification, which tests enforce) are
-# counted once.  A visit is then one register gather, one scatter of
-# the frame image in whole words, one register write at the call and —
-# when the frame comes back as it went out — one after it, never a walk
-# of the sequence op by op.
+# stored words (the clean-frame proof).  A visit counts once; the
+# executor folds the launch's stats and telemetry cost splits (spill /
+# fill / save_restore / param_marshal) from the plan's records and
+# their ``sassi_key`` when the launch ends.  A visit is then one
+# register gather, one scatter of the frame image in whole words, one
+# register write at the call and — when the frame comes back as it
+# went out — one after it, never a walk of the sequence op by op.
 #
 # Anything that does not match — predicated original sites beyond the
 # Figure 2 guard-flag pair, exotic register indices, out-of-frame stack
@@ -448,8 +447,8 @@ class SiteSequencePlan:
 
     __slots__ = ("start", "records", "frame", "jcal_addr", "jcal_index",
                  "max_touch", "max_reg", "length", "n_pairs",
-                 "thread_weight", "opcode_counts", "telemetry_counts",
-                 "site_id", "nodes", "n_words", "take_rows", "node_rows",
+                 "thread_weight", "site_id", "nodes", "n_words",
+                 "take_rows", "node_rows",
                  "const_rows", "const_col",
                  "store_cols", "store_words", "words", "statics",
                  "env_rows", "env_src", "carry", "fill_cols", "fill_words",
@@ -473,16 +472,11 @@ class SiteSequencePlan:
         self.max_reg = max_reg
         self.length = len(records)
         self.n_pairs = n_pairs
-        # --- once-per-site cost accounting (stats + telemetry) -------
+        # --- per-visit thread accounting ----------------------------
         # A guard-flag pair's two complementary records together touch
         # each active lane exactly once, so per-thread counts collapse
         # to (length - n_pairs) * active_lanes.
         self.thread_weight = self.length - n_pairs
-        counts: dict = {}
-        for dec in records:
-            counts[dec.opcode] = counts.get(dec.opcode, 0) + 1
-        self.opcode_counts = counts
-        self.telemetry_counts = block_dispatch_counts(records)
         self._seeds: dict = {}
         self._nets: dict = {}
 

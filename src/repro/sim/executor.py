@@ -16,9 +16,16 @@ gather/scatter.  A generic access spanning windows is split by space;
 store and atomic lanes on the same bytes apply in lane order (an
 atomic's lanes on one word fold by one scan, and the last lane storing
 a byte wins); and a faulting lane raises after the lanes before it
-apply.  The flat cycle count is folded from the launch's own statistics
-when it completes (:func:`~repro.sim.scheduler.flat_cycles`); an
-aborted launch leaves it at 0.
+apply.
+
+Each dispatch unit counts its visits.  A launch's opcode histogram,
+injected-instruction count and ``instr.*``/``sassi.*`` telemetry
+counters are folded from those visits once, when it ends or aborts;
+the lane-dependent counts and ``warp_instructions`` (which ``S2R``
+reads for ``SR_CLOCK``) stay live.  The flat cycle count is folded
+from the launch's own statistics when it completes
+(:func:`~repro.sim.scheduler.flat_cycles`); an aborted launch leaves
+it at 0.
 
 The executor is also where SASSI handler calls land: a ``JCAL`` whose
 target lies in the handler address range (``SassProgram.HANDLER_BASE``)
@@ -58,11 +65,7 @@ from repro.sim.memory import (
 )
 from repro.sim.scheduler import flat_cycles
 from repro.sim.warp import WARP_SIZE, Warp, mask_to_u32
-from repro.telemetry.classify import (
-    OPCLASS_KEY,
-    block_dispatch_counts,
-    sassi_key,
-)
+from repro.telemetry.classify import OPCLASS_KEY, sassi_key
 from repro.telemetry.collector import TELEMETRY
 
 #: Physical bytes of local memory actually backed per thread (the
@@ -180,9 +183,9 @@ class Executor:
         #: the device's AdaptiveController, if one is installed
         #: (``repro.sassi.runtime``); gates compiled site plans.
         self._adaptive = getattr(device, "adaptive", None)
-        #: completed visits per fused unit (superblock or site plan);
-        #: their opcode histograms are folded into the launch's stats
-        #: once, when the launch ends or aborts (``_fold_visits``).
+        #: visits per dispatch unit (superblock, site plan, or a record
+        #: dispatched alone) not yet folded into the launch's stats
+        #: (``_fold_visits``).
         self._visits: Dict[object, int] = {}
 
     # ------------------------------------------------------------ launch
@@ -216,13 +219,28 @@ class Executor:
         return self.stats
 
     def _fold_visits(self) -> None:
-        """Add each fused unit's opcode histogram, times its completed
-        visits, to the launch's ``opcode_counts``."""
-        counts = self.stats.opcode_counts
+        """Fold the visits made since the last fold into the launch's
+        ``opcode_counts`` and ``sassi_warp_instructions`` and, with
+        telemetry on, its ``instr.<class>`` and ``sassi.<bucket>``
+        counters."""
+        opcodes: Counter = Counter()
+        buckets: Counter = Counter()
         for unit, visits in self._visits.items():
-            for opcode, count in unit.opcode_counts.items():
-                counts[opcode] += count * visits
+            for dec in (unit,) if unit.__class__ is _Decoded \
+                    else unit.records:
+                opcodes[dec.opcode] += visits
+                if dec.sassi:
+                    buckets[dec.sassi_key] += visits
         self._visits.clear()
+        stats = self.stats
+        stats.opcode_counts.update(opcodes)
+        stats.sassi_warp_instructions += sum(buckets.values())
+        if TELEMETRY.enabled:
+            incr = TELEMETRY.incr
+            for opcode, count in opcodes.items():
+                incr(OPCLASS_KEY[opcode], count)
+            for key, count in buckets.items():
+                incr(key, count)
 
     def _account_prefix(self, records, lanes: int, pairs: int = 0
                         ) -> None:
@@ -232,13 +250,12 @@ class Executor:
         guard-flag pairs touches every lane once between its two
         records."""
         stats = self.stats
-        counts = stats.opcode_counts
+        visits = self._visits
         for dec in records:
-            counts[dec.opcode] += 1
+            visits[dec] = visits.get(dec, 0) + 1
         sassi = sum(1 for dec in records if dec.sassi)
         stats.warp_instructions += len(records)
         stats.thread_instructions += lanes * (len(records) - pairs)
-        stats.sassi_warp_instructions += sassi
         stats.sassi_thread_instructions += lanes * (sassi - pairs)
 
     def _run_cta(self, ctaid, grid, block, num_threads, shared_bytes) -> None:
@@ -328,9 +345,10 @@ class Executor:
         Every record is unconditional straight-line code, so the guard
         of each instruction is the warp's active mask, which nothing in
         the block can change — one uniformity read serves all records.
-        Watchdog, stack-depth, and the per-instruction stats/telemetry
-        increments collapse to per-block deltas (flushed at block exit);
-        the opcode handlers themselves run exactly as in ``_execute``.
+        Watchdog, stack-depth, and the per-instruction stats increments
+        collapse to per-block deltas and one visit (flushed at block
+        exit); the opcode handlers themselves run exactly as in
+        ``_execute``.
         """
         length = block.length
         self._watchdog += length
@@ -354,12 +372,9 @@ class Executor:
         stats.warp_instructions += length
         stats.thread_instructions += lanes * length
         if block.n_sassi:
-            stats.sassi_warp_instructions += block.n_sassi
             stats.sassi_thread_instructions += lanes * block.n_sassi
         visits = self._visits
         visits[block] = visits.get(block, 0) + 1
-        if TELEMETRY.enabled:
-            TELEMETRY.record_block(block.telemetry_counts)
 
     def _execute_site(self, plan, warp: Warp, cta: CTAContext) -> None:
         """Execute one instrumentation site as a batched plan.
@@ -432,28 +447,28 @@ class Executor:
         lanes = g_idx.size
         stats.warp_instructions += length
         stats.thread_instructions += lanes * plan.thread_weight
-        stats.sassi_warp_instructions += length
         stats.sassi_thread_instructions += lanes * plan.thread_weight
         visits = self._visits
         visits[plan] = visits.get(plan, 0) + 1
-        telem = TELEMETRY
-        if telem.enabled:
-            telem.record_block(plan.telemetry_counts)
-            if partial:
-                telem.incr("divergence.partial_dispatch", partial)
+        if partial and TELEMETRY.enabled:
+            TELEMETRY.incr("divergence.partial_dispatch", partial)
 
     def step(self, warp: Warp, cta: CTAContext, instr: Instruction) -> None:
         """Execute one instruction for one warp.
 
         Accepts a raw :class:`Instruction` (decoded on the fly) or a
-        predecoded record from the per-kernel cache.
+        predecoded record from the per-kernel cache.  The visit is
+        folded into ``stats`` before it returns or raises.
         """
         if not isinstance(instr, _Decoded):
             targets = self._targets
             target = targets[warp.pc] \
                 if 0 <= warp.pc < len(targets) else None
             instr = _Decoded(instr, target)
-        self._execute(instr, warp, cta)
+        try:
+            self._execute(instr, warp, cta)
+        finally:
+            self._fold_visits()
 
     def _execute(self, dec: "_Decoded", warp: Warp, cta: CTAContext) -> None:
         stats = self.stats
@@ -463,16 +478,17 @@ class Executor:
         else:
             g = warp.guard_mask(warp.preds[dec.pred_index], dec.negated)
         lanes = int(np.count_nonzero(g))
+        # only a guarded record can run on fewer lanes than are active
+        if TELEMETRY.enabled and not dec.uncond \
+                and lanes < int(np.count_nonzero(warp.active)):
+            TELEMETRY.incr("divergence.partial_dispatch")
         stats.thread_instructions += lanes
-        stats.opcode_counts[dec.opcode] += 1
+        visits = self._visits
+        visits[dec] = visits.get(dec, 0) + 1
         if dec.sassi:
-            stats.sassi_warp_instructions += 1
             stats.sassi_thread_instructions += lanes
         if warp.stack_depth > stats.max_stack_depth:
             stats.max_stack_depth = warp.stack_depth
-        if TELEMETRY.enabled:
-            TELEMETRY.record_dispatch(
-                dec, lanes, int(np.count_nonzero(warp.active)))
 
         handler = dec.handler
         if handler is None:
@@ -564,7 +580,7 @@ class _Decoded:
     __slots__ = ("instr", "opcode", "dsts", "srcs", "mods", "guard", "tag",
                  "uncond", "pred_index", "negated", "sassi", "handler",
                  "target", "mem_width", "mem_ref", "cmp_fn", "narrow",
-                 "atom_op", "dst_rows", "opclass_key", "sassi_key",
+                 "atom_op", "dst_rows", "sassi_key",
                  "jcal_addr")
 
     def __init__(self, instr: Instruction, target: Optional[int] = None):
@@ -579,7 +595,6 @@ class _Decoded:
         self.pred_index = instr.guard.pred.index
         self.negated = instr.guard.negated
         self.sassi = instr.tag == "sassi"
-        self.opclass_key = OPCLASS_KEY[instr.opcode]
         self.sassi_key = sassi_key(instr) if self.sassi else None
         self.handler = _DISPATCH.get(instr.opcode)
         self.target = target
@@ -626,29 +641,22 @@ def _is_fusable(dec: "_Decoded") -> bool:
 class _Superblock:
     """A maximal run of fusable records starting at a block leader.
 
-    Everything the per-instruction dispatch loop accrues incrementally
-    is pre-aggregated here: the opcode histogram, the SASSI-injected
-    instruction count, and the telemetry dispatch-counter deltas.  The
-    block carries no cycle cost: the launch's flat cycle count is folded
-    from its opcode histogram once, at completion.  ``dispatch`` pairs
-    each record with its handler so the fused loop does two tuple loads
-    per instruction.
+    A visit counts once in the executor's ``_visits``; the launch's
+    opcode histogram and dispatch counters are folded from ``records``
+    when the launch ends.  ``n_sassi`` (the SASSI-injected instruction
+    count) scales the lane-dependent counts per visit.  ``dispatch``
+    pairs each record with its handler so the fused loop does two tuple
+    loads per instruction.
     """
 
-    __slots__ = ("start", "length", "records", "dispatch", "opcode_counts",
-                 "n_sassi", "telemetry_counts")
+    __slots__ = ("start", "length", "records", "dispatch", "n_sassi")
 
     def __init__(self, start: int, records: List["_Decoded"]):
         self.start = start
         self.records = records
         self.length = len(records)
         self.dispatch = [(dec.handler, dec) for dec in records]
-        counts: Counter = Counter()
-        for dec in records:
-            counts[dec.opcode] += 1
-        self.opcode_counts = dict(counts)
         self.n_sassi = sum(1 for dec in records if dec.sassi)
-        self.telemetry_counts = block_dispatch_counts(records)
 
 
 def _partition_superblocks(records: List["_Decoded"],

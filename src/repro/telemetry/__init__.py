@@ -10,9 +10,9 @@ Quick start::
     print(T.render_summary())
     T.write_chrome_trace("out.json")       # open in chrome://tracing
 
-Everything is off by default; with telemetry disabled the executor's
-dispatch loop pays one attribute test per warp instruction and
-:func:`span` yields immediately.
+Everything is off by default; with telemetry disabled the executor
+skips its once-per-launch counter fold and :func:`span` yields
+immediately.
 """
 
 from repro.telemetry.collector import (

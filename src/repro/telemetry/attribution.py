@@ -12,11 +12,11 @@ runtime decomposes into
 
 ``handler_body`` is measured wall time; the remaining wall time is
 attributed proportionally to the *dynamic* warp-instruction counts of
-the other three buckets (the executor's per-dispatch telemetry
-counters).  The buckets therefore sum to the instrumented wall-clock
-exactly, and the instruction counts cross-check against
-:mod:`repro.studies.overhead`'s ``I`` ratios and the executor's
-``KernelStats`` ground truth.
+the other three buckets (the executor's dispatch counters, folded once
+per launch from the dispatch units it visited).  The buckets therefore
+sum to the instrumented wall-clock exactly, and the instruction counts
+cross-check against :mod:`repro.studies.overhead`'s ``I`` ratios and
+the executor's ``KernelStats`` ground truth.
 
 When sites are sampled (:mod:`repro.sassi.runtime`), skipped firings
 execute no injected instructions and consume no wall time — but they
@@ -136,21 +136,23 @@ def attribute_workload(name: str, case: str = "memory",
     baseline_wall = time.perf_counter() - start
 
     telemetry.enable()
-    mark = telemetry.mark()
-    instrumented_device = Device()
-    if controller is not None:
-        controller.install(instrumented_device)
-    profiler = _handler_for(case, instrumented_device)
-    with span("attribution", workload=name, case=case):
-        with span("compile"):
-            instrumented = profiler.compile(workload.build_ir())
-        with span("execute"):
-            start = time.perf_counter()
-            workload.execute(instrumented_device, instrumented)
-            instrumented_wall = time.perf_counter() - start
-    delta = telemetry.delta_since(mark)
-    if not was_enabled:
-        telemetry.disable()
+    try:
+        mark = telemetry.mark()
+        instrumented_device = Device()
+        if controller is not None:
+            controller.install(instrumented_device)
+        profiler = _handler_for(case, instrumented_device)
+        with span("attribution", workload=name, case=case):
+            with span("compile"):
+                instrumented = profiler.compile(workload.build_ir())
+            with span("execute"):
+                start = time.perf_counter()
+                workload.execute(instrumented_device, instrumented)
+                instrumented_wall = time.perf_counter() - start
+        delta = telemetry.delta_since(mark)
+    finally:
+        if not was_enabled:
+            telemetry.disable()
 
     trace = workload.last_trace
     baseline_instructions = sum(stats.baseline_warp_instructions

@@ -1,12 +1,13 @@
-"""Static classification feeding the dispatch-loop counters.
+"""Static classification behind the executor's dispatch counters.
 
-Two per-instruction keys are resolved once per kernel (in the executor's
-decode cache) so the hot loop only does dictionary increments:
+The executor folds each launch's counters from the dispatch units it
+visited, keyed by two classifications:
 
-* ``opclass_key`` — ``"instr.<class>"`` where ``<class>`` is the
-  instruction's primary semantic class (memory, control, float, ...);
+* :data:`OPCLASS_KEY` — ``"instr.<class>"`` where ``<class>`` is an
+  opcode's primary semantic class (memory, control, float, ...);
 * ``sassi_key`` — for injected (``tag == "sassi"``) instructions, which
-  overhead bucket the instruction belongs to: ``spill`` / ``fill`` (the
+  overhead bucket the instruction belongs to (resolved once per kernel
+  in the executor's decode cache): ``spill`` / ``fill`` (the
   ABI save/restore traffic), ``save_restore`` (frame management,
   predicate/carry bookkeeping, the handler call itself) or
   ``param_marshal`` (building the SASSI parameter objects).  These are
@@ -16,7 +17,7 @@ decode cache) so the hot loop only does dictionary increments:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.isa.instruction import MemRef
 from repro.isa.opcodes import OpClass, Opcode, OPCODE_CLASSES
@@ -100,24 +101,6 @@ def _is_spill_slot(offset: int, P) -> bool:
         return True
     return P.BP_GPR_SPILL <= offset \
         < P.BP_GPR_SPILL + 4 * P.NUM_SPILL_SLOTS
-
-
-def block_dispatch_counts(records) -> Dict[str, int]:
-    """Aggregate the dispatch-counter keys of a fused superblock.
-
-    Resolved once at decode time so the executor's fast path folds one
-    small dict per block instead of touching the counters once per
-    instruction.  Input records carry ``opclass_key``/``sassi_key``
-    (the executor's ``_Decoded`` shape).
-    """
-    counts: Dict[str, int] = {}
-    for dec in records:
-        key = dec.opclass_key
-        counts[key] = counts.get(key, 0) + 1
-        key = dec.sassi_key
-        if key is not None:
-            counts[key] = counts.get(key, 0) + 1
-    return counts
 
 
 #: The save/restore bucket is the union of these counter keys.

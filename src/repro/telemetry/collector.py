@@ -2,16 +2,17 @@
 
 One process-wide :class:`Telemetry` instance (``TELEMETRY``) holds
 
-* ``counters`` — monotonically increasing integer metrics, cheap enough
-  for the executor's dispatch loop (one ``enabled`` branch when off);
+* ``counters`` — monotonically increasing integer metrics; the
+  executor's ``instr.*`` and ``sassi.*`` counters are folded in once per
+  launch from the dispatch units it visited;
 * ``timers`` — float second accumulators (handler-body wall time);
 * a stack of open :class:`Span` nodes and the list of finished root
   spans (``roots``).
 
-Everything is disabled by default: with ``enabled`` False the dispatch
-hook is a single attribute test and :func:`span` yields without
-allocating.  Campaign workers (see :mod:`repro.campaign.engine`) capture
-a :func:`Telemetry.mark` before each task and ship the
+Everything is disabled by default: with ``enabled`` False the executor
+skips the counter fold and :func:`span` yields without allocating.
+Campaign workers (see :mod:`repro.campaign.engine`) capture a
+:func:`Telemetry.mark` before each task and ship the
 :func:`Telemetry.delta_since` back to the parent, which merges it with
 :func:`Telemetry.merge_snapshot` — counter totals are therefore
 identical between serial and ``--jobs N`` runs.
@@ -130,40 +131,6 @@ class Telemetry:
     def add_time(self, name: str, seconds: float) -> None:
         timers = self.timers
         timers[name] = timers.get(name, 0.0) + seconds
-
-    def record_dispatch(self, dec, lanes: int, active_lanes: int) -> None:
-        """Hot-loop hook: one call per warp instruction when enabled.
-
-        *dec* is the executor's predecoded record, which carries
-        ``opclass_key`` (``"instr.<class>"``) and, for injected
-        instructions, ``sassi_key`` (``"sassi.<bucket>"``) — both
-        resolved once per kernel at decode time.
-        """
-        counters = self.counters
-        key = dec.opclass_key
-        counters[key] = counters.get(key, 0) + 1
-        if lanes < active_lanes:
-            counters["divergence.partial_dispatch"] = \
-                counters.get("divergence.partial_dispatch", 0) + 1
-        key = dec.sassi_key
-        if key is not None:
-            counters[key] = counters.get(key, 0) + 1
-
-    def record_block(self, counts: Dict[str, int]) -> None:
-        """Hot-loop hook: fold one fused superblock's predecoded
-        dispatch-counter deltas in a single pass.
-
-        *counts* aggregates ``opclass_key``/``sassi_key`` over the
-        block's records (see
-        :func:`repro.telemetry.classify.block_dispatch_counts`).  Blocks
-        are only fused when every instruction is unconditional, so no
-        ``divergence.partial_dispatch`` increment can arise — totals are
-        exactly what per-instruction :meth:`record_dispatch` calls would
-        have produced.
-        """
-        counters = self.counters
-        for key, value in counts.items():
-            counters[key] = counters.get(key, 0) + value
 
     # ------------------------------------------------------------ spans
 

@@ -82,7 +82,8 @@ class CacheSimAnalysis(TraceAnalysis):
     :meth:`Cache.access_lines` call that flushes the caches at every
     launch (each launch starts cold), at the first read of ``result()``,
     ``report()``, :attr:`l1` or :attr:`l2`, or once the kept lines reach
-    :data:`BATCH_RECORDS`.
+    :data:`BATCH_RECORDS`.  Grading runs under the telemetry span
+    ``replay.feed_s.cachesim``.
     """
 
     name = "cachesim"
@@ -119,8 +120,9 @@ class CacheSimAnalysis(TraceAnalysis):
         if not sum(sizes):
             self._l1.invalidate()
             return
-        self._l1.access_lines(np.concatenate(frames),
-                              flushes=np.cumsum([0] + sizes[:-1]))
+        with telemetry_span("replay.feed_s.cachesim"):
+            self._l1.access_lines(np.concatenate(frames),
+                                  flushes=np.cumsum([0] + sizes[:-1]))
 
     def result(self) -> Dict:
         return {

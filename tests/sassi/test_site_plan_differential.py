@@ -194,6 +194,7 @@ def _run(side, plan, state, compiled):
                 while warp.pc < end:
                     ex._execute(plan.records[warp.pc - plan.start], warp,
                                 cta)
+            ex._fold_visits()
         counters = dict(TELEMETRY.counters)
     finally:
         TELEMETRY.disable()

@@ -169,6 +169,8 @@ def _run(instr, addrs, bits, seed, per_lane):
 def _assert_same(instr, addrs, bits, seed):
     vector = _run(instr, addrs, bits, seed, per_lane=False)
     oracle = _run(instr, addrs, bits, seed, per_lane=True)
+    assert vector["stats"].opcode_counts == {instr.opcode: 1}, \
+        f"{instr!r}: step left the record uncounted"
     assert vector["fault"] == oracle["fault"], f"{instr!r}: fault differs"
     for key, want in oracle.items():
         got = vector[key]

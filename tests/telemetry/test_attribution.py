@@ -82,6 +82,21 @@ class TestAttributeWorkload:
         attribute_workload("rodinia/nn", case="memory")
         assert not TELEMETRY.enabled
 
+    def test_leaves_telemetry_disabled_after_a_compile_error(
+            self, monkeypatch):
+        import repro.studies.overhead as overhead
+
+        class _Failing:
+            def compile(self, ir, cache=None):
+                raise RuntimeError("compile failed")
+
+        monkeypatch.setattr(overhead, "_handler_for",
+                            lambda case, device: _Failing())
+        assert not TELEMETRY.enabled
+        with pytest.raises(RuntimeError, match="compile failed"):
+            attribute_workload("rodinia/nn", case="memory")
+        assert not TELEMETRY.enabled
+
 
 class TestSampledAttribution:
     """Bucket accounting must stay exact when sites are sampled."""

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from repro.backend import ptxas
-from repro.sim import Device
+from repro.handlers import OpcodeHistogram
+from repro.sassi import SassiRuntime, spec_from_flags
+from repro.sim import Device, DeviceFault, Dim3
 from repro.telemetry import OPCLASS_KEY, TELEMETRY, span
 from repro.workloads import make
 
@@ -25,34 +27,97 @@ def clean_telemetry():
     TELEMETRY.reset()
 
 
+def _completed_launches(name):
+    """Every launch of a workload run to completion."""
+    workload = make(name)
+    kernel = ptxas(workload.build_ir())
+    output = workload.execute(Device(), kernel)
+    assert workload.verify(output)
+    return workload.last_trace.launches
+
+
+def _handler_fault_launch():
+    """The launch in which a handler raises on its 60th call."""
+    calls = []
+
+    def handler(ctx):
+        calls.append(ctx.num_active)
+        if len(calls) == 60:
+            raise DeviceFault("handler fault")
+
+    workload = make("rodinia/nn")
+    device = Device()
+    runtime = SassiRuntime(device)
+    runtime.register_before_handler(handler)
+    kernel = runtime.compile(workload.build_ir(),
+                             spec_from_flags(OpcodeHistogram.FLAGS))
+    with pytest.raises(DeviceFault, match="handler fault"):
+        workload.execute(device, kernel)
+    return [device.last_stats]
+
+
+def _block_fault_launch():
+    """A vecadd launch whose store faults on the last record of a fused
+    superblock (the output pointer is null)."""
+    device = Device()
+    n = 256
+    a = device.alloc_array(np.ones(n, dtype=np.float32))
+    with pytest.raises(DeviceFault, match="outside"):
+        device.launch(ptxas(build_vecadd()), Dim3(2), Dim3(128),
+                      [n, a, a, 0])
+    return [device.last_stats]
+
+
+_LAUNCHES = {
+    "vectoradd": lambda: _completed_launches("vectoradd"),
+    "rodinia/nn": lambda: _completed_launches("rodinia/nn"),
+    "rodinia/pathfinder": lambda: _completed_launches("rodinia/pathfinder"),
+    "handler_fault": _handler_fault_launch,
+    "block_fault": _block_fault_launch,
+}
+
+
 class TestDispatchCounters:
     """The acceptance criterion: per-opcode-class counter totals equal
-    the executor's KernelStats ground truth, exactly."""
+    the executor's KernelStats ground truth, exactly — on completed and
+    on aborted launches."""
 
-    @pytest.mark.parametrize("name", ["vectoradd", "rodinia/nn",
-                                      "rodinia/pathfinder"])
-    def test_counters_match_kernel_stats(self, name):
-        workload = make(name)
-        device = Device()
-        kernel = ptxas(workload.build_ir())
+    @pytest.mark.parametrize("case", list(_LAUNCHES))
+    def test_counters_match_kernel_stats(self, case):
         TELEMETRY.enable(reset=True)
-        output = workload.execute(device, kernel)
+        launches = _LAUNCHES[case]()
         TELEMETRY.disable()
-        assert workload.verify(output)
 
-        expected = Counter()
-        for stats in workload.last_trace.launches:
-            for opcode, count in stats.opcode_counts.items():
-                expected[OPCLASS_KEY[opcode]] += count
-        observed = {key: value for key, value in TELEMETRY.counters.items()
-                    if key.startswith("instr.")}
-        assert observed == dict(expected)
-        assert sum(observed.values()) \
-            == workload.last_trace.warp_instructions
+        def by_class(stats_list):
+            expected = Counter()
+            for stats in stats_list:
+                for opcode, count in stats.opcode_counts.items():
+                    expected[OPCLASS_KEY[opcode]] += count
+            return dict(expected)
+
+        # each launch's counters are the deltas of its "launch" span
+        spans = [root for root in TELEMETRY.roots if root.name == "launch"]
+        if case in ("handler_fault", "block_fault"):
+            spans = spans[-1:]
+        else:
+            assert len(spans) == len(launches)
+            observed = {key: value
+                        for key, value in TELEMETRY.counters.items()
+                        if key.startswith("instr.")}
+            assert observed == by_class(launches)
+            assert sum(observed.values()) \
+                == sum(stats.warp_instructions for stats in launches)
+        for stats, node in zip(launches, spans):
+            observed = {key: value for key, value in node.counters.items()
+                        if key.startswith("instr.")}
+            assert observed == by_class([stats])
+            assert sum(observed.values()) == stats.warp_instructions
+            sassi = sum(value for key, value in node.counters.items()
+                        if key.startswith("sassi.")
+                        and key != "sassi.sampled_skipped")
+            assert sassi == stats.sassi_warp_instructions
 
     def test_sassi_counters_cover_injected_instructions(self):
-        from repro.sassi import SassiRuntime, spec_from_flags
-
         runtime = SassiRuntime(Device(), poison_caller_saved=False)
         runtime.register_before_handler(lambda ctx: None)
         kernel = runtime.compile(

@@ -156,3 +156,21 @@ class TestReplayEngine:
             assert "trace.replay" in names
         finally:
             TELEMETRY.disable()
+
+    def test_cachesim_grading_span(self, tmp_path):
+        from repro.telemetry import TELEMETRY
+
+        path = str(tmp_path / "run.rptrace")
+        capture_workload("vectoradd", path)
+        cachesim = CacheSimAnalysis()
+        TELEMETRY.enable(reset=True)
+        try:
+            replay(path, [cachesim])
+            accesses = cachesim.result()["l1"]["accesses"]
+            names = [node.name for root in TELEMETRY.roots
+                     for node in root.walk()]
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        assert accesses > 0
+        assert names.count("replay.feed_s.cachesim") == 1
